@@ -33,8 +33,11 @@ from .core import (CellField, Grid, InitialData, SystemState,
                    state_from_arrays, total_variation)
 from .errors import InputRangeError, PicardDivergenceError
 from .model import ModelBounds, VelocityModel, require_valid_model
-from .scalar import (SPEED_FLOOR, density_step_arrays, entropy_residual_arrays,
+from .scalar import (SPEED_FLOOR, density_step_arrays, entropy_residual_maxima,
                      max_speed)
+# not called here, but kept importable from this module: perfbench traces
+# the per-level entropy audit at this binding
+from .scalar import entropy_residual_arrays  # noqa: F401
 from .transport import marker_step_arrays
 
 DEFAULT_ENTROPY_LEVELS = 11
@@ -172,7 +175,10 @@ class SlabIterate:
 
 
 class SlabRecorder:
-    """Per-step diagnostics of one iterate's march (entropy, CFL, influx)."""
+    """Per-step diagnostics of one iterate's march (entropy, CFL, influx).
+
+    With no entropy levels the recorder only tracks influx, steps and CFL.
+    """
 
     def __init__(self, model: VelocityModel, h: float, k_levels):
         self.model = model
@@ -183,15 +189,17 @@ class SlabRecorder:
         self.n_steps = 0
         self.max_cfl = 0.0
 
-    def on_step(self, rho_old, rho_new, u, dt, flux):
+    def on_step(self, rho_old, rho_new, u, dt, flux, speed):
+        """Record one step; speed is max_speed(rho_old, u) as set dt."""
         self.influx += dt * (flux[0] - flux[-1])
         self.n_steps += 1
-        self.max_cfl = max(self.max_cfl,
-                           dt * max_speed(rho_old, u, self.model) / self.h)
-        for j, k in enumerate(self.k_levels):
-            res = entropy_residual_arrays(rho_old, rho_new, u, float(k), dt,
-                                          self.h, self.model)
-            self.entropy_max[j] = max(self.entropy_max[j], float(res.max()))
+        self.max_cfl = max(self.max_cfl, dt * speed / self.h)
+        if len(self.k_levels) == 0:
+            return
+        maxima = entropy_residual_maxima(rho_old, rho_new, u, self.k_levels,
+                                         dt, self.h, self.model)
+        for j, r in enumerate(maxima.tolist()):
+            self.entropy_max[j] = max(self.entropy_max[j], r)
 
     def entropy_table(self) -> dict:
         if self.n_steps == 0 or len(self.k_levels) == 0:
@@ -277,13 +285,14 @@ def _march_slab(rho, v, w, times, u_of_t, model, h, cfl, z_inf, u_inf,
         t_next = float(t_next)
         while t_next - t > time_tol:
             u_now = u_of_t(t)
-            dt_stable = cfl * h / max_speed(rho, u_now, model)
+            speed = max_speed(rho, u_now, model)
+            dt_stable = cfl * h / speed
             remaining = t_next - t
             dt = min(dt_stable, remaining)
             rho_new, flux = density_step_arrays(rho, u_now, h, dt, model)
             v = marker_step_arrays(v, rho, flux, h, dt)
             w = marker_step_arrays(w, rho, flux, h, dt)
-            recorder.on_step(rho, rho_new, u_now, dt, flux)
+            recorder.on_step(rho, rho_new, u_now, dt, flux, speed)
             rho = rho_new
             t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt
         t = t_next
@@ -292,14 +301,14 @@ def _march_slab(rho, v, w, times, u_of_t, model, h, cfl, z_inf, u_inf,
 
 
 def _phi_series(it_prev: SlabIterate, it_curr: SlabIterate,
-                it_prevprev: SlabIterate, h: float) -> np.ndarray:
+                v_prevprev: list, h: float) -> np.ndarray:
     """Phi at every stored time: L1 rho gap (prev, curr) plus L1 v gap
-    (prev, prevprev)."""
+    (prev, prevprev); of iterate m-2 only its v snapshots are needed."""
     n = len(it_curr.times)
     out = np.empty(n)
     for s in range(n):
         out[s] = h * np.abs(it_prev.rho[s] - it_curr.rho[s]).sum() \
-            + h * np.abs(it_prev.v[s] - it_prevprev.v[s]).sum()
+            + h * np.abs(it_prev.v[s] - v_prevprev[s]).sum()
     return out
 
 
@@ -358,8 +367,12 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     """Iterate one slab to convergence.
 
     Returns (final SlabIterate, PicardTrace, SlabRecorder of the final
-    iterate).  Raises PicardDivergenceError carrying the trace when tol_phi
-    is not reached within max_picard_iters iterates.
+    iterate).  Picard marches record no entropy residuals; once Phi reaches
+    tol_phi the converged iterate is marched once more, from the same start
+    state with the same marker field, with the entropy audit on.  That march
+    reproduces the iterate bit-for-bit.  Raises PicardDivergenceError
+    carrying the trace when tol_phi is not reached within max_picard_iters
+    iterates.
     """
     if not t1 > t0:
         raise InputRangeError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -377,18 +390,22 @@ def picard_slab(state: SystemState, t0: float, t1: float,
                 if cfg.entropy_levels > 0 else np.empty(0))
 
     frozen = _frozen_iterate(rho0, v0, w0, u0, events, h, state.z_inf)
-    prev_prev = frozen
+    v_prev_prev = frozen.v
     prev = frozen
     records = []
     tol = ctx.tol_phi
     last_phi = None
     trace = PicardTrace(t0=t0, t1=t1, tol_phi=tol, records=records,
                         converged=False, iterations=1, stop_reason="")
-    for m in range(2, cfg.max_picard_iters + 1):
-        recorder = SlabRecorder(model, h, k_levels)
-        curr = _march_slab(rho0, v0, w0, events, _interp_u(prev), model, h,
+
+    def march(recorder):
+        return _march_slab(rho0, v0, w0, events, _interp_u(prev), model, h,
                            cfg.cfl, state.z_inf, state.u_inf, recorder)
-        phi_mixed = float(_phi_series(prev, curr, prev_prev, h).max())
+
+    for m in range(2, cfg.max_picard_iters + 1):
+        recorder = SlabRecorder(model, h, ())
+        curr = march(recorder)
+        phi_mixed = float(_phi_series(prev, curr, v_prev_prev, h).max())
         phi_sym = float(_phi_sym_series(curr, prev, h).max())
         ratio = (phi_mixed / last_phi
                  if last_phi is not None and last_phi > 0.0 else None)
@@ -402,8 +419,12 @@ def picard_slab(state: SystemState, t0: float, t1: float,
         if phi_mixed <= tol:
             trace.converged = True
             trace.stop_reason = f"phi {phi_mixed:.3e} <= tol {tol:.3e}"
+            if len(k_levels):
+                curr = None  # the re-march rebuilds it; hold one copy only
+                recorder = SlabRecorder(model, h, k_levels)
+                curr = march(recorder)
             return curr, trace, recorder
-        prev_prev = prev
+        v_prev_prev = prev.v
         prev = curr
         last_phi = phi_mixed
     trace.stop_reason = (f"phi still {last_phi:.3e} after "

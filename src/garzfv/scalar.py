@@ -88,13 +88,8 @@ def godunov_flux(rho_left, rho_right, u_interface, model: VelocityModel):
     f_r = model.flux(rr, ui)
     crit = model.critical_density(ui)
     if crit is not None:
-        crit = np.broadcast_to(np.asarray(crit, dtype=float), rl.shape)
-        f_min = np.minimum(f_l, f_r)
-        lo = np.minimum(rl, rr)
-        hi = np.maximum(rl, rr)
-        f_max = np.where((lo <= crit) & (crit <= hi),
-                         model.flux(np.clip(crit, lo, hi), ui),
-                         np.maximum(f_l, f_r))
+        crit = np.broadcast_to(np.asarray(crit, dtype=float), rl.shape).copy()
+        out = _godunov_pick(rl, rr, f_l, f_r, crit, model.flux(crit, ui))
     else:
         lo = np.minimum(rl, rr)
         hi = np.maximum(rl, rr)
@@ -103,8 +98,18 @@ def godunov_flux(rho_left, rho_right, u_interface, model: VelocityModel):
         f_max = _golden_extremum(flux_of, lo, hi, maximize=True)
         f_min = np.minimum(f_min, np.minimum(f_l, f_r))
         f_max = np.maximum(f_max, np.maximum(f_l, f_r))
-    out = np.where(rl <= rr, f_min, f_max)
+        out = np.where(rl <= rr, f_min, f_max)
     return float(out[0]) if scalar else out
+
+
+def _godunov_pick(rl, rr, f_l, f_r, crit, f_crit):
+    """Godunov flux of a unimodal f with maximum at crit, given the values
+    f_l = f(rl), f_r = f(rr) and f_crit = f(crit)."""
+    lo = np.minimum(rl, rr)
+    hi = np.maximum(rl, rr)
+    f_max = np.where((lo <= crit) & (crit <= hi), f_crit,
+                     np.maximum(f_l, f_r))
+    return np.where(rl <= rr, np.minimum(f_l, f_r), f_max)
 
 
 def max_speed(rho: np.ndarray, u: np.ndarray, model: VelocityModel) -> float:
@@ -210,12 +215,83 @@ def entropy_residual_arrays(rho_old: np.ndarray, rho_new: np.ndarray,
     q_hi = godunov_flux(np.maximum(a, k), np.maximum(b, k), u_if, model)
     q_lo = godunov_flux(np.minimum(a, k), np.minimum(b, k), u_if, model)
     q = q_hi - q_lo
-    sgn = np.sign(rho_old - k)
-    sgn = np.where(sgn == 0.0, np.sign(rho_new - k), sgn)
+    d_old = rho_old - k
+    d_new = rho_new - k
+    sgn = _level_sign(d_old, d_new)
     du_center = (ue[3:-1] - ue[1:-3]) / (2.0 * h)
     src = sgn * k * model.d_u(k, u) * du_center
-    return ((np.abs(rho_new - k) - np.abs(rho_old - k)) / dt
+    return ((np.abs(d_new) - np.abs(d_old)) / dt
             + (q[1:] - q[:-1]) / h + src)
+
+
+def _level_sign(d_old, d_new):
+    """s_i of the source term from d = rho - k before and after the step."""
+    sgn = np.sign(d_old)
+    tie = sgn == 0.0
+    if tie.any():
+        sgn[tie] = np.sign(d_new[tie])
+    return sgn
+
+
+def entropy_residual_maxima(rho_old: np.ndarray, rho_new: np.ndarray,
+                            u: np.ndarray, levels, dt: float, h: float,
+                            model: VelocityModel) -> np.ndarray:
+    """max_i R_i at every level of ``levels`` for one recorded step.
+
+    Equal bit-for-bit to ``entropy_residual_arrays(..., k, ...).max()`` at
+    each level.  When the closure has a closed-form critical density c, f
+    is evaluated once per step at the interface states a, b and at c, and
+    once per level at k, all before the level loop; every Godunov value of
+    the entropy flux is then a selection among those.  At an interface
+    with k < min(a, b) the entropy flux is F - f(k), at one with
+    k > max(a, b) it is f(k) - F (F the step's Godunov flux); the others
+    take both Godunov fluxes.  Closures without a closed-form c run the
+    per-level residual.
+    """
+    levels = np.asarray(levels, dtype=float)
+    u_if = interface_marker(u)
+    crit = model.critical_density(u_if)
+    if crit is None:
+        return np.array([entropy_residual_arrays(rho_old, rho_new, u, k, dt,
+                                                 h, model).max()
+                         for k in levels.tolist()])
+    if levels.size and not (levels.min() >= 0.0 and levels.max() <= 1.0):
+        raise InputRangeError(f"entropy levels must be in [0,1], got {levels}")
+    re = pad2(rho_old)
+    a = re[1:-2]
+    b = re[2:-1]
+    crit = np.broadcast_to(np.asarray(crit, dtype=float), a.shape).copy()
+    f_a = model.flux(a, u_if)
+    f_b = model.flux(b, u_if)
+    f_c = model.flux(crit, u_if)
+    f_levels = model.flux(np.repeat(levels[:, None], a.size, axis=1), u_if)
+    flux = _godunov_pick(a, b, f_a, f_b, crit, f_c)
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    ue = pad2(u)
+    du_center = (ue[3:-1] - ue[1:-3]) / (2.0 * h)
+    out = np.empty(levels.size)
+    for j, k in enumerate(levels.tolist()):
+        f_k = f_levels[j]
+        q = np.where(k < lo, flux - f_k, f_k - flux)
+        mid = np.flatnonzero((lo <= k) & (k <= hi))
+        if mid.size:
+            am, bm, fam, fbm, fkm = a[mid], b[mid], f_a[mid], f_b[mid], f_k[mid]
+            cm, fcm = crit[mid], f_c[mid]
+            q[mid] = (_godunov_pick(np.maximum(am, k), np.maximum(bm, k),
+                                    np.where(am >= k, fam, fkm),
+                                    np.where(bm >= k, fbm, fkm), cm, fcm)
+                      - _godunov_pick(np.minimum(am, k), np.minimum(bm, k),
+                                      np.where(am <= k, fam, fkm),
+                                      np.where(bm <= k, fbm, fkm), cm, fcm))
+        d_old = rho_old - k
+        d_new = rho_new - k
+        sgn = _level_sign(d_old, d_new)
+        src = sgn * k * model.d_u(k, u) * du_center
+        res = ((np.abs(d_new) - np.abs(d_old)) / dt
+               + (q[1:] - q[:-1]) / h + src)
+        out[j] = res.max()
+    return out
 
 
 def entropy_residual(rho_old: CellField, rho_new: CellField, u: CellField,

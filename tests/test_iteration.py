@@ -22,6 +22,7 @@ from garzfv import (
     scenario,
     solve_global,
 )
+from garzfv import iteration
 from garzfv.core import CellField, state_from_arrays
 
 GSH = GreenshieldsModel()
@@ -91,6 +92,75 @@ def _smoke_context(n=128):
     cfg = SlabConfig()
     ctx, st0 = make_context(sc.data, grid, sc.t_final, sc.model(), cfg)
     return sc, grid, cfg, ctx, st0
+
+
+def _traced_smoke_solve(monkeypatch, cfg, n=192):
+    """Solve smoke, recording per slab each march (audited or not, and its
+    iterate), the number of multi-level entropy kernel calls and what
+    picard_slab returned."""
+    marches, kernel_calls, slabs = [], [0], []
+    real_march = iteration._march_slab
+    real_maxima = iteration.entropy_residual_maxima
+    real_slab = iteration.picard_slab
+
+    def march(*args):
+        out = real_march(*args)
+        marches.append((len(args[-1].k_levels) > 0, out))
+        return out
+
+    def maxima(*args):
+        kernel_calls[0] += 1
+        return real_maxima(*args)
+
+    def slab(*args, **kwargs):
+        first, calls = len(marches), kernel_calls[0]
+        result = real_slab(*args, **kwargs)
+        slabs.append((marches[first:], kernel_calls[0] - calls, result))
+        return result
+
+    monkeypatch.setattr(iteration, "_march_slab", march)
+    monkeypatch.setattr(iteration, "entropy_residual_maxima", maxima)
+    monkeypatch.setattr(iteration, "picard_slab", slab)
+    sc = scenario("smoke")
+    grid = Grid(sc.grid.x_min, sc.grid.x_max, n)
+    traj = solve_global(sc.data, grid, sc.t_final, sc.model(), cfg)
+    return traj, slabs
+
+
+def _same_iterate(a, b):
+    for name in ("rho", "v", "w", "u"):
+        for x, y in zip(getattr(a, name), getattr(b, name), strict=True):
+            if x.tobytes() != y.tobytes():
+                return False
+    return (a.times.tobytes() == b.times.tobytes() and a.mass == b.mass
+            and a.tv == b.tv and a.influx == b.influx and a.stats == b.stats)
+
+
+def test_entropy_audit_runs_once_per_step_of_converged_iterate(monkeypatch):
+    # every Picard march runs unaudited (auditing each would cost n_steps x
+    # (iterates - 1) kernel calls per slab); the converged iterate is
+    # re-marched once with the audit on, and that march reproduces it
+    traj, slabs = _traced_smoke_solve(monkeypatch, SlabConfig())
+    assert len(slabs) == len(traj.slabs) >= 2
+    for slab_marches, kernel_calls, (iterate, trace, recorder) in slabs:
+        assert trace.iterations >= 3
+        assert kernel_calls == recorder.n_steps > 0
+        audited = [flag for flag, _ in slab_marches]
+        assert audited == [False] * (trace.iterations - 1) + [True]
+        converged, remarch = slab_marches[-2][1], slab_marches[-1][1]
+        assert remarch is iterate
+        assert _same_iterate(converged, remarch)
+        assert len(recorder.entropy_table()) == 11
+
+
+def test_unaudited_solve_marches_once_per_picard_iterate(monkeypatch):
+    traj, slabs = _traced_smoke_solve(monkeypatch, SlabConfig(entropy_levels=0))
+    for slab_marches, kernel_calls, (iterate, trace, recorder) in slabs:
+        assert kernel_calls == 0
+        assert len(slab_marches) == trace.iterations - 1
+        assert slab_marches[-1][1] is iterate
+        assert recorder.entropy_table() == {}
+    assert all(s.entropy_max == {} for s in traj.slabs)
 
 
 def test_constant_datum_converges_in_two_iterations():

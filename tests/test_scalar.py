@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from garzfv import (
     CellField,
+    CustomVelocityModel,
     GreenshieldsModel,
     Grid,
     InputRangeError,
@@ -18,6 +19,8 @@ from garzfv import (
     total_variation,
 )
 from garzfv.core import state_from_arrays
+from garzfv.scalar import (density_step_arrays, entropy_residual_arrays,
+                           entropy_residual_maxima)
 
 GSH = GreenshieldsModel()
 
@@ -166,3 +169,62 @@ def test_step_density_rejects_nonpositive_dt():
     st0 = _state(np.full(16, 0.4), 1.0, g)
     with pytest.raises(InputRangeError):
         step_density(st0, 0.0, GSH)
+
+
+AUDIT_LEVELS = np.linspace(0.0, 1.0, 11)
+
+
+def _kernel_case(data, model, n, tie_values):
+    """Random admissible (rho_old, rho_new, u, dt): cells drawn partly from
+    tie_values so levels, critical densities and vacuum/jam are hit exactly;
+    rho_new is a CFL-limited Godunov step, with some cells then reset to a
+    tie value so cells cross or land on levels."""
+    cell = st.one_of(st.sampled_from(tie_values), st.floats(0.0, 1.0))
+    rho = np.array(data.draw(st.lists(cell, min_size=n, max_size=n))) + 0.0
+    u = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=n,
+        max_size=n))) + 0.0
+    h = 0.05
+    cfl = data.draw(st.floats(0.05, 1.0))
+    dt = cfl * h / max_speed(rho, u, model)
+    rho_new, _ = density_step_arrays(rho, u, h, dt, model)
+    reset = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                        max_size=n)))
+    ties = np.array(data.draw(st.lists(st.sampled_from(tie_values),
+                                       min_size=n, max_size=n)))
+    if data.draw(st.booleans()):
+        rho_new = np.where(reset, ties, rho_new)
+    return rho, rho_new, u, dt, h
+
+
+def _assert_kernel_matches(rho, rho_new, u, dt, h, model):
+    got = entropy_residual_maxima(rho, rho_new, u, AUDIT_LEVELS, dt, h, model)
+    ref = np.array([entropy_residual_arrays(rho, rho_new, u, float(k), dt, h,
+                                            model).max()
+                    for k in AUDIT_LEVELS])
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), gamma=st.sampled_from([1.0, 2.0, 3.0]),
+       n=st.integers(1, 40))
+def test_multilevel_kernel_matches_per_level_residual(data, gamma, n):
+    model = PowerLawModel(gamma)
+    ties = list(AUDIT_LEVELS) + [1.0 / (1.0 + gamma)]
+    _assert_kernel_matches(*_kernel_case(data, model, n, ties), model)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), n=st.integers(1, 16))
+def test_multilevel_kernel_falls_back_for_custom_closure(data, n):
+    model = CustomVelocityModel(lambda rho, u: u * (1.0 - rho) ** 2)
+    assert model.critical_density(np.ones(3)) is None
+    _assert_kernel_matches(*_kernel_case(data, model, n, list(AUDIT_LEVELS)),
+                           model)
+
+
+def test_multilevel_kernel_rejects_levels_outside_unit_interval():
+    rho = np.full(8, 0.5)
+    with pytest.raises(InputRangeError):
+        entropy_residual_maxima(rho, rho, np.ones(8), [0.5, 1.5], 0.01, 0.1,
+                                GSH)
