@@ -154,6 +154,24 @@ def test_entropy_residual_small_on_valid_step():
         assert r.values.max() <= 10.0 * g.h
 
 
+@pytest.mark.parametrize("n", [200, 400, 800])
+def test_entropy_residual_small_where_a_cell_crosses_the_level(n):
+    # smooth profile, nonconstant marker: put k halfway through one cell's
+    # step, so that cell crosses k; the source term there takes the
+    # time-averaged sign, where the pre-step sign adds k dV/du u_x ~ 0.12
+    g = Grid(-1.0, 1.0, n)
+    x = g.centers()
+    rho = 0.5 + 0.2 * np.tanh(x / 0.3)
+    u = 1.0 + 0.5 * x
+    dt = 0.5 * g.h / max_speed(rho, u, GSH)
+    rho_new, _ = density_step_arrays(rho, u, g.h, dt, GSH)
+    for i in (n // 2, n // 2 - n // 7, n // 2 + n // 10):
+        k = 0.5 * (rho[i] + rho_new[i])
+        assert (rho[i] - k) * (rho_new[i] - k) < 0.0
+        res = entropy_residual_arrays(rho, rho_new, u, k, dt, g.h, GSH)
+        assert res.max() <= 10.0 * g.h
+
+
 def test_entropy_residual_flags_frozen_expansion_jump():
     # holding an entropy-violating downward jump in place must light up
     g = Grid(-2.0, 2.0, 64)

@@ -6,7 +6,9 @@ from garzfv import (
     DegeneratePairError,
     GreenshieldsModel,
     Grid,
+    InitialData,
     InputRangeError,
+    Piece,
     SlabConfig,
     audit_trajectory,
     convergence_study,
@@ -136,3 +138,21 @@ def test_report_serialization_shapes(audited):
     assert "entropy_residual" in text
     assert "[pass]" in text
     assert rep.failures() == []
+
+
+def test_smoke_plateau_just_above_an_entropy_level_passes_audit():
+    # a plateau of 0.612 crosses level 0.6 in single steps on its smooth
+    # flanks; with the pre-step sign in the source term those crossing
+    # cells left a level-0.6 residual near 0.08 at every n, failing 10 h
+    # from n = 1536 on
+    sc = scenario("smoke")
+    data = InitialData(rho_pieces=(Piece.const(-1.0, 1.0, 0.612),),
+                       psi_pieces=sc.data.psi_pieces, z_inf=sc.data.z_inf,
+                       u_inf=sc.data.u_inf)
+    grid = Grid(sc.grid.x_min, sc.grid.x_max, 1536)
+    traj = solve_global(data, grid, sc.t_final, sc.model())
+    report = audit_trajectory(traj)
+    assert report.passed, [c.name for c in report.failures()]
+    level_06 = max(v for s in traj.slabs for k, v in s.entropy_max.items()
+                   if abs(k - 0.6) < 1e-9)
+    assert level_06 <= 0.1 * 10.0 * grid.h
