@@ -222,11 +222,16 @@ def entropy_residual_arrays(rho_old: np.ndarray, rho_new: np.ndarray,
     b = re[2:-1]
     q_hi = godunov_flux(np.maximum(a, k), np.maximum(b, k), u_if, model)
     q_lo = godunov_flux(np.minimum(a, k), np.minimum(b, k), u_if, model)
-    q = q_hi - q_lo
+    du_center = (ue[3:-1] - ue[1:-3]) / (2.0 * h)
+    return _residual(q_hi - q_lo, rho_old, rho_new, u, k, dt, h, du_center,
+                     model)
+
+
+def _residual(q, rho_old, rho_new, u, k, dt, h, du_center, model):
+    """R_i at level k from the entropy fluxes q at the n+1 interfaces."""
     d_old = rho_old - k
     d_new = rho_new - k
     sgn = _level_sign(d_old, d_new, rho_old, rho_new)
-    du_center = (ue[3:-1] - ue[1:-3]) / (2.0 * h)
     src = sgn * k * model.d_u(k, u) * du_center
     return ((np.abs(d_new) - np.abs(d_old)) / dt
             + (q[1:] - q[:-1]) / h + src)
@@ -290,21 +295,16 @@ def entropy_residual_maxima(rho_old: np.ndarray, rho_new: np.ndarray,
         q = np.where(k < lo, flux - f_k, f_k - flux)
         mid = np.flatnonzero((lo <= k) & (k <= hi))
         if mid.size:
-            am, bm, fam, fbm, fkm = a[mid], b[mid], f_a[mid], f_b[mid], f_k[mid]
-            cm, fcm = crit[mid], f_c[mid]
+            am, bm, cm = a[mid], b[mid], crit[mid]
+            fam, fbm, fcm, fkm = f_a[mid], f_b[mid], f_c[mid], f_k[mid]
             q[mid] = (_godunov_pick(np.maximum(am, k), np.maximum(bm, k),
                                     np.where(am >= k, fam, fkm),
                                     np.where(bm >= k, fbm, fkm), cm, fcm)
                       - _godunov_pick(np.minimum(am, k), np.minimum(bm, k),
                                       np.where(am <= k, fam, fkm),
                                       np.where(bm <= k, fbm, fkm), cm, fcm))
-        d_old = rho_old - k
-        d_new = rho_new - k
-        sgn = _level_sign(d_old, d_new, rho_old, rho_new)
-        src = sgn * k * model.d_u(k, u) * du_center
-        res = ((np.abs(d_new) - np.abs(d_old)) / dt
-               + (q[1:] - q[:-1]) / h + src)
-        out[j] = res.max()
+        out[j] = _residual(q, rho_old, rho_new, u, k, dt, h, du_center,
+                           model).max()
     return out
 
 

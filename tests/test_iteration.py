@@ -154,7 +154,8 @@ def test_entropy_audit_runs_once_per_step_of_converged_iterate(monkeypatch):
 
 
 def test_unaudited_solve_marches_once_per_picard_iterate(monkeypatch):
-    traj, slabs = _traced_smoke_solve(monkeypatch, SlabConfig(entropy_levels=0))
+    traj, slabs = _traced_smoke_solve(monkeypatch,
+                                      SlabConfig(entropy_levels=0))
     for slab_marches, kernel_calls, (iterate, trace, recorder) in slabs:
         assert kernel_calls == 0
         assert len(slab_marches) == trace.iterations - 1
