@@ -14,24 +14,20 @@ from .core import (CellField, Grid, InitialData, Piece, SystemState,
                    check_margins, l1_distance, l1_norm, recommended_domain,
                    total_variation)
 from .errors import (CflViolationError, ConfigError, DegeneratePairError,
-                     FluxMismatchError, GarzError, GridMismatchError,
-                     InputRangeError, InvalidDataError, ModelValidationError,
+                     GarzError, GridMismatchError, InputRangeError,
+                     InvalidDataError, ModelValidationError,
                      PicardDivergenceError, UnsupportedModelError,
                      ViscousInstabilityError)
 from .iteration import (PicardTrace, ProblemContext, SlabConfig, Trajectory,
                         compute_M0, compute_tau0, compute_tilde_C,
-                        make_context, phi_functional, picard_slab,
-                        solve_global)
+                        make_context, picard_slab, solve_global)
 from .model import (CustomVelocityModel, GreenshieldsModel, ModelBounds,
                     PowerLawModel, VelocityModel, make_model,
                     require_valid_model, validate_model)
 from .oracle import lwr_riemann_exact, riemann_initial_data, viscous_solve
-from .scalar import (InterfaceFluxes, StepDiagnostics, cfl_dt,
-                     entropy_residual, godunov_flux, max_speed, step_density)
+from .scalar import godunov_flux, max_speed
 from .scenarios import (SCENARIO_NAMES, Scenario, all_scenarios,
                         perturb_data, scenario)
-from .transport import (extract_ratio, left_filled_ratio, reconstruct,
-                        step_marker)
 from .verify import (CheckResult, ConvergenceTable, RunReport,
                      StabilityResult, UniquenessResult, audit_trajectory,
                      convergence_study, measure_stability, uniqueness_check)

@@ -7,7 +7,7 @@ codes: 0 all requested work passed, 1 solver or check failure, 2 bad
 configuration or arguments.
 
 Output root resolution: --seed-dir flag, else GARZFV_OUTPUT_ROOT, else
-./runs.  GARZFV_THREADS caps concurrent solves.
+./runs.
 """
 
 from __future__ import annotations

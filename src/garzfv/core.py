@@ -131,17 +131,6 @@ def _check_pieces(pieces) -> tuple[Piece, ...]:
     return pieces
 
 
-def piecewise_primitive(pieces, x: np.ndarray) -> np.ndarray:
-    """Exact integral of the piecewise-linear profile from -inf to each x."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for p in pieces:
-        t = np.clip(x, p.x_left, p.x_right) - p.x_left
-        width = p.x_right - p.x_left
-        out += p.v_left * t + 0.5 * (p.v_right - p.v_left) * t * t / width
-    return out
-
-
 def piecewise_eval(pieces, x: np.ndarray) -> np.ndarray:
     """Pointwise value of the profile (0 outside all pieces)."""
     x = np.asarray(x, dtype=float)

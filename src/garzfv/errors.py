@@ -21,10 +21,6 @@ class CflViolationError(GarzError, RuntimeError):
     """A step was attempted with dt above the stable limit."""
 
 
-class FluxMismatchError(GarzError, ValueError):
-    """Marker transport received fluxes from a different step (dt/grid)."""
-
-
 class ModelValidationError(GarzError, RuntimeError):
     """The velocity closure failed validation on the working box."""
 

@@ -15,8 +15,7 @@ Convergence is declared when the contraction functional
         ||rho_{m-1} - rho_m||_L1 + ||v_{m-1} - v_{m-2}||_L1
 
 falls below tol_phi.  (The two terms deliberately carry different iterate
-offsets; the symmetric variant with matching offsets is recorded alongside
-for diagnostics.)  The slab length tau0 and the growth constant C_tilde are
+offsets.)  The slab length tau0 and the growth constant C_tilde are
 advisory: convergence is decided by Phi, and the global driver halves tau0
 and retries, up to five times, if a slab fails to converge.
 """
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CellField, Grid, InitialData, SystemState,
-                   build_initial_state, check_margins, l1_norm, ratio_or,
+                   build_initial_state, check_margins, l1_norm,
                    state_from_arrays, total_variation)
 from .errors import InputRangeError, PicardDivergenceError
 from .model import ModelBounds, VelocityModel, require_valid_model
@@ -130,7 +129,6 @@ class ProblemContext:
     grid: Grid
     t_final: float
     u0_sup: float
-    u0_min: float
     z0_sup: float
     psi0_sup: float
     rho0_l1: float
@@ -150,16 +148,6 @@ class ProblemContext:
 
 
 @dataclass
-class _IterateStats:
-    rho_min: float = math.inf
-    rho_max: float = -math.inf
-    u_min: float = math.inf
-    u_max: float = -math.inf
-    z_sup: float = 0.0
-    psi_sup: float = 0.0
-
-
-@dataclass
 class SlabIterate:
     """Snapshots of one Picard iterate at the slab's stored times."""
 
@@ -171,7 +159,6 @@ class SlabIterate:
     mass: list
     tv: list
     influx: list  # cumulative boundary influx since slab start
-    stats: _IterateStats
 
 
 class SlabRecorder:
@@ -219,18 +206,13 @@ def _merge_times(base: np.ndarray, extra, tol: float) -> np.ndarray:
     return np.asarray(keep)
 
 
-def _frozen_iterate(rho, v, w, u, times, h, z_inf) -> SlabIterate:
+def _frozen_iterate(rho, v, w, u, times, h) -> SlabIterate:
     n = len(times)
     mass = float(h * rho.sum())
     tv = float(np.abs(np.diff(rho)).sum())
-    z = z_inf + h * np.cumsum(w)
-    psi = ratio_or(w, rho)
-    stats = _IterateStats(float(rho.min()), float(rho.max()),
-                          float(u.min()), float(u.max()),
-                          float(np.abs(z).max()), float(np.abs(psi).max()))
     return SlabIterate(times=times, rho=[rho] * n, v=[v] * n, w=[w] * n,
                        u=[u] * n, mass=[mass] * n, tv=[tv] * n,
-                       influx=[0.0] * n, stats=stats)
+                       influx=[0.0] * n)
 
 
 def _interp_u(iterate: SlabIterate):
@@ -250,33 +232,23 @@ def _interp_u(iterate: SlabIterate):
     return u_at
 
 
-def _march_slab(rho, v, w, times, u_of_t, model, h, cfl, z_inf, u_inf,
+def _march_slab(rho, v, w, times, u_of_t, model, h, cfl, u_inf,
                 recorder: SlabRecorder) -> SlabIterate:
     """March (rho, v, w) through all stored times with a frozen marker field."""
     rho = rho.copy()
     v = v.copy()
     w = w.copy()
-    stats = _IterateStats()
     out = SlabIterate(times=times, rho=[], v=[], w=[], u=[], mass=[], tv=[],
-                      influx=[], stats=stats)
+                      influx=[])
 
     def store():
-        u_rec = u_inf + h * np.cumsum(v)
-        z_rec = z_inf + h * np.cumsum(w)
-        psi = ratio_or(w, rho)
         out.rho.append(rho.copy())
         out.v.append(v.copy())
         out.w.append(w.copy())
-        out.u.append(u_rec)
+        out.u.append(u_inf + h * np.cumsum(v))
         out.mass.append(float(h * rho.sum()))
         out.tv.append(float(np.abs(np.diff(rho)).sum()))
         out.influx.append(float(recorder.influx))
-        stats.rho_min = min(stats.rho_min, float(rho.min()))
-        stats.rho_max = max(stats.rho_max, float(rho.max()))
-        stats.u_min = min(stats.u_min, float(u_rec.min()))
-        stats.u_max = max(stats.u_max, float(u_rec.max()))
-        stats.z_sup = max(stats.z_sup, float(np.abs(z_rec).max()))
-        stats.psi_sup = max(stats.psi_sup, float(np.abs(psi).max()))
 
     t = float(times[0])
     store()
@@ -289,7 +261,8 @@ def _march_slab(rho, v, w, times, u_of_t, model, h, cfl, z_inf, u_inf,
             dt_stable = cfl * h / speed
             remaining = t_next - t
             dt = min(dt_stable, remaining)
-            rho_new, flux = density_step_arrays(rho, u_now, h, dt, model)
+            rho_new, flux = density_step_arrays(rho, u_now, h, dt, model,
+                                                speed)
             v = marker_step_arrays(v, rho, flux, h, dt)
             w = marker_step_arrays(w, rho, flux, h, dt)
             recorder.on_step(rho, rho_new, u_now, dt, flux, speed)
@@ -312,39 +285,11 @@ def _phi_series(it_prev: SlabIterate, it_curr: SlabIterate,
     return out
 
 
-def _phi_sym_series(it_curr: SlabIterate, it_prev: SlabIterate,
-                    h: float) -> np.ndarray:
-    n = len(it_curr.times)
-    out = np.empty(n)
-    for s in range(n):
-        out[s] = h * np.abs(it_curr.rho[s] - it_prev.rho[s]).sum() \
-            + h * np.abs(it_curr.v[s] - it_prev.v[s]).sum()
-    return out
-
-
-def phi_functional(curr: SystemState, prev: SystemState) -> float:
-    """L1 density gap plus L1 gap of the conserved marker v (= d_x u)."""
-    if abs(curr.t - prev.t) > 1e-12 * max(1.0, abs(curr.t)):
-        raise InputRangeError(
-            f"states are at different times: {curr.t} vs {prev.t}")
-    h = curr.grid.h
-    return float(h * np.abs(curr.rho.values - prev.rho.values).sum()
-                 + h * np.abs(curr.v.values - prev.v.values).sum())
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     index: int
     phi_mixed: float
-    phi_sym: float
     ratio_mixed: float | None
-    rho_min: float
-    rho_max: float
-    u_min: float
-    u_max: float
-    z_sup: float
-    psi_sup: float
-    tv_end: float
 
 
 @dataclass
@@ -389,7 +334,7 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     k_levels = (np.linspace(0.0, 1.0, cfg.entropy_levels)
                 if cfg.entropy_levels > 0 else np.empty(0))
 
-    frozen = _frozen_iterate(rho0, v0, w0, u0, events, h, state.z_inf)
+    frozen = _frozen_iterate(rho0, v0, w0, u0, events, h)
     v_prev_prev = frozen.v
     prev = frozen
     records = []
@@ -400,21 +345,16 @@ def picard_slab(state: SystemState, t0: float, t1: float,
 
     def march(recorder):
         return _march_slab(rho0, v0, w0, events, _interp_u(prev), model, h,
-                           cfg.cfl, state.z_inf, state.u_inf, recorder)
+                           cfg.cfl, state.u_inf, recorder)
 
     for m in range(2, cfg.max_picard_iters + 1):
         recorder = SlabRecorder(model, h, ())
         curr = march(recorder)
         phi_mixed = float(_phi_series(prev, curr, v_prev_prev, h).max())
-        phi_sym = float(_phi_sym_series(curr, prev, h).max())
         ratio = (phi_mixed / last_phi
                  if last_phi is not None and last_phi > 0.0 else None)
-        records.append(IterationRecord(
-            index=m, phi_mixed=phi_mixed, phi_sym=phi_sym, ratio_mixed=ratio,
-            rho_min=curr.stats.rho_min, rho_max=curr.stats.rho_max,
-            u_min=curr.stats.u_min, u_max=curr.stats.u_max,
-            z_sup=curr.stats.z_sup, psi_sup=curr.stats.psi_sup,
-            tv_end=curr.tv[-1]))
+        records.append(IterationRecord(index=m, phi_mixed=phi_mixed,
+                                       ratio_mixed=ratio))
         trace.iterations = m
         if phi_mixed <= tol:
             trace.converged = True
@@ -501,8 +441,7 @@ def make_context(data: InitialData, grid: Grid, t_final: float,
     constant_u = bool(np.abs(state0.v.values).max() <= 1e-14)
     ctx = ProblemContext(
         model=model, grid=grid, t_final=float(t_final),
-        u0_sup=u_max, u0_min=float(state0.u.values.min()),
-        z0_sup=z0_sup, psi0_sup=psi0_sup, rho0_l1=rho0_l1, tv0=tv0,
+        u0_sup=u_max, z0_sup=z0_sup, psi0_sup=psi0_sup, rho0_l1=rho0_l1, tv0=tv0,
         m0=m0, c_tilde=c_tilde, tau0=tau0, tol_phi=tol_phi,
         wave_bound=wave, constant_u=constant_u,
         bounds=model.sup_bounds(u_max))

@@ -208,14 +208,11 @@ class PowerLawModel(VelocityModel):
             * self._gap(rho) ** (self.gamma - 1.0)
 
     def d_u(self, rho, u):
-        out = self._gap(rho) ** self.gamma
-        return np.broadcast_to(out, np.broadcast_shapes(out.shape,
-                                                        np.shape(u))).copy()
+        return self._gap(rho) ** self.gamma * np.ones_like(u)
 
     def d_u_rho(self, rho, u):
-        out = -self.gamma * self._gap(rho) ** (self.gamma - 1.0)
-        return np.broadcast_to(out, np.broadcast_shapes(out.shape,
-                                                        np.shape(u))).copy()
+        return (-self.gamma * self._gap(rho) ** (self.gamma - 1.0)
+                * np.ones_like(u))
 
     def d_uu(self, rho, u):
         return np.zeros(np.broadcast_shapes(np.shape(rho), np.shape(u)))

@@ -16,11 +16,9 @@ regardless of how u varies in space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CellField, Grid, SystemState
 from .errors import CflViolationError, InputRangeError
 from .model import VelocityModel
 
@@ -120,76 +118,20 @@ def max_speed(rho: np.ndarray, u: np.ndarray, model: VelocityModel) -> float:
     return max(s, SPEED_FLOOR)
 
 
-def cfl_dt(state: SystemState, model: VelocityModel, cfl: float) -> float:
-    """Stable step dt = cfl * h / s_max (uncapped; callers cap at events)."""
-    if not 0.0 < cfl <= 1.0:
-        raise InputRangeError(f"cfl must be in (0, 1], got {cfl}")
-    return cfl * state.grid.h / max_speed(state.rho.values, state.u.values,
-                                          model)
-
-
-@dataclass(frozen=True)
-class InterfaceFluxes:
-    """Interface flux values stamped with the step they belong to."""
-
-    values: np.ndarray  # n_cells + 1 entries, F_{i-1/2} for i = 0..n
-    h: float
-    dt: float
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.values) - 1
-
-
-@dataclass(frozen=True)
-class StepDiagnostics:
-    dt: float
-    max_cfl: float
-    mass_before: float
-    mass_after: float
-    boundary_influx: float
-    rho_min: float
-    rho_max: float
-
-
 def density_step_arrays(rho: np.ndarray, u: np.ndarray, h: float, dt: float,
-                        model: VelocityModel):
-    """One Godunov step on raw arrays; returns (rho_new, interface fluxes)."""
-    s = max_speed(rho, u, model)
-    if dt * s > h * (1.0 + 1e-9):
+                        model: VelocityModel, speed: float):
+    """One Godunov step on raw arrays; returns (rho_new, interface fluxes).
+
+    speed is max_speed(rho, u, model), which the caller has already taken
+    to choose dt; steps with dt * speed above h raise CflViolationError.
+    """
+    if dt * speed > h * (1.0 + 1e-9):
         raise CflViolationError(
-            f"dt={dt:.3e} exceeds stable limit h/s_max={h / s:.3e}")
+            f"dt={dt:.3e} exceeds stable limit h/s_max={h / speed:.3e}")
     re = pad2(rho)
     flux = godunov_flux(re[1:-2], re[2:-1], interface_marker(u), model)
     rho_new = rho - (dt / h) * (flux[1:] - flux[:-1])
     return rho_new, flux
-
-
-def step_density(state: SystemState, dt: float, model: VelocityModel):
-    """One density step from a full state (marker frozen at state.u).
-
-    Returns (rho_new, InterfaceFluxes, StepDiagnostics).
-    """
-    if dt <= 0.0:
-        raise InputRangeError(f"dt must be positive, got {dt}")
-    grid = state.grid
-    rho = state.rho.values
-    u = state.u.values
-    rho_new, flux = density_step_arrays(rho, u, grid.h, dt, model)
-    mass_before = grid.h * rho.sum()
-    mass_after = grid.h * rho_new.sum()
-    diag = StepDiagnostics(
-        dt=dt,
-        max_cfl=dt * max_speed(rho, u, model) / grid.h,
-        mass_before=float(mass_before),
-        mass_after=float(mass_after),
-        boundary_influx=float(dt * (flux[0] - flux[-1])),
-        rho_min=float(rho_new.min()),
-        rho_max=float(rho_new.max()),
-    )
-    return (CellField(rho_new, grid),
-            InterfaceFluxes(flux, grid.h, dt),
-            diag)
 
 
 def entropy_residual_arrays(rho_old: np.ndarray, rho_new: np.ndarray,
@@ -306,14 +248,3 @@ def entropy_residual_maxima(rho_old: np.ndarray, rho_new: np.ndarray,
         out[j] = _residual(q, rho_old, rho_new, u, k, dt, h, du_center,
                            model).max()
     return out
-
-
-def entropy_residual(rho_old: CellField, rho_new: CellField, u: CellField,
-                     k: float, dt: float, model: VelocityModel) -> CellField:
-    """CellField wrapper around entropy_residual_arrays."""
-    if dt <= 0.0:
-        raise InputRangeError(f"dt must be positive, got {dt}")
-    grid = rho_old.grid
-    res = entropy_residual_arrays(rho_old.values, rho_new.values, u.values,
-                                  k, dt, grid.h, model)
-    return CellField(res, grid)

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RHO_FLOOR, CellField, ratio_or
-from .errors import FluxMismatchError, InputRangeError
-from .scalar import InterfaceFluxes, pad2
+from .scalar import pad2
 
 
 def _donor_ratio(q: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -38,45 +36,3 @@ def marker_step_arrays(q: np.ndarray, rho_old: np.ndarray,
     theta = np.where(flux >= 0.0, theta_l, theta_r)
     g = flux * theta
     return q - (dt / h) * (g[1:] - g[:-1])
-
-
-def step_marker(q: CellField, rho_old: CellField, rho_fluxes: InterfaceFluxes,
-                dt: float) -> CellField:
-    """CellField wrapper; rejects fluxes stamped with a different step."""
-    if dt <= 0.0:
-        raise InputRangeError(f"dt must be positive, got {dt}")
-    grid = q.grid
-    if rho_fluxes.n_cells != grid.n_cells or \
-            abs(rho_fluxes.h - grid.h) > 1e-14 * max(1.0, grid.h):
-        raise FluxMismatchError(
-            f"fluxes for {rho_fluxes.n_cells} cells (h={rho_fluxes.h}) do not "
-            f"match grid with {grid.n_cells} cells (h={grid.h})")
-    if abs(rho_fluxes.dt - dt) > 1e-15 * max(1.0, dt):
-        raise FluxMismatchError(
-            f"fluxes were produced for dt={rho_fluxes.dt}, step uses dt={dt}")
-    out = marker_step_arrays(q.values, rho_old.values, rho_fluxes.values,
-                             grid.h, dt)
-    return CellField(out, grid)
-
-
-def extract_ratio(q: CellField, rho: CellField, fallback: float = 0.0
-                  ) -> CellField:
-    """q / rho above the vacuum floor, the fallback value elsewhere."""
-    return CellField(ratio_or(q.values, rho.values, fallback), q.grid)
-
-
-def reconstruct(q: CellField, boundary: float) -> CellField:
-    """Antiderivative at right cell edges: boundary + h * prefix sums of q."""
-    return CellField(boundary + q.grid.h * np.cumsum(q.values), q.grid)
-
-
-def left_filled_ratio(q: np.ndarray, rho: np.ndarray,
-                      default: float) -> np.ndarray:
-    """q / rho on supported cells; vacuum cells inherit the nearest supported
-    value to their left, defaulting to the far-field constant."""
-    supported = rho > RHO_FLOOR
-    vals = np.where(supported, ratio_or(q, rho, default), 0.0)
-    idx = np.where(supported, np.arange(len(q)), -1)
-    idx = np.maximum.accumulate(idx)
-    out = np.where(idx >= 0, vals[np.maximum(idx, 0)], default)
-    return out

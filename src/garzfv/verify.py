@@ -6,15 +6,12 @@ bookkeeping, variation envelope, entropy residuals, contraction records).
 measure_stability, uniqueness_check and convergence_study each launch a
 family of solves and reduce them to one number with a pass criterion.
 
-All audits are read-only; families of solves run concurrently (thread count
-capped by the GARZFV_THREADS environment variable, default 4).
+All audits are read-only.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,28 +19,10 @@ import numpy as np
 from .core import (Grid, InitialData, build_initial_state, c0_distance,
                    l1_distance, l1_norm)
 from .errors import DegeneratePairError, InputRangeError
-from .iteration import (ProblemContext, SlabConfig, Trajectory, make_context,
-                        solve_global)
+from .iteration import ProblemContext, SlabConfig, Trajectory, solve_global
 from .model import VelocityModel
 
 ENTROPY_TOL_FACTOR = 10.0
-
-
-def _max_workers(n_jobs: int) -> int:
-    try:
-        cap = int(os.environ.get("GARZFV_THREADS", "4"))
-    except ValueError:
-        cap = 4
-    return max(1, min(n_jobs, cap))
-
-
-def _run_concurrent(jobs):
-    """Run zero-argument callables concurrently, preserving order."""
-    if len(jobs) == 1:
-        return [jobs[0]()]
-    with ThreadPoolExecutor(max_workers=_max_workers(len(jobs))) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -294,10 +273,8 @@ def measure_stability(data1: InitialData, data2: InitialData, grid: Grid,
     constants and bounds every ratio in practice; it is advisory.
     """
     cfg = cfg or SlabConfig()
-    traj1, traj2 = _run_concurrent([
-        lambda: solve_global(data1, grid, t_final, model, cfg, n_output),
-        lambda: solve_global(data2, grid, t_final, model, cfg, n_output),
-    ])
+    traj1 = solve_global(data1, grid, t_final, model, cfg, n_output)
+    traj2 = solve_global(data2, grid, t_final, model, cfg, n_output)
     times = traj1.output_times
     lhs = np.array([
         c0_distance(s1.u, s2.u) + l1_distance(s1.rho, s2.rho)
@@ -357,16 +334,15 @@ def uniqueness_check(data: InitialData, grid: Grid, t_final: float,
         settings.append(dict(cfl=_UNIQ_CFLS[j],
                              snapshots_per_slab=_UNIQ_CADENCES[j],
                              tol_phi=factor * tol_base))
-    jobs = []
+    trajs = []
     for s in settings:
         run_cfg = SlabConfig(
             tau0=base.tau0, m0=base.m0, tol_phi=s["tol_phi"],
             max_picard_iters=base.max_picard_iters, cfl=s["cfl"],
             snapshots_per_slab=s["snapshots_per_slab"],
             entropy_levels=0)
-        jobs.append(lambda c=run_cfg: solve_global(
-            data, grid, t_final, model, c, n_output))
-    trajs = _run_concurrent(jobs)
+        trajs.append(solve_global(data, grid, t_final, model, run_cfg,
+                                  n_output))
     gap = 0.0
     for a in range(len(trajs)):
         for b in range(a + 1, len(trajs)):
@@ -421,15 +397,12 @@ def convergence_study(data_of_grid, t_final: float, grids,
                 f"ladder must halve h between rungs, got ratio {ratio:g}")
     cfg = cfg or SlabConfig(entropy_levels=0)
 
-    def job(grid):
-        data = data_of_grid(grid) if callable(data_of_grid) else data_of_grid
-        return solve_global(data, grid, t_final, model, cfg, n_output)
-
-    trajs = _run_concurrent([lambda g=g: job(g) for g in grids])
     rows = []
     prev_err = None
-    for grid, traj in zip(grids, trajs):
-        final = traj.final_state()
+    for grid in grids:
+        data = data_of_grid(grid) if callable(data_of_grid) else data_of_grid
+        final = solve_global(data, grid, t_final, model, cfg,
+                             n_output).final_state()
         x = grid.centers()
         ref = np.asarray(exact(t_final, x), dtype=float)
         diff = np.abs(final.rho.values - ref)

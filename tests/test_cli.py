@@ -1,11 +1,14 @@
 """Batch front-end: exit codes, file layout, determinism."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import garzfv
 from garzfv.cli import main
 from garzfv.config import (config_from_scenario, dump_config_text,
                            parse_config_text)
@@ -186,11 +189,15 @@ def test_convergence_rejects_marker_data(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same package as this process
+    src = str(Path(garzfv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "garzfv", "solve", "--scenario", "constant",
          "--t-final", "0.2", "--n-cells", "32",
          "--seed-dir", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "solved to t=0.2" in proc.stdout
     assert (tmp_path / "solve-constant" / "manifest.json").exists()

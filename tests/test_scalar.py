@@ -6,30 +6,30 @@ from hypothesis import strategies as st
 
 from garzfv import (
     CellField,
+    CflViolationError,
     CustomVelocityModel,
     GreenshieldsModel,
     Grid,
     InputRangeError,
     PowerLawModel,
-    cfl_dt,
-    entropy_residual,
+    SlabConfig,
     godunov_flux,
     max_speed,
-    step_density,
     total_variation,
 )
-from garzfv.core import state_from_arrays
 from garzfv.scalar import (density_step_arrays, entropy_residual_arrays,
                            entropy_residual_maxima)
 
 GSH = GreenshieldsModel()
 
 
-def _state(rho, u_value, grid):
-    rho = np.asarray(rho, dtype=float)
-    n = rho.size
-    return state_from_arrays(0.0, rho, np.zeros(n), np.zeros(n),
-                             z_inf=0.0, u_inf=float(u_value), grid=grid)
+def _cfl_step(rho, u, h, cfl=0.5):
+    """One density step at dt = cfl h / max_speed, as the march takes it;
+    returns (rho_new, interface fluxes, dt)."""
+    speed = max_speed(rho, u, GSH)
+    dt = cfl * h / speed
+    rho_new, flux = density_step_arrays(rho, u, h, dt, GSH, speed)
+    return rho_new, flux, dt
 
 
 def dense_flux_oracle(rho_l, rho_r, u_if, model, samples=20001):
@@ -71,52 +71,51 @@ def test_flux_vectorized_matches_scalar():
 
 
 def test_cfl_dt_rules():
-    g = Grid(0.0, 1.0, 40)
+    # the march steps with dt = cfl h / max_speed(rho, u)
     rho = np.linspace(0.1, 0.9, 40)
     # zero marker freezes everything; the speed floor keeps dt finite
-    frozen = _state(rho, 0.0, g)
-    assert cfl_dt(frozen, GSH, 0.5) == pytest.approx(0.5 * g.h / 1e-12, rel=1e-9)
+    assert max_speed(rho, np.zeros(40), GSH) == 1e-12
     # u = 1: sup |d flux / d rho| = 1 on [0,1]
-    moving = _state(rho, 1.0, g)
-    assert max_speed(moving.rho.values, moving.u.values, GSH) == pytest.approx(
-        1.0, abs=1e-2)
-    assert cfl_dt(moving, GSH, 0.5) == pytest.approx(
-        0.5 * cfl_dt(moving, GSH, 1.0), rel=1e-12)
+    assert max_speed(rho, np.ones(40), GSH) == pytest.approx(1.0, abs=1e-2)
     with pytest.raises(InputRangeError):
-        cfl_dt(moving, GSH, 0.0)
+        SlabConfig(cfl=0.0)
+
+
+def test_density_step_rejects_dt_above_cfl_limit():
+    g = Grid(-3.0, 3.0, 200)
+    rho = 0.5 * np.exp(-g.centers() ** 2)
+    u = 1.0 + 0.2 * np.tanh(g.centers())
+    speed = max_speed(rho, u, GSH)
+    density_step_arrays(rho, u, g.h, g.h / speed, GSH, speed)
+    with pytest.raises(CflViolationError):
+        density_step_arrays(rho, u, g.h, 1.01 * g.h / speed, GSH, speed)
 
 
 def test_constant_state_is_fixed_point():
     g = Grid(-1.0, 1.0, 64)
-    st0 = _state(np.full(64, 0.37), 1.0, g)
-    rho_new, flux, diag = step_density(st0, cfl_dt(st0, GSH, 0.5), GSH)
-    assert np.abs(rho_new.values - 0.37).max() < 1e-15
-    assert np.ptp(flux.values) < 1e-15
+    rho_new, flux, _ = _cfl_step(np.full(64, 0.37), np.ones(64), g.h)
+    assert np.abs(rho_new - 0.37).max() < 1e-15
+    assert np.ptp(flux) < 1e-15
 
 
 def test_stationary_shock_preserved():
     # s = u (1 - rho_l - rho_r) = 0 for 0.2 | 0.8, and the end fluxes agree
     g = Grid(-2.0, 2.0, 128)
     rho = np.where(g.centers() < 0.0, 0.2, 0.8)
-    st0 = _state(rho, 1.0, g)
-    state = st0
+    state = rho
     for _ in range(20):
-        rho_new, flux, diag = step_density(state, cfl_dt(state, GSH, 0.5), GSH)
-        state = state_from_arrays(0.0, rho_new.values, np.zeros(128),
-                                  np.zeros(128), 0.0, 1.0, g)
-    assert np.abs(state.rho.values - rho).max() < 1e-14
+        state, _, _ = _cfl_step(state, np.ones(128), g.h)
+    assert np.abs(state - rho).max() < 1e-14
 
 
 def test_mass_conserved_and_diag_consistent():
+    # mass changes only by the boundary influx dt (F_{-1/2} - F_{n-1/2})
     g = Grid(-3.0, 3.0, 200)
     x = g.centers()
     rho = 0.5 * np.exp(-x ** 2)
-    st0 = _state(rho, 1.0, g)
-    dt = cfl_dt(st0, GSH, 0.5)
-    rho_new, flux, diag = step_density(st0, dt, GSH)
-    drift = diag.mass_after - diag.mass_before - diag.boundary_influx
+    rho_new, flux, dt = _cfl_step(rho, np.ones(200), g.h)
+    drift = g.h * rho_new.sum() - g.h * rho.sum() - dt * (flux[0] - flux[-1])
     assert abs(drift) < 1e-14
-    assert diag.max_cfl <= 0.5 + 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,32 +125,29 @@ def test_step_keeps_unit_interval_and_tvd(seed, u_val):
     g = Grid(0.0, 1.0, 50)
     rho = rng.uniform(0.0, 1.0, 50)
     rho[:2] = rho[-2:] = 0.0
-    st0 = _state(rho, u_val, g)
-    dt = cfl_dt(st0, GSH, 0.5)
-    rho_new, _, _ = step_density(st0, dt, GSH)
-    assert rho_new.values.min() >= -1e-15
-    assert rho_new.values.max() <= 1.0 + 1e-15
+    rho_new, _, _ = _cfl_step(rho, np.full(50, u_val), g.h)
+    assert rho_new.min() >= -1e-15
+    assert rho_new.max() <= 1.0 + 1e-15
     # constant marker: total variation cannot grow
-    assert total_variation(rho_new) <= total_variation(st0.rho) + 1e-12
+    assert total_variation(CellField(rho_new, g)) \
+        <= total_variation(CellField(rho, g)) + 1e-12
 
 
 def test_entropy_residual_zero_on_constant():
     g = Grid(0.0, 1.0, 32)
-    c = CellField(np.full(32, 0.6), g)
-    u = CellField(np.ones(32), g)
-    r = entropy_residual(c, c, u, k=0.3, dt=0.01, model=GSH)
-    assert np.abs(r.values).max() == 0.0
+    c = np.full(32, 0.6)
+    r = entropy_residual_arrays(c, c, np.ones(32), 0.3, 0.01, g.h, GSH)
+    assert np.abs(r).max() == 0.0
 
 
 def test_entropy_residual_small_on_valid_step():
     g = Grid(-2.0, 2.0, 128)
     rho = np.where(g.centers() < 0.0, 0.2, 0.8)
-    st0 = _state(rho, 1.0, g)
-    dt = cfl_dt(st0, GSH, 0.5)
-    rho_new, _, _ = step_density(st0, dt, GSH)
+    u = np.ones(128)
+    rho_new, _, dt = _cfl_step(rho, u, g.h)
     for k in (0.0, 0.2, 0.5, 0.8, 1.0):
-        r = entropy_residual(st0.rho, rho_new, st0.u, k, dt, GSH)
-        assert r.values.max() <= 10.0 * g.h
+        r = entropy_residual_arrays(rho, rho_new, u, k, dt, g.h, GSH)
+        assert r.max() <= 10.0 * g.h
 
 
 @pytest.mark.parametrize("n", [200, 400, 800])
@@ -163,8 +159,7 @@ def test_entropy_residual_small_where_a_cell_crosses_the_level(n):
     x = g.centers()
     rho = 0.5 + 0.2 * np.tanh(x / 0.3)
     u = 1.0 + 0.5 * x
-    dt = 0.5 * g.h / max_speed(rho, u, GSH)
-    rho_new, _ = density_step_arrays(rho, u, g.h, dt, GSH)
+    rho_new, _, dt = _cfl_step(rho, u, g.h)
     for i in (n // 2, n // 2 - n // 7, n // 2 + n // 10):
         k = 0.5 * (rho[i] + rho_new[i])
         assert (rho[i] - k) * (rho_new[i] - k) < 0.0
@@ -175,18 +170,10 @@ def test_entropy_residual_small_where_a_cell_crosses_the_level(n):
 def test_entropy_residual_flags_frozen_expansion_jump():
     # holding an entropy-violating downward jump in place must light up
     g = Grid(-2.0, 2.0, 64)
-    rho = np.where(g.centers() < 0.0, 0.8, 0.2)
-    bad = CellField(rho, g)
-    u = CellField(np.ones(64), g)
-    r = entropy_residual(bad, bad, u, k=0.3, dt=0.5 * g.h, model=GSH)
-    assert r.values.max() > 0.5 / g.h * 0.05
-
-
-def test_step_density_rejects_nonpositive_dt():
-    g = Grid(0.0, 1.0, 16)
-    st0 = _state(np.full(16, 0.4), 1.0, g)
-    with pytest.raises(InputRangeError):
-        step_density(st0, 0.0, GSH)
+    bad = np.where(g.centers() < 0.0, 0.8, 0.2)
+    r = entropy_residual_arrays(bad, bad, np.ones(64), 0.3, 0.5 * g.h, g.h,
+                                GSH)
+    assert r.max() > 0.5 / g.h * 0.05
 
 
 AUDIT_LEVELS = np.linspace(0.0, 1.0, 11)
@@ -204,8 +191,9 @@ def _kernel_case(data, model, n, tie_values):
         max_size=n))) + 0.0
     h = 0.05
     cfl = data.draw(st.floats(0.05, 1.0))
-    dt = cfl * h / max_speed(rho, u, model)
-    rho_new, _ = density_step_arrays(rho, u, h, dt, model)
+    speed = max_speed(rho, u, model)
+    dt = cfl * h / speed
+    rho_new, _ = density_step_arrays(rho, u, h, dt, model, speed)
     reset = np.array(data.draw(st.lists(st.booleans(), min_size=n,
                                         max_size=n)))
     ties = np.array(data.draw(st.lists(st.sampled_from(tie_values),

@@ -6,39 +6,40 @@ from hypothesis import strategies as st
 
 from garzfv import (
     CellField,
-    FluxMismatchError,
     GreenshieldsModel,
     Grid,
     c0_distance,
-    cfl_dt,
-    extract_ratio,
     l1_distance,
-    left_filled_ratio,
-    reconstruct,
-    step_density,
-    step_marker,
+    max_speed,
 )
-from garzfv.core import state_from_arrays
+from garzfv.core import ratio_or
+from garzfv.scalar import density_step_arrays
+from garzfv.transport import marker_step_arrays
 
 GSH = GreenshieldsModel()
 
 
-def _setup(rho, psi, u_val, grid):
-    rho = np.asarray(rho, dtype=float)
-    w = rho * np.asarray(psi, dtype=float)
-    st0 = state_from_arrays(0.0, rho, np.zeros(rho.size), w,
-                            z_inf=0.0, u_inf=float(u_val), grid=grid)
-    dt = cfl_dt(st0, GSH, 0.5)
-    rho_new, fluxes, _ = step_density(st0, dt, GSH)
-    return st0, rho_new, fluxes, dt
+def _setup(rho, grid):
+    """Density step at half the CFL limit under the constant marker u = 1;
+    returns (rho_new, interface fluxes, dt)."""
+    u = np.ones(rho.size)
+    speed = max_speed(rho, u, GSH)
+    dt = 0.5 * grid.h / speed
+    rho_new, flux = density_step_arrays(rho, u, grid.h, dt, GSH, speed)
+    return rho_new, flux, dt
+
+
+def _prefix(q, h, boundary):
+    """Antiderivative at right cell edges, as the solver rebuilds u and z."""
+    return boundary + h * np.cumsum(q)
 
 
 def test_zero_marker_stays_zero():
     g = Grid(-2.0, 2.0, 80)
     rho = 0.5 * np.exp(-g.centers() ** 2)
-    st0, rho_new, fluxes, dt = _setup(rho, np.zeros(80), 1.0, g)
-    q_new = step_marker(CellField(np.zeros(80), g), st0.rho, fluxes, dt)
-    assert np.all(q_new.values == 0.0)
+    rho_new, flux, dt = _setup(rho, g)
+    q_new = marker_step_arrays(np.zeros(80), rho, flux, g.h, dt)
+    assert np.all(q_new == 0.0)
 
 
 def test_proportional_marker_tracks_density():
@@ -46,10 +47,10 @@ def test_proportional_marker_tracks_density():
     g = Grid(-2.0, 2.0, 80)
     x = g.centers()
     rho = np.where(np.abs(x) < 1.0, 0.6, 0.1)
-    st0, rho_new, fluxes, dt = _setup(rho, np.zeros(80), 1.0, g)
+    rho_new, flux, dt = _setup(rho, g)
     c = 0.42
-    q_new = step_marker(CellField(c * rho, g), st0.rho, fluxes, dt)
-    assert np.abs(q_new.values - c * rho_new.values).max() < 1e-12
+    q_new = marker_step_arrays(c * rho, rho, flux, g.h, dt)
+    assert np.abs(q_new - c * rho_new).max() < 1e-12
 
 
 def test_marker_sum_conserved_on_compact_support():
@@ -57,18 +58,10 @@ def test_marker_sum_conserved_on_compact_support():
     x = g.centers()
     rho = np.where(np.abs(x) < 1.5, 0.5, 0.0)
     psi = np.where(x < 0.0, 0.4, -0.2)
-    st0, rho_new, fluxes, dt = _setup(rho, psi, 1.0, g)
-    q = CellField(rho * psi, g)
-    q_new = step_marker(q, st0.rho, fluxes, dt)
-    assert q_new.values.sum() == pytest.approx(q.values.sum(), abs=1e-13)
-
-
-def test_flux_stamp_mismatch_rejected():
-    g = Grid(-2.0, 2.0, 40)
-    rho = np.full(40, 0.5)
-    st0, rho_new, fluxes, dt = _setup(rho, np.zeros(40), 1.0, g)
-    with pytest.raises(FluxMismatchError):
-        step_marker(CellField(rho.copy(), g), st0.rho, fluxes, dt * 0.5)
+    rho_new, flux, dt = _setup(rho, g)
+    q = rho * psi
+    q_new = marker_step_arrays(q, rho, flux, g.h, dt)
+    assert q_new.sum() == pytest.approx(q.sum(), abs=1e-13)
 
 
 @settings(max_examples=80, deadline=None)
@@ -80,44 +73,40 @@ def test_ratio_maximum_principle(seed, bound):
     rho = rng.uniform(0.0, 1.0, 60)
     rho[:2] = rho[-2:] = 0.0
     q = rho * rng.uniform(-bound, bound, 60)
-    st0, rho_new, fluxes, dt = _setup(rho, np.zeros(60), 1.0, g)
-    q_new = step_marker(CellField(q, g), st0.rho, fluxes, dt)
-    assert np.all(np.abs(q_new.values) <= bound * rho_new.values + 1e-12)
+    rho_new, flux, dt = _setup(rho, g)
+    q_new = marker_step_arrays(q, rho, flux, g.h, dt)
+    assert np.all(np.abs(q_new) <= bound * rho_new + 1e-12)
 
 
 def test_extract_ratio_examples():
     g = Grid(0.0, 1.0, 30)
     x = g.centers()
     rho = np.where(x < 0.5, 0.5, 0.0)
-    ratio = extract_ratio(CellField(0.3 * rho, g), CellField(rho, g),
-                          fallback=9.0)
-    assert np.abs(ratio.values[x < 0.5] - 0.3).max() < 1e-15
-    assert np.all(ratio.values[x >= 0.5] == 9.0)
+    ratio = ratio_or(0.3 * rho, rho, fallback=9.0)
+    assert np.abs(ratio[x < 0.5] - 0.3).max() < 1e-15
+    assert np.all(ratio[x >= 0.5] == 9.0)
 
-    vac = extract_ratio(CellField(np.zeros(30), g), CellField(np.zeros(30), g),
-                        fallback=-1.0)
-    assert np.all(vac.values == -1.0)
+    vac = ratio_or(np.zeros(30), np.zeros(30), fallback=-1.0)
+    assert np.all(vac == -1.0)
 
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 99_999))
 def test_extract_ratio_bound_transfer(seed):
     rng = np.random.default_rng(seed)
-    g = Grid(0.0, 1.0, 40)
     rho = rng.uniform(0.0, 1.0, 40)
     q = rho * rng.uniform(-2.0, 2.0, 40)
-    ratio = extract_ratio(CellField(q, g), CellField(rho, g))
-    assert np.abs(ratio.values).max() <= 2.0 + 1e-12
+    assert np.abs(ratio_or(q, rho)).max() <= 2.0 + 1e-12
 
 
 def test_reconstruct_examples():
     g = Grid(0.0, 1.0, 10)
-    assert np.all(reconstruct(CellField(np.zeros(10), g), 0.7).values == 0.7)
+    assert np.all(_prefix(np.zeros(10), g.h, 0.7) == 0.7)
     spike = np.zeros(10)
     spike[4] = 1.0
-    out = reconstruct(CellField(spike, g), 0.0)
-    assert np.all(out.values[:4] == 0.0)
-    assert np.abs(out.values[4:] - 0.1).max() < 1e-15
+    out = _prefix(spike, g.h, 0.0)
+    assert np.all(out[:4] == 0.0)
+    assert np.abs(out[4:] - 0.1).max() < 1e-15
 
 
 def test_reconstruct_difference_round_trip():
@@ -125,8 +114,8 @@ def test_reconstruct_difference_round_trip():
     rng = np.random.default_rng(2)
     target = np.cumsum(rng.uniform(-0.1, 0.1, 64)) + 1.0
     q = np.diff(target, prepend=1.0) / g.h
-    back = reconstruct(CellField(q, g), 1.0)
-    assert np.abs(back.values - target).max() < 1e-12
+    back = _prefix(q, g.h, 1.0)
+    assert np.abs(back - target).max() < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -134,21 +123,11 @@ def test_reconstruct_difference_round_trip():
 def test_reconstruct_is_l1_to_c0_contraction(seed, boundary):
     rng = np.random.default_rng(seed)
     g = Grid(0.0, 1.0, 48)
-    a = CellField(rng.uniform(-1, 1, 48), g)
-    b = CellField(rng.uniform(-1, 1, 48), g)
-    lhs = c0_distance(reconstruct(a, boundary), reconstruct(b, boundary))
-    assert lhs <= l1_distance(a, b) + 1e-14
-
-
-def test_left_filled_ratio_pins_vacuum_to_left_value():
-    rho = np.array([0.0, 0.5, 0.4, 0.0, 0.0, 0.6, 0.0])
-    q = np.array([0.0, 0.25, 0.1, 0.0, 0.0, -0.3, 0.0])
-    out = left_filled_ratio(q, rho, default=0.9)
-    assert out[0] == 0.9                      # nothing supported yet
-    assert out[1] == pytest.approx(0.5)
-    assert out[3] == out[2] and out[4] == out[2]   # carried from the left
-    assert out[5] == pytest.approx(-0.5)
-    assert out[6] == out[5]
+    a = rng.uniform(-1, 1, 48)
+    b = rng.uniform(-1, 1, 48)
+    lhs = c0_distance(CellField(_prefix(a, g.h, boundary), g),
+                      CellField(_prefix(b, g.h, boundary), g))
+    assert lhs <= l1_distance(CellField(a, g), CellField(b, g)) + 1e-14
 
 
 def test_marker_routes_agree_where_flux_is_flat():
@@ -158,14 +137,14 @@ def test_marker_routes_agree_where_flux_is_flat():
     g = Grid(-2.0, 2.0, 100)
     x = g.centers()
     rho = np.full(100, 0.55)
-    st0, rho_new, fluxes, dt = _setup(rho, np.zeros(100), 1.0, g)
-    assert np.ptp(fluxes.values) < 1e-15
+    rho_new, flux, dt = _setup(rho, g)
+    assert np.ptp(flux) < 1e-15
     psi = np.where(np.abs(x) < 1.0, 0.3 * np.sin(2.5 * x) + 0.1, 0.0)
     psi[np.abs(x) >= 1.0] = 0.0
     w = rho * psi
-    z = reconstruct(CellField(w, g), 0.0)
-    w_new = step_marker(CellField(w, g), st0.rho, fluxes, dt)
-    v_new = step_marker(CellField(rho * z.values, g), st0.rho, fluxes, dt)
-    z_prefix = reconstruct(w_new, 0.0)
-    z_direct = v_new.values / rho_new.values
-    assert np.abs(z_prefix.values - z_direct).max() < 1e-10
+    z = _prefix(w, g.h, 0.0)
+    w_new = marker_step_arrays(w, rho, flux, g.h, dt)
+    v_new = marker_step_arrays(rho * z, rho, flux, g.h, dt)
+    z_prefix = _prefix(w_new, g.h, 0.0)
+    z_direct = v_new / rho_new
+    assert np.abs(z_prefix - z_direct).max() < 1e-10
