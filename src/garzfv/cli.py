@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -56,15 +57,18 @@ def _load_config(args) -> RunConfig:
         cfg = config_from_scenario(scenario(args.scenario))
     else:
         raise ConfigError("one of --config or --scenario is required")
-    overrides = {k: getattr(args, k, None)
-                 for k in ("t_final", "n_cells", "cfl", "tol_phi",
-                           "n_output", "out_dir")}
+    # the run-source flags store under their RunConfig field names
+    overrides = {f.name: getattr(args, f.name, None)
+                 for f in fields(RunConfig)}
     return apply_overrides(cfg, overrides)
 
 
-def _out_dir(args, cfg: RunConfig, command: str) -> str:
-    root = getattr(args, "seed_dir", None) \
+def _output_root(args) -> str:
+    return getattr(args, "seed_dir", None) \
         or os.environ.get("GARZFV_OUTPUT_ROOT") or "runs"
+
+
+def _out_dir(args, cfg: RunConfig, command: str) -> str:
     if cfg.out_dir:
         name = cfg.out_dir
     elif args.scenario:
@@ -74,7 +78,7 @@ def _out_dir(args, cfg: RunConfig, command: str) -> str:
         name = f"{command}-{stem}"
     else:
         name = command
-    return os.path.join(root, name)
+    return os.path.join(_output_root(args), name)
 
 
 def _run_solve(cfg: RunConfig):
@@ -229,8 +233,7 @@ def cmd_riemann(args) -> int:
     x = grid.centers()
     rho = lwr_riemann_exact(args.rho_left, args.rho_right, args.u_bar,
                             model, args.t, x)
-    root = args.seed_dir or os.environ.get("GARZFV_OUTPUT_ROOT") or "runs"
-    out = os.path.join(root, "riemann")
+    out = os.path.join(_output_root(args), "riemann")
     lines = ["x_center,rho"]
     for xi, ri in zip(x, rho):
         lines.append(f"{xi:.17g},{ri:.17g}")

@@ -6,15 +6,19 @@ physical quantities are decimal numbers.  Piecewise data use the syntax
     pieces = x_left x_right value ; x_left x_right value_left value_right
 
 with one piece per semicolon-separated group (three numbers: constant
-piece; four: linear ramp).  parse -> dump -> parse is the identity on the
-normalized form.
+piece; four: linear ramp).  A missing key and a blank value (`key =`)
+both mean the field's default.  parse -> dump -> parse is the identity on
+the normalized form.
+
+RunConfig's field list is the only description of the format: each
+field's metadata names its section (and its key, where that differs from
+the field name), and its annotation picks the text codec.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .core import Grid, InitialData, Piece
 from .errors import ConfigError
@@ -59,32 +63,46 @@ def dump_pieces(pieces) -> str:
     return " ; ".join(out)
 
 
+def _ini(section: str, default, key: str | None = None):
+    """A RunConfig field stored as `key` (default: the field name) in
+    `[section]`."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
+def _key(f) -> str:
+    return f.metadata["key"] or f.name
+
+
 @dataclass
 class RunConfig:
-    """Everything one solve needs, mirroring the INI sections."""
+    """Everything one solve needs, mirroring the INI sections.
 
-    model_name: str = "greenshields"
-    gamma: float = 1.0
-    x_min: float = -4.0
-    x_max: float = 4.0
-    n_cells: int = 256
-    rho_pieces: tuple = ()
-    psi_pieces: tuple = ()
-    z_inf: float = 0.0
-    u_inf: float = 1.0
-    t_final: float = 1.0
-    tau0: float | None = None
-    m0: float | None = None
-    tol_phi: float | None = None
-    max_picard_iters: int = 25
-    cfl: float = 0.5
-    snapshots_per_slab: int = 32
-    entropy_levels: int = 11
-    n_output: int = 32
-    out_dir: str = ""
-    write_snapshots: bool = True
-    write_plot: bool = True
-    audit: bool = True
+    The slab fields take their defaults from SlabConfig; slab() passes
+    them through by name.
+    """
+
+    model_name: str = _ini("model", "greenshields", key="name")
+    gamma: float = _ini("model", 1.0)
+    x_min: float = _ini("grid", -4.0)
+    x_max: float = _ini("grid", 4.0)
+    n_cells: int = _ini("grid", 256)
+    rho_pieces: tuple = _ini("initial", ())
+    psi_pieces: tuple = _ini("initial", ())
+    z_inf: float = _ini("initial", 0.0)
+    u_inf: float = _ini("initial", 1.0)
+    t_final: float = _ini("slab", 1.0)
+    tau0: float | None = _ini("slab", SlabConfig.tau0)
+    m0: float | None = _ini("slab", SlabConfig.m0)
+    tol_phi: float | None = _ini("slab", SlabConfig.tol_phi)
+    max_picard_iters: int = _ini("slab", SlabConfig.max_picard_iters)
+    cfl: float = _ini("slab", SlabConfig.cfl)
+    snapshots_per_slab: int = _ini("slab", SlabConfig.snapshots_per_slab)
+    entropy_levels: int = _ini("slab", SlabConfig.entropy_levels)
+    n_output: int = _ini("output", 32)
+    out_dir: str = _ini("output", "", key="dir")
+    write_snapshots: bool = _ini("output", True)
+    write_plot: bool = _ini("output", True)
+    audit: bool = _ini("checks", True)
 
     def grid(self) -> Grid:
         return Grid(self.x_min, self.x_max, self.n_cells)
@@ -99,91 +117,8 @@ class RunConfig:
         return make_model(self.model_name, params)
 
     def slab(self) -> SlabConfig:
-        return SlabConfig(tau0=self.tau0, m0=self.m0, tol_phi=self.tol_phi,
-                          max_picard_iters=self.max_picard_iters,
-                          cfl=self.cfl,
-                          snapshots_per_slab=self.snapshots_per_slab,
-                          entropy_levels=self.entropy_levels)
-
-
-_OPTIONAL_FLOATS = ("tau0", "m0", "tol_phi")
-
-_SECTION_KEYS = {
-    "model": {"name", "gamma"},
-    "grid": {"x_min", "x_max", "n_cells"},
-    "initial": {"rho_pieces", "psi_pieces", "z_inf", "u_inf"},
-    "slab": {"t_final", "tau0", "m0", "tol_phi", "max_picard_iters", "cfl",
-             "snapshots_per_slab", "entropy_levels"},
-    "output": {"n_output", "dir", "write_snapshots", "write_plot"},
-    "checks": {"audit"},
-}
-
-
-def parse_config_text(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse failure: {exc}") from exc
-    for sec_name in parser.sections():
-        if sec_name not in _SECTION_KEYS:
-            raise ConfigError(f"unknown config section [{sec_name}]")
-        extra = sorted(set(parser[sec_name]) - _SECTION_KEYS[sec_name])
-        if extra:
-            raise ConfigError(
-                f"unknown key(s) in [{sec_name}]: {', '.join(extra)}")
-    cfg = RunConfig()
-
-    def section(name):
-        return parser[name] if parser.has_section(name) else {}
-
-    def field(sec_name, sec, key, default, conv):
-        raw = sec.get(key, None)
-        if raw is None or (isinstance(raw, str) and not raw.strip()):
-            return default
-        try:
-            return conv(raw)
-        except (ConfigError, TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"[{sec_name}] {key} = {raw!r}: {exc}") from exc
-
-    sec = section("model")
-    cfg.model_name = sec.get("name", cfg.model_name).strip()
-    cfg.gamma = field("model", sec, "gamma", cfg.gamma, float)
-
-    sec = section("grid")
-    cfg.x_min = field("grid", sec, "x_min", cfg.x_min, float)
-    cfg.x_max = field("grid", sec, "x_max", cfg.x_max, float)
-    cfg.n_cells = field("grid", sec, "n_cells", cfg.n_cells, int)
-
-    sec = section("initial")
-    cfg.rho_pieces = field("initial", sec, "rho_pieces", (), parse_pieces)
-    cfg.psi_pieces = field("initial", sec, "psi_pieces", (), parse_pieces)
-    cfg.z_inf = field("initial", sec, "z_inf", cfg.z_inf, float)
-    cfg.u_inf = field("initial", sec, "u_inf", cfg.u_inf, float)
-
-    sec = section("slab")
-    cfg.t_final = field("slab", sec, "t_final", cfg.t_final, float)
-    for name in _OPTIONAL_FLOATS:
-        setattr(cfg, name, field("slab", sec, name, None, float))
-    cfg.max_picard_iters = field("slab", sec, "max_picard_iters",
-                                 cfg.max_picard_iters, int)
-    cfg.cfl = field("slab", sec, "cfl", cfg.cfl, float)
-    cfg.snapshots_per_slab = field("slab", sec, "snapshots_per_slab",
-                                   cfg.snapshots_per_slab, int)
-    cfg.entropy_levels = field("slab", sec, "entropy_levels",
-                               cfg.entropy_levels, int)
-
-    sec = section("output")
-    cfg.n_output = field("output", sec, "n_output", cfg.n_output, int)
-    cfg.out_dir = sec.get("dir", cfg.out_dir).strip()
-    cfg.write_snapshots = field("output", sec, "write_snapshots", True,
-                                _parse_bool)
-    cfg.write_plot = field("output", sec, "write_plot", True, _parse_bool)
-
-    sec = section("checks")
-    cfg.audit = field("checks", sec, "audit", True, _parse_bool)
-    return cfg
+        return SlabConfig(**{f.name: getattr(self, f.name)
+                             for f in fields(SlabConfig)})
 
 
 def _parse_bool(raw) -> bool:
@@ -197,6 +132,51 @@ def _parse_bool(raw) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
+# (parse, dump) per value kind, keyed by the RunConfig field annotation
+_CODECS = {
+    "str": (str.strip, str),
+    "float": (float, format_number),
+    "float | None": (float, format_number),
+    "int": (int, str),
+    "bool": (_parse_bool, lambda b: "on" if b else "off"),
+    "tuple": (parse_pieces, dump_pieces),
+}
+
+
+def parse_config_text(text: str) -> RunConfig:
+    """Parse INI text; a missing or blank value leaves the field's default."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"config parse failure: {exc}") from exc
+    schema = {}
+    for f in fields(RunConfig):
+        schema.setdefault(f.metadata["section"], {})[_key(f)] = f
+    for sec_name in parser.sections():
+        if sec_name not in schema:
+            raise ConfigError(f"unknown config section [{sec_name}]")
+        extra = sorted(set(parser[sec_name]) - set(schema[sec_name]))
+        if extra:
+            raise ConfigError(
+                f"unknown key(s) in [{sec_name}]: {', '.join(extra)}")
+    values = {}
+    for sec_name, keys in schema.items():
+        if not parser.has_section(sec_name):
+            continue
+        sec = parser[sec_name]
+        for key, f in keys.items():
+            raw = sec.get(key)
+            if raw is None or not raw.strip():
+                continue
+            try:
+                values[f.name] = _CODECS[f.type][0](raw)
+            except (ConfigError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"[{sec_name}] {key} = {raw!r}: {exc}") from exc
+    return RunConfig(**values)
+
+
 def parse_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -207,49 +187,25 @@ def parse_config(path: str) -> RunConfig:
 
 
 def dump_config_text(cfg: RunConfig) -> str:
-    buf = io.StringIO()
-    buf.write("[model]\n")
-    buf.write(f"name = {cfg.model_name}\n")
-    buf.write(f"gamma = {format_number(cfg.gamma)}\n")
-    buf.write("\n[grid]\n")
-    buf.write(f"x_min = {format_number(cfg.x_min)}\n")
-    buf.write(f"x_max = {format_number(cfg.x_max)}\n")
-    buf.write(f"n_cells = {cfg.n_cells}\n")
-    buf.write("\n[initial]\n")
-    buf.write(f"rho_pieces = {dump_pieces(cfg.rho_pieces)}\n")
-    buf.write(f"psi_pieces = {dump_pieces(cfg.psi_pieces)}\n")
-    buf.write(f"z_inf = {format_number(cfg.z_inf)}\n")
-    buf.write(f"u_inf = {format_number(cfg.u_inf)}\n")
-    buf.write("\n[slab]\n")
-    buf.write(f"t_final = {format_number(cfg.t_final)}\n")
-    for name in _OPTIONAL_FLOATS:
-        val = getattr(cfg, name)
-        if val is not None:
-            buf.write(f"{name} = {format_number(val)}\n")
-    buf.write(f"max_picard_iters = {cfg.max_picard_iters}\n")
-    buf.write(f"cfl = {format_number(cfg.cfl)}\n")
-    buf.write(f"snapshots_per_slab = {cfg.snapshots_per_slab}\n")
-    buf.write(f"entropy_levels = {cfg.entropy_levels}\n")
-    buf.write("\n[output]\n")
-    buf.write(f"n_output = {cfg.n_output}\n")
-    if cfg.out_dir:
-        buf.write(f"dir = {cfg.out_dir}\n")
-    buf.write(f"write_snapshots = {'on' if cfg.write_snapshots else 'off'}\n")
-    buf.write(f"write_plot = {'on' if cfg.write_plot else 'off'}\n")
-    buf.write("\n[checks]\n")
-    buf.write(f"audit = {'on' if cfg.audit else 'off'}\n")
-    return buf.getvalue()
-
-
-def dump_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_config_text(cfg))
+    """Normalized INI text.  None and blank-string values are left out:
+    they read back as the default."""
+    lines = []
+    section = None
+    for f in fields(RunConfig):
+        if f.metadata["section"] != section:
+            if section is not None:
+                lines.append("")
+            section = f.metadata["section"]
+            lines.append(f"[{section}]")
+        val = getattr(cfg, f.name)
+        if val is not None and val != "":
+            lines.append(f"{_key(f)} = {_CODECS[f.type][1](val)}")
+    return "\n".join(lines) + "\n"
 
 
 def config_from_scenario(scn) -> RunConfig:
     """RunConfig equivalent of a shipped scenario."""
     return RunConfig(
-        model_name="greenshields", gamma=1.0,
         x_min=scn.grid.x_min, x_max=scn.grid.x_max,
         n_cells=scn.grid.n_cells,
         rho_pieces=scn.data.rho_pieces, psi_pieces=scn.data.psi_pieces,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import RunConfig, dump_config_text, format_number
 from .iteration import Trajectory
-from .verify import RunReport, StabilityResult
+from .verify import RunReport, StabilityResult, reported_constants
 
 SNAPSHOT_COLUMNS = ("x_center", "rho", "u", "z", "psi", "v", "w")
 
@@ -82,13 +82,8 @@ def trajectory_manifest(traj: Trajectory, cfg: RunConfig | None = None,
             "stop_reason": s.trace.stop_reason,
         })
     manifest = {
-        "constants": {
-            "m0": ctx.m0, "c_tilde": ctx.c_tilde, "tau0": ctx.tau0,
-            "tol_phi": ctx.tol_phi, "wave_bound": ctx.wave_bound,
-            "u0_sup": ctx.u0_sup, "z0_sup": ctx.z0_sup,
-            "psi0_sup": ctx.psi0_sup, "rho0_l1": ctx.rho0_l1,
-            "tv0": ctx.tv0, "constant_u": ctx.constant_u,
-        },
+        "constants": {**reported_constants(ctx),
+                      "constant_u": ctx.constant_u},
         "grid": {
             "x_min": traj.grid.x_min, "x_max": traj.grid.x_max,
             "n_cells": traj.grid.n_cells, "h": traj.grid.h,

@@ -12,17 +12,24 @@ All audits are read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (Grid, InitialData, build_initial_state, c0_distance,
-                   l1_distance, l1_norm)
+from .core import Grid, InitialData, c0_distance, l1_distance
 from .errors import DegeneratePairError, InputRangeError
-from .iteration import ProblemContext, SlabConfig, Trajectory, solve_global
+from .iteration import (ProblemContext, SlabConfig, Trajectory, make_context,
+                        solve_global)
 from .model import VelocityModel
 
 ENTROPY_TOL_FACTOR = 10.0
+
+
+def reported_constants(ctx: ProblemContext) -> dict:
+    """The run constants a report and a run manifest echo."""
+    return {name: getattr(ctx, name)
+            for name in ("m0", "c_tilde", "tau0", "tol_phi", "wave_bound",
+                         "u0_sup", "z0_sup", "psi0_sup", "rho0_l1", "tv0")}
 
 
 @dataclass(frozen=True)
@@ -221,18 +228,12 @@ def audit_trajectory(traj: Trajectory,
     entropy_check, table = _entropy_check(traj, ctx)
     checks.append(entropy_check)
     checks.append(_phi_check(traj, ctx))
-    constants = {
-        "m0": ctx.m0, "c_tilde": ctx.c_tilde, "tau0": ctx.tau0,
-        "tol_phi": ctx.tol_phi, "wave_bound": ctx.wave_bound,
-        "u0_sup": ctx.u0_sup, "z0_sup": ctx.z0_sup,
-        "psi0_sup": ctx.psi0_sup, "rho0_l1": ctx.rho0_l1, "tv0": ctx.tv0,
-    }
     notes = [
         "the variation envelope D(t) is one admissible exponential choice; "
         "the underlying bound names no closed form",
     ]
     return RunReport(checks=checks, entropy_table=table,
-                     constants=constants, notes=notes)
+                     constants=reported_constants(ctx), notes=notes)
 
 
 @dataclass
@@ -322,11 +323,7 @@ def uniqueness_check(data: InitialData, grid: Grid, t_final: float,
     if seeds < 2:
         raise InputRangeError(f"seeds must be >= 2, got {seeds}")
     base = cfg or SlabConfig()
-    if base.tol_phi is not None:
-        tol_base = base.tol_phi
-    else:
-        state0 = build_initial_state(data, grid)
-        tol_base = max(grid.h * l1_norm(state0.rho), 1e-14)
+    tol_base = make_context(data, grid, t_final, model, base)[0].tol_phi
     settings = []
     for i in range(seeds):
         j = i % 3
@@ -334,15 +331,9 @@ def uniqueness_check(data: InitialData, grid: Grid, t_final: float,
         settings.append(dict(cfl=_UNIQ_CFLS[j],
                              snapshots_per_slab=_UNIQ_CADENCES[j],
                              tol_phi=factor * tol_base))
-    trajs = []
-    for s in settings:
-        run_cfg = SlabConfig(
-            tau0=base.tau0, m0=base.m0, tol_phi=s["tol_phi"],
-            max_picard_iters=base.max_picard_iters, cfl=s["cfl"],
-            snapshots_per_slab=s["snapshots_per_slab"],
-            entropy_levels=0)
-        trajs.append(solve_global(data, grid, t_final, model, run_cfg,
-                                  n_output))
+    trajs = [solve_global(data, grid, t_final, model,
+                          replace(base, entropy_levels=0, **s), n_output)
+             for s in settings]
     gap = 0.0
     for a in range(len(trajs)):
         for b in range(a + 1, len(trajs)):

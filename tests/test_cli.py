@@ -72,6 +72,26 @@ def test_riemann_stationary_shock_profile(tmp_path):
     assert np.all(rho[x > 0.0] == pytest.approx(0.8))
 
 
+def test_output_root_from_environment(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GARZFV_OUTPUT_ROOT", str(tmp_path / "env"))
+    solve = ["solve", "--scenario", "constant", "--t-final", "0.25",
+             "--n-cells", "32", "--n-output", "2"]
+    riemann = ["riemann", "--rho-left", "0.2", "--rho-right", "0.8",
+               "--u", "1", "--t", "0.5", "--n-cells", "16"]
+    assert main(solve) == 0 and main(riemann) == 0
+    assert (tmp_path / "env" / "solve-constant" / "manifest.json").exists()
+    assert (tmp_path / "env" / "riemann" / "exact.csv").exists()
+    # --seed-dir wins over the environment
+    assert run(tmp_path / "flag", *solve) == 0
+    assert run(tmp_path / "flag", *riemann) == 0
+    assert (tmp_path / "flag" / "solve-constant" / "manifest.json").exists()
+    assert (tmp_path / "flag" / "riemann" / "exact.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "env").iterdir()) \
+        == ["riemann", "solve-constant"]
+    assert not (tmp_path / "runs").exists()
+
+
 def test_validate_model_exit_codes(capsys):
     assert main(["validate-model"]) == 0
     assert main(["validate-model", "--model", "power", "--gamma", "2"]) == 0
