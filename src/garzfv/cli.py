@@ -227,27 +227,19 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_riemann(args) -> int:
-    model = make_model(args.model, {"gamma": args.gamma}
-                       if args.model == "power" else {})
+    model = make_model(args.model, args.gamma)
     grid = Grid(args.x_min, args.x_max, args.n_cells)
     x = grid.centers()
     rho = lwr_riemann_exact(args.rho_left, args.rho_right, args.u_bar,
                             model, args.t, x)
-    out = os.path.join(_output_root(args), "riemann")
-    lines = ["x_center,rho"]
-    for xi, ri in zip(x, rho):
-        lines.append(f"{xi:.17g},{ri:.17g}")
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "exact.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path = os.path.join(_output_root(args), "riemann", "exact.csv")
+    runio.write_table(path, (x, rho), ",", ("x_center", "rho"))
     print(f"exact profile at t={args.t:g} written to {path}")
     return 0
 
 
 def cmd_validate_model(args) -> int:
-    model = make_model(args.model, {"gamma": args.gamma}
-                       if args.model == "power" else {})
+    model = make_model(args.model, args.gamma)
     report = validate_model(model, args.u_max, args.n_samples)
     print(report.summary())
     return 0 if report.passed else 1

@@ -7,8 +7,10 @@ physical quantities are decimal numbers.  Piecewise data use the syntax
 
 with one piece per semicolon-separated group (three numbers: constant
 piece; four: linear ramp).  A missing key and a blank value (`key =`)
-both mean the field's default.  parse -> dump -> parse is the identity on
-the normalized form.
+both mean the field's default.  Values are literal (no `%` interpolation,
+no [DEFAULT] section).  parse -> dump -> parse is the identity on the
+normalized form.  `gamma` applies to `power` only.  tau0 and M0 are not
+keys: the solver derives them from the datum and the closure.
 
 RunConfig's field list is the only description of the format: each
 field's metadata names its section (and its key, where that differs from
@@ -91,8 +93,6 @@ class RunConfig:
     z_inf: float = _ini("initial", 0.0)
     u_inf: float = _ini("initial", 1.0)
     t_final: float = _ini("slab", 1.0)
-    tau0: float | None = _ini("slab", SlabConfig.tau0)
-    m0: float | None = _ini("slab", SlabConfig.m0)
     tol_phi: float | None = _ini("slab", SlabConfig.tol_phi)
     max_picard_iters: int = _ini("slab", SlabConfig.max_picard_iters)
     cfl: float = _ini("slab", SlabConfig.cfl)
@@ -113,8 +113,7 @@ class RunConfig:
                            z_inf=self.z_inf, u_inf=self.u_inf)
 
     def model(self) -> VelocityModel:
-        params = {"gamma": self.gamma} if self.model_name == "power" else {}
-        return make_model(self.model_name, params)
+        return make_model(self.model_name, self.gamma)
 
     def slab(self) -> SlabConfig:
         return SlabConfig(**{f.name: getattr(self, f.name)
@@ -145,11 +144,14 @@ _CODECS = {
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse INI text; a missing or blank value leaves the field's default."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse failure: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError("unknown config section [DEFAULT]")
     schema = {}
     for f in fields(RunConfig):
         schema.setdefault(f.metadata["section"], {})[_key(f)] = f

@@ -45,10 +45,11 @@ MAX_TAU_HALVINGS = 5
 
 @dataclass(frozen=True)
 class SlabConfig:
-    """Knobs of the slab iteration; None fields are computed from the data."""
+    """Knobs of the slab iteration; tol_phi = None means h ||rho0||_L1.
 
-    tau0: float | None = None
-    m0: float | None = None
+    The slab length tau0 and the variation budget M0 are not knobs:
+    make_context derives them from the datum and the closure."""
+
     tol_phi: float | None = None
     max_picard_iters: int = 25
     cfl: float = 0.5
@@ -56,10 +57,6 @@ class SlabConfig:
     entropy_levels: int = DEFAULT_ENTROPY_LEVELS
 
     def __post_init__(self):
-        if self.tau0 is not None and not self.tau0 > 0.0:
-            raise InputRangeError(f"tau0 must be positive, got {self.tau0}")
-        if self.m0 is not None and not self.m0 > 0.0:
-            raise InputRangeError(f"m0 must be positive, got {self.m0}")
         if self.tol_phi is not None and not self.tol_phi > 0.0:
             raise InputRangeError(
                 f"tol_phi must be positive, got {self.tol_phi}")
@@ -433,16 +430,15 @@ def make_context(data: InitialData, grid: Grid, t_final: float,
     rho0_l1 = l1_norm(state0.rho)
     z0_sup = float(np.abs(state0.z.values).max())
     psi0_sup = float(np.abs(state0.psi.values).max())
-    m0 = cfg.m0 if cfg.m0 is not None else compute_M0(state0.rho)
     c_tilde = compute_tilde_C(model, z0_sup, psi0_sup, rho0_l1, u_max)
-    tau0 = cfg.tau0 if cfg.tau0 is not None else compute_tau0(c_tilde)
     tol_phi = cfg.tol_phi if cfg.tol_phi is not None \
         else max(grid.h * rho0_l1, 1e-14)
     constant_u = bool(np.abs(state0.v.values).max() <= 1e-14)
     ctx = ProblemContext(
         model=model, grid=grid, t_final=float(t_final),
         u0_sup=u_max, z0_sup=z0_sup, psi0_sup=psi0_sup, rho0_l1=rho0_l1, tv0=tv0,
-        m0=m0, c_tilde=c_tilde, tau0=tau0, tol_phi=tol_phi,
+        m0=compute_M0(state0.rho), c_tilde=c_tilde,
+        tau0=compute_tau0(c_tilde), tol_phi=tol_phi,
         wave_bound=wave, constant_u=constant_u,
         bounds=model.sup_bounds(u_max))
     return ctx, state0

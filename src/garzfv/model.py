@@ -14,8 +14,11 @@ and be twice continuously differentiable.  Two closures are built in:
 * ``greenshields``   V = u (1 - rho)
 * ``power``          V = u (1 - rho)**gamma, gamma >= 1
 
-Built-ins carry analytic derivatives and analytic sup-norm bounds; custom
-closures fall back to finite differences and lattice sampling.
+``make_model(name, gamma)`` builds either (gamma applies to ``power``
+only).  Built-ins carry analytic derivatives and sup-norm bounds.  A
+custom closure is ``CustomVelocityModel(velocity)`` (finite-difference
+derivatives, lattice-sampled bounds) or a ``VelocityModel`` subclass
+overriding the derivatives it knows, as ``PowerLawModel`` does.
 """
 
 from __future__ import annotations
@@ -95,9 +98,6 @@ class VelocityModel:
 
     name = "custom"
 
-    def params(self) -> dict:
-        return {}
-
     # -- closure and derivatives -------------------------------------------
 
     def velocity(self, rho, u):
@@ -166,12 +166,12 @@ class VelocityModel:
             return float(out[0])
         return out.reshape(np.shape(u))
 
-    def sup_bounds(self, u_max, n=241) -> ModelBounds:
-        """Lattice-sampled sup norms over the box [0,1] x [0,u_max]."""
+    def sup_bounds(self, u_max) -> ModelBounds:
+        """Lattice-sampled (241 x 241) sup norms over [0,1] x [0,u_max]."""
         if u_max < 0:
             raise InputRangeError(f"u_max must be nonnegative, got {u_max}")
-        rho = np.linspace(0.0, 1.0, n)[:, None]
-        u = np.linspace(0.0, max(u_max, 0.0), n)[None, :]
+        rho = np.linspace(0.0, 1.0, 241)[:, None]
+        u = np.linspace(0.0, max(u_max, 0.0), 241)[None, :]
         return ModelBounds(
             u_max=float(u_max),
             v_sup=float(np.abs(self.velocity(rho, u)).max()),
@@ -192,9 +192,6 @@ class PowerLawModel(VelocityModel):
         if not np.isfinite(gamma) or gamma < 1.0:
             raise InputRangeError(f"gamma must be >= 1, got {gamma}")
         self.gamma = gamma
-
-    def params(self) -> dict:
-        return {"gamma": self.gamma}
 
     def _gap(self, rho):
         # clamp so rho = 1 gives exactly 0 and tolerated overshoots stay real
@@ -226,7 +223,7 @@ class PowerLawModel(VelocityModel):
         # |d/drho f| is largest at rho = 0 where it equals u
         return np.abs(np.asarray(u, dtype=float))
 
-    def sup_bounds(self, u_max, n=241) -> ModelBounds:
+    def sup_bounds(self, u_max) -> ModelBounds:
         if u_max < 0:
             raise InputRangeError(f"u_max must be nonnegative, got {u_max}")
         u_max = float(u_max)
@@ -248,50 +245,33 @@ class GreenshieldsModel(PowerLawModel):
     def __init__(self):
         super().__init__(gamma=1.0)
 
-    def params(self) -> dict:
-        return {}
-
 
 class CustomVelocityModel(VelocityModel):
     """Wrap a user closure; derivatives by finite differences.
 
     The callable must be numpy-vectorized and defined on [0,1] x [0, inf).
-    Optional analytic derivatives may be supplied by keyword.
+    A closure with analytic derivatives subclasses VelocityModel instead.
     """
 
-    def __init__(self, velocity, name="custom", d_rho=None, d_u=None,
-                 d_u_rho=None, d_uu=None):
+    def __init__(self, velocity, name="custom"):
         self._velocity = velocity
         self.name = name
-        if d_rho is not None:
-            self.d_rho = lambda rho, u: d_rho(np.asarray(rho, float),
-                                              np.asarray(u, float))
-        if d_u is not None:
-            self.d_u = lambda rho, u: d_u(np.asarray(rho, float),
-                                          np.asarray(u, float))
-        if d_u_rho is not None:
-            self.d_u_rho = lambda rho, u: d_u_rho(np.asarray(rho, float),
-                                                  np.asarray(u, float))
-        if d_uu is not None:
-            self.d_uu = lambda rho, u: d_uu(np.asarray(rho, float),
-                                            np.asarray(u, float))
 
     def velocity(self, rho, u):
         return self._velocity(np.asarray(rho, dtype=float),
                               np.asarray(u, dtype=float))
 
 
-def make_model(name: str, params: dict | None = None) -> VelocityModel:
-    """Instantiate a built-in closure by config name."""
-    params = dict(params or {})
+def make_model(name: str, gamma: float = 1.0) -> VelocityModel:
+    """Instantiate a built-in closure by config name; gamma is the power-law
+    exponent and must stay 1 for greenshields."""
     if name == "greenshields":
-        if params:
-            raise InputRangeError("greenshields takes no parameters")
+        if gamma != 1.0:
+            raise InputRangeError(
+                f"greenshields has gamma = 1, got gamma = {gamma}; "
+                "use the power model")
         return GreenshieldsModel()
     if name == "power":
-        gamma = params.pop("gamma", 1.0)
-        if params:
-            raise InputRangeError(f"unknown power-law parameters: {params}")
         return PowerLawModel(gamma)
     raise InputRangeError(f"unknown model name '{name}'")
 

@@ -26,10 +26,6 @@ from .verify import RunReport, StabilityResult, reported_constants
 SNAPSHOT_COLUMNS = ("x_center", "rho", "u", "z", "psi", "v", "w")
 
 
-def _fmt(x) -> str:
-    return format_number(float(x))
-
-
 def _write_text(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -58,14 +54,14 @@ def write_json(path: str, payload: dict) -> None:
     _write_text(path, text + "\n")
 
 
-def snapshot_csv_text(state) -> str:
-    x = state.grid.centers()
-    cols = (x, state.rho.values, state.u.values, state.z.values,
-            state.psi.values, state.v.values, state.w.values)
-    lines = [",".join(SNAPSHOT_COLUMNS)]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def write_table(path: str, columns, sep: str, header=None) -> None:
+    """Write equal-length numeric columns as %.17g text, one row per line,
+    after an optional header row of column names."""
+    row = sep.join(["%.17g"] * len(columns))
+    lines = [sep.join(header)] if header else []
+    lines += [row % r for r in
+              zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def trajectory_manifest(traj: Trajectory, cfg: RunConfig | None = None,
@@ -102,7 +98,8 @@ def trajectory_manifest(traj: Trajectory, cfg: RunConfig | None = None,
 def report_csv_text(report: RunReport) -> str:
     lines = ["check,worst_violation,tol,pass"]
     for c in report.checks:
-        lines.append(f"{c.name},{_fmt(c.worst)},{_fmt(c.tol)},"
+        lines.append(f"{c.name},{format_number(c.worst)},"
+                     f"{format_number(c.tol)},"
                      f"{'pass' if c.passed else 'fail'}")
     return "\n".join(lines) + "\n"
 
@@ -121,11 +118,6 @@ def report_payload(report: RunReport) -> dict:
     }
 
 
-def two_column_text(xs, ys) -> str:
-    lines = [f"{_fmt(a)} {_fmt(b)}" for a, b in zip(xs, ys)]
-    return "\n".join(lines) + "\n"
-
-
 def write_trajectory(out_dir: str, traj: Trajectory,
                      cfg: RunConfig | None = None,
                      report: RunReport | None = None,
@@ -134,8 +126,11 @@ def write_trajectory(out_dir: str, traj: Trajectory,
                trajectory_manifest(traj, cfg, report))
     if write_snapshots:
         for i, state in enumerate(traj.states):
-            _write_text(os.path.join(out_dir, "snapshots", f"{i:04d}.csv"),
-                        snapshot_csv_text(state))
+            cols = (state.grid.centers(), state.rho.values, state.u.values,
+                    state.z.values, state.psi.values, state.v.values,
+                    state.w.values)
+            write_table(os.path.join(out_dir, "snapshots", f"{i:04d}.csv"),
+                        cols, ",", SNAPSHOT_COLUMNS)
 
 
 def write_report(out_dir: str, report: RunReport) -> None:
@@ -150,25 +145,23 @@ def emit_plotdata(out_dir: str, traj: Trajectory | None = None,
     if traj is not None:
         for i, state in enumerate(traj.states):
             x = state.grid.centers()
-            _write_text(os.path.join(plot, f"rho_{i:04d}.dat"),
-                        two_column_text(x, state.rho.values))
-            _write_text(os.path.join(plot, f"u_{i:04d}.dat"),
-                        two_column_text(x, state.u.values))
-            _write_text(os.path.join(plot, f"z_{i:04d}.dat"),
-                        two_column_text(x, state.z.values))
-        _write_text(os.path.join(plot, "tv.dat"),
-                    two_column_text(traj.series_times, traj.tv_series))
-        _write_text(os.path.join(plot, "mass.dat"),
-                    two_column_text(traj.series_times, traj.mass_series))
+            write_table(os.path.join(plot, f"rho_{i:04d}.dat"),
+                        (x, state.rho.values), " ")
+            write_table(os.path.join(plot, f"u_{i:04d}.dat"),
+                        (x, state.u.values), " ")
+            write_table(os.path.join(plot, f"z_{i:04d}.dat"),
+                        (x, state.z.values), " ")
+        write_table(os.path.join(plot, "tv.dat"),
+                    (traj.series_times, traj.tv_series), " ")
+        write_table(os.path.join(plot, "mass.dat"),
+                    (traj.series_times, traj.mass_series), " ")
         phi_t = []
         phi_v = []
         for s in traj.slabs:
             for rec in s.trace.records:
                 phi_t.append(s.t1)
                 phi_v.append(rec.phi_mixed)
-        _write_text(os.path.join(plot, "phi.dat"),
-                    two_column_text(phi_t, phi_v))
+        write_table(os.path.join(plot, "phi.dat"), (phi_t, phi_v), " ")
     if stability is not None:
-        _write_text(os.path.join(plot, "stability_ratio.dat"),
-                    two_column_text(stability.times,
-                                    stability.ratio_series))
+        write_table(os.path.join(plot, "stability_ratio.dat"),
+                    (stability.times, stability.ratio_series), " ")

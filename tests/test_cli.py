@@ -99,6 +99,30 @@ def test_validate_model_exit_codes(capsys):
     assert "[ok  ]" in out and "jam_velocity_zero" in out
 
 
+def test_greenshields_with_gamma_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "gsh.ini"
+    cfg_path.write_text(dump_config_text(config_from_scenario(
+        scenario("constant"))).replace("gamma = 1", "gamma = 2"))
+    assert run(tmp_path, "verify", "--config", str(cfg_path)) == 1
+    assert run(tmp_path, "riemann", "--rho-left", "0.8", "--rho-right",
+               "0.2", "--u", "1", "--t", "0.5", "--model", "greenshields",
+               "--gamma", "2") == 1
+    assert main(["validate-model", "--model", "greenshields",
+                 "--gamma", "2"]) == 1
+    assert capsys.readouterr().err.count("greenshields") == 3
+    assert not (tmp_path / "riemann").exists()
+
+
+def test_dump_config_keeps_literal_values(tmp_path, capsys):
+    cfg_path = tmp_path / "pct.ini"
+    cfg_path.write_text("[output]\ndir = 50%\n")
+    assert main(["dump-config", "--config", str(cfg_path)]) == 0
+    assert "dir = 50%" in capsys.readouterr().out
+    cfg_path.write_text("[slab]\ntau0 = 0.1\n")
+    assert main(["dump-config", "--config", str(cfg_path)]) == 2
+    capsys.readouterr()
+
+
 def test_dump_config_round_trips(capsys):
     assert main(["dump-config", "--scenario", "smoke"]) == 0
     text = capsys.readouterr().out

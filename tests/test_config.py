@@ -86,6 +86,30 @@ def test_parse_rejects_unknown_keys():
         parse_config_text("[mystery]\nx = 1\n")
 
 
+@pytest.mark.parametrize("key", ["tau0", "m0"])
+def test_slab_constants_are_not_keys(key):
+    # tau0 and M0 are derived from the datum, never read from the file
+    with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+        parse_config_text(f"[slab]\n{key} = 0.5\n")
+
+
+def test_values_are_literal_text():
+    cfg = parse_config_text("[output]\ndir = 50%\n")
+    assert cfg.out_dir == "50%"
+    text = dump_config_text(cfg)
+    assert "dir = 50%" in text
+    assert parse_config_text(text) == cfg
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\ncfl = 0.3\n[slab]\nt_final = 1\n",
+    "[DEFAULT]\ncfl = 0.3\n[grid]\nn_cells = 64\n[slab]\nt_final = 1\n",
+])
+def test_default_section_rejected(text):
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+        parse_config_text(text)
+
+
 def test_apply_overrides_validates_fields():
     cfg = config_from_scenario(scenario("constant"))
     with pytest.raises(ConfigError):
@@ -98,7 +122,7 @@ def test_apply_overrides_validates_fields():
 def test_runconfig_defaults_are_sane():
     cfg = config_from_scenario(scenario("rarefaction"))
     assert isinstance(cfg, RunConfig)
-    assert cfg.tau0 is None and cfg.m0 is None and cfg.tol_phi is None
+    assert cfg.tol_phi is None
     assert cfg.cfl == 0.5
     assert cfg.n_output >= 2
 
@@ -108,13 +132,13 @@ def test_config_round_trip_with_every_optional_value():
         model_name="power", gamma=2.0, n_cells=300,
         rho_pieces=(Piece(-4.0, 0.0, 0.1, 0.6), Piece.const(0.0, 4.0, 0.3)),
         psi_pieces=(Piece(-1.0, 1.0, 0.25, -0.5),), z_inf=0.125,
-        tau0=0.3, m0=7.5, tol_phi=1e-3, max_picard_iters=9, cfl=0.45,
+        tol_phi=1e-3, max_picard_iters=9, cfl=0.3,
         snapshots_per_slab=12, entropy_levels=0, n_output=7,
         out_dir="runs-a", write_snapshots=False, write_plot=False,
         audit=False)
     text = dump_config_text(cfg)
     assert "name = power" in text and "dir = runs-a" in text
-    assert "tau0 = 0.29999999999999999" in text
+    assert "cfl = 0.29999999999999999" in text
     assert "write_snapshots = off" in text and "audit = off" in text
     back = parse_config_text(text)
     assert back == cfg
@@ -123,8 +147,7 @@ def test_config_round_trip_with_every_optional_value():
 
 def test_blank_value_means_default():
     # every key of every section, each with its value blanked
-    text = dump_config_text(RunConfig(tau0=0.5, m0=3.0, tol_phi=1e-2,
-                                      out_dir="here"))
+    text = dump_config_text(RunConfig(tol_phi=1e-2, out_dir="here"))
     blank = "\n".join(line.split("=")[0] + "=" if "=" in line else line
                       for line in text.splitlines())
     assert blank.count(" =") == len(fields(RunConfig))
@@ -148,7 +171,7 @@ def test_bad_value_names_section_and_key(section, key, bad):
 
 def test_slab_passes_every_slab_field_through():
     assert RunConfig().slab() == SlabConfig()
-    custom = dict(tau0=0.2, m0=5.0, tol_phi=1e-4, max_picard_iters=7,
-                  cfl=0.3, snapshots_per_slab=5, entropy_levels=2)
+    custom = dict(tol_phi=1e-4, max_picard_iters=7, cfl=0.3,
+                  snapshots_per_slab=5, entropy_levels=2)
     assert set(custom) == {f.name for f in fields(SlabConfig)}
     assert RunConfig(**custom).slab() == SlabConfig(**custom)

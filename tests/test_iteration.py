@@ -261,7 +261,7 @@ def test_tighter_tolerance_barely_moves_fixed_point():
 
 def test_slab_config_validation():
     with pytest.raises(InputRangeError):
-        SlabConfig(tau0=-0.1)
+        SlabConfig(tol_phi=-0.1)
     with pytest.raises(InputRangeError):
         SlabConfig(cfl=1.5)
     with pytest.raises(InputRangeError):

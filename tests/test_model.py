@@ -86,27 +86,20 @@ def test_increasing_velocity_in_rho_fails_validation():
         require_valid_model(bad, u_max=1.0)
 
 
-def test_custom_model_with_callable_derivatives_validates():
-    a = 0.3
-    m = CustomVelocityModel(
-        lambda rho, u: u * (1.0 - rho) * (1.0 + a * rho) / (1.0 + a),
-        name="humped",
-        d_rho=lambda rho, u: u * (a - 1.0 - 2 * a * rho) / (1.0 + a),
-        d_u=lambda rho, u: (1.0 - rho) * (1.0 + a * rho) / (1.0 + a),
-        d_u_rho=lambda rho, u: (a - 1.0 - 2 * a * rho) / (1.0 + a),
-        d_uu=lambda rho, u: np.zeros(np.broadcast(rho, u).shape),
-    )
-    assert validate_model(m, u_max=1.5).passed
+def test_custom_model_with_callable_derivatives_validates(hump_model):
+    assert validate_model(hump_model, u_max=1.5).passed
 
 
 def test_make_model_dispatch():
     assert isinstance(make_model("greenshields"), GreenshieldsModel)
-    m = make_model("power", {"gamma": 2.5})
+    m = make_model("power", 2.5)
     assert isinstance(m, PowerLawModel) and m.gamma == 2.5
     with pytest.raises(InputRangeError):
         make_model("nope")
+    # gamma is the power-law exponent; greenshields is gamma = 1 only
+    assert isinstance(make_model("greenshields", 1.0), GreenshieldsModel)
     with pytest.raises(InputRangeError):
-        make_model("power", {"beta": 1.0})
+        make_model("greenshields", 2.0)
 
 
 def test_max_wave_speed_dominates_sampled_derivative():

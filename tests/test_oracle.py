@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from garzfv import (
-    CustomVelocityModel,
     GreenshieldsModel,
     Grid,
     InputRangeError,
@@ -16,18 +15,6 @@ from garzfv import (
 )
 
 GSH = GreenshieldsModel()
-
-
-def concave_hump_model(a=0.3):
-    """Non-Greenshields closure with strictly concave density flux."""
-    return CustomVelocityModel(
-        lambda rho, u: u * (1.0 - rho) * (1.0 + a * rho) / (1.0 + a),
-        name="hump",
-        d_rho=lambda rho, u: u * (a - 1.0 - 2 * a * rho) / (1.0 + a),
-        d_u=lambda rho, u: (1.0 - rho) * (1.0 + a * rho) / (1.0 + a),
-        d_u_rho=lambda rho, u: (a - 1.0 - 2 * a * rho) / (1.0 + a),
-        d_uu=lambda rho, u: np.zeros(np.broadcast(rho, u).shape),
-    )
 
 
 def test_stationary_shock_profile():
@@ -66,8 +53,8 @@ def test_equal_states_and_zero_time():
     assert np.all(step[x < 0] == 0.7) and np.all(step[x > 0] == 0.2)
 
 
-def test_generic_concave_model_fan_inverts_derivative():
-    model = concave_hump_model()
+def test_generic_concave_model_fan_inverts_derivative(hump_model):
+    model = hump_model
     assert validate_model(model, u_max=1.5).passed
     t, u = 1.0, 1.2
     x = np.linspace(-3, 3, 801)

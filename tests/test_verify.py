@@ -1,20 +1,25 @@
 """Audit battery, stability measurement, uniqueness proxy, ladders."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from garzfv import (
     DegeneratePairError,
+    GarzError,
     GreenshieldsModel,
     Grid,
     InitialData,
     InputRangeError,
     Piece,
+    PowerLawModel,
     SlabConfig,
     audit_trajectory,
     convergence_study,
     lwr_riemann_exact,
     measure_stability,
     perturb_data,
+    recommended_domain,
     riemann_initial_data,
     scenario,
     solve_global,
@@ -156,3 +161,40 @@ def test_smoke_plateau_just_above_an_entropy_level_passes_audit():
     level_06 = max(v for s in traj.slabs for k, v in s.entropy_max.items()
                    if abs(k - 0.6) < 1e-9)
     assert level_06 <= 0.1 * 10.0 * grid.h
+
+
+SUPPORT = (-1.5, 1.5)
+
+
+@st.composite
+def piecewise(draw, lo, hi):
+    """1-3 pieces tiling SUPPORT, each constant or linear, values in
+    [lo, hi]."""
+    cuts = draw(st.lists(st.floats(-1.4, 1.4), max_size=2, unique=True))
+    edges = [SUPPORT[0]] + sorted(cuts) + [SUPPORT[1]]
+    pieces = []
+    for a, b in zip(edges, edges[1:]):
+        left = draw(st.floats(lo, hi))
+        right = left if draw(st.booleans()) else draw(st.floats(lo, hi))
+        pieces.append(Piece(a, b, left, right))
+    return tuple(pieces)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(rho=piecewise(0.0, 1.0), psi=piecewise(-0.5, 0.5),
+       gamma=st.sampled_from([1.0, 2.0, 3.0]), u_inf=st.floats(0.5, 1.5),
+       n=st.integers(96, 160))
+def test_generated_admissible_data_pass_the_audit(rho, psi, gamma, u_inf, n):
+    t_final = 0.5
+    data = InitialData(rho_pieces=rho, psi_pieces=psi, u_inf=u_inf)
+    # |z| <= L sup|psi| and |u - u_inf| <= L |z|, with L the support length
+    length = SUPPORT[1] - SUPPORT[0]
+    psi_sup = max(abs(v) for p in psi for v in (p.v_left, p.v_right))
+    grid = Grid(*recommended_domain(data, t_final,
+                                    u_inf + length ** 2 * psi_sup), n)
+    try:
+        traj = solve_global(data, grid, t_final, PowerLawModel(gamma))
+    except GarzError:
+        return
+    report = audit_trajectory(traj)
+    assert report.passed, report.summary()
