@@ -312,14 +312,16 @@ def check_margins(state: SystemState, t_final: float, wave_bound: float):
     # datum with vanishing markers is then safe for the horizon, and the
     # constancy checks below enforce exactly that
     width = min(width, 0.5 * (grid.x_max - grid.x_min))
+    window_text = (f"margin window (width {width:.4g} from wave_bound "
+                   f"{wave_bound:.4g} over t_final {t_final:g})")
     for window in ((x <= grid.x_min + width), (x >= grid.x_max - width)):
         rho_w = state.rho.values[window]
         if rho_w.max() - rho_w.min() > 1e-13:
             raise InvalidDataError(
-                "rho0 is not constant within the margin window; enlarge the "
+                f"rho0 is not constant within the {window_text}; enlarge the "
                 "domain or flatten the datum near the boundary")
         if np.abs(state.v.values[window]).max() > 1e-13 \
                 or np.abs(state.w.values[window]).max() > 1e-13:
             raise InvalidDataError(
-                "markers do not vanish within the margin window; boundary "
+                f"markers do not vanish within the {window_text}; boundary "
                 "cells would drift over the horizon")

@@ -9,7 +9,10 @@ Every closure must satisfy, on the working box [0, 1] x [0, u_max]:
 
     V >= 0,    dV/drho <= 0,    dV/du >= 0,    V(1, u) = 0 for all u,
 
-and be twice continuously differentiable.  Two closures are built in:
+and be twice continuously differentiable.  ``validate_model`` also requires
+the flux f = rho V to be unimodal in rho, which these do not imply: the
+Godunov flux takes its maximum at the critical density, closed-form for
+the built-ins and bisected on df/drho otherwise.  Two closures are built in:
 
 * ``greenshields``   V = u (1 - rho)
 * ``power``          V = u (1 - rho)**gamma, gamma >= 1
@@ -31,6 +34,7 @@ from .errors import InputRangeError, ModelValidationError
 
 FD_STEP = 1e-6        # centered first differences
 FD_STEP_SECOND = 1e-4  # second differences (1e-6 sits on the cancellation floor)
+CRIT_BISECTIONS = 40   # halvings of [0, 1] for the critical density (~1e-12)
 RANGE_TOL = 1e-9
 VALIDATION_TOL = 1e-12
 
@@ -151,8 +155,20 @@ class VelocityModel:
         return v + rho * self.d_rho(rho, u), v
 
     def critical_density(self, u):
-        """Argmax of f(., u) when known in closed form, else None."""
-        return None
+        """Argmax of f(., u) over [0, 1], an array of u's shape.
+
+        Bisects the sign of lambda1 = df/drho, which is exact for the
+        unimodal flux that ``validate_model`` requires.
+        """
+        u = np.asarray(u, dtype=float)
+        lo = np.zeros(u.shape)
+        hi = np.ones(u.shape)
+        for _ in range(CRIT_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            rising = self.eigenvalues(mid, u)[0] > 0.0
+            lo = np.where(rising, mid, lo)
+            hi = np.where(rising, hi, mid)
+        return 0.5 * (lo + hi)
 
     def max_wave_speed(self, u):
         """sup over rho in [0,1] of |d/drho f(rho, u)|, per marker value."""
@@ -216,8 +232,7 @@ class PowerLawModel(VelocityModel):
 
     def critical_density(self, u):
         """d/drho [u rho (1-rho)^g] = u (1-rho)^(g-1) (1 - (1+g) rho)."""
-        crit = 1.0 / (1.0 + self.gamma)
-        return np.full(np.shape(u), crit) if np.shape(u) else crit
+        return np.full(np.shape(u), 1.0 / (1.0 + self.gamma))
 
     def max_wave_speed(self, u):
         # |d/drho f| is largest at rho = 0 where it equals u
@@ -280,11 +295,15 @@ def validate_model(model: VelocityModel, u_max: float,
                    n_samples: int = 101) -> ModelValidationReport:
     """Check the closure conditions on a lattice of [0,1] x [0, u_max].
 
-    Five checks, one per structural condition: twice-differentiable (proxied
+    Six checks: one per structural condition, twice-differentiable (proxied
     by finiteness of V and all four sampled derivatives), V >= 0,
-    dV/drho <= 0, dV/du >= 0, and V(1, u) = 0.  A check passes iff its worst
-    violation is <= 1e-12.  Validation is restricted to the working box; the
-    closure is never probed outside it.
+    dV/drho <= 0, dV/du >= 0 and V(1, u) = 0, plus a unimodal flux
+    f = rho V in rho, which the Godunov flux relies on: once df/drho falls
+    below -1e-12 it may not rise above 1e-12 at a larger lattice density.
+    A check passes iff its worst violation is <= 1e-12.  Validation is
+    restricted to the working box; the closure is never probed outside it.
+    A closure or derivative that raises, or whose result does not broadcast
+    to the lattice, raises ModelValidationError naming the closure.
     """
     if n_samples < 2:
         raise InputRangeError("n_samples must be >= 2")
@@ -292,11 +311,21 @@ def validate_model(model: VelocityModel, u_max: float,
     u = np.linspace(0.0, max(float(u_max), 0.0), n_samples)[None, :]
     rho_b, u_b = np.broadcast_arrays(rho, u)
 
-    v = np.asarray(model.velocity(rho, u), dtype=float)
-    dr = np.broadcast_to(np.asarray(model.d_rho(rho, u), dtype=float), v.shape)
-    du = np.broadcast_to(np.asarray(model.d_u(rho, u), dtype=float), v.shape)
-    dur = np.broadcast_to(np.asarray(model.d_u_rho(rho, u), dtype=float), v.shape)
-    duu = np.broadcast_to(np.asarray(model.d_uu(rho, u), dtype=float), v.shape)
+    def sample(what, fun):
+        try:
+            return np.broadcast_to(np.asarray(fun(rho, u), dtype=float),
+                                   rho_b.shape)
+        except Exception as exc:  # user code may raise anything
+            raise ModelValidationError(
+                f"velocity closure '{model.name}': {what} failed on the "
+                f"{n_samples}x{n_samples} validation lattice "
+                f"({type(exc).__name__}: {exc})") from exc
+
+    v = sample("velocity", model.velocity)
+    dr = sample("d_rho", model.d_rho)
+    du = sample("d_u", model.d_u)
+    dur = sample("d_u_rho", model.d_u_rho)
+    duu = sample("d_uu", model.d_uu)
 
     def located_max(arr):
         arr = np.broadcast_to(arr, v.shape)
@@ -324,9 +353,17 @@ def validate_model(model: VelocityModel, u_max: float,
     checks.append(ConditionCheck("d_u_nonnegative", worst <= VALIDATION_TOL,
                                  worst, where))
 
-    jam = np.abs(np.asarray(model.velocity(np.ones_like(u), u), dtype=float))
-    worst, where = located_max(np.broadcast_to(jam, v.shape))
+    # the last lattice row is rho = 1 exactly
+    worst, where = located_max(np.abs(v[-1:]))
     checks.append(ConditionCheck("jam_velocity_zero", worst <= VALIDATION_TOL,
+                                 worst, where))
+
+    slope = v + rho * dr
+    fell = np.logical_or.accumulate(slope < -VALIDATION_TOL, axis=0)
+    rise = np.zeros(v.shape)
+    rise[1:] = np.where(fell[:-1], np.maximum(slope[1:], 0.0), 0.0)
+    worst, where = located_max(rise)
+    checks.append(ConditionCheck("flux_unimodal", worst <= VALIDATION_TOL,
                                  worst, where))
 
     return ModelValidationReport(model.name, float(u_max), n_samples,

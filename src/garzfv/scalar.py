@@ -15,15 +15,12 @@ regardless of how u varies in space.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import CflViolationError, InputRangeError
 from .model import VelocityModel
 
 SPEED_FLOOR = 1e-12
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def pad2(a: np.ndarray) -> np.ndarray:
@@ -37,43 +34,13 @@ def interface_marker(u: np.ndarray) -> np.ndarray:
     return 0.5 * (ue[1:-2] + ue[2:-1])
 
 
-def _golden_extremum(flux_of, lo, hi, maximize, n_sample=64, iters=48):
-    """Vectorized extremum of f over [lo, hi]: dense sampling, then a
-    golden-section refinement around the best sample."""
-    sign = 1.0 if maximize else -1.0
-    ts = np.linspace(0.0, 1.0, n_sample)[:, None]
-    xs = lo[None, :] + (hi - lo)[None, :] * ts
-    vals = sign * flux_of(xs)
-    best = vals.max(axis=0)
-    idx = vals.argmax(axis=0)
-    a_idx = np.clip(idx - 1, 0, n_sample - 1)
-    b_idx = np.clip(idx + 1, 0, n_sample - 1)
-    a = np.take_along_axis(xs, a_idx[None, :], axis=0)[0]
-    b = np.take_along_axis(xs, b_idx[None, :], axis=0)[0]
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = sign * flux_of(c)
-    fd = sign * flux_of(d)
-    for _ in range(iters):
-        take_left = fc >= fd
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-        d_new = np.where(take_left, c, a + _INV_PHI * (b - a))
-        c_new = np.where(take_left, b - _INV_PHI * (b - a), d)
-        fd_new = np.where(take_left, fc, sign * flux_of(d_new))
-        fc_new = np.where(take_left, sign * flux_of(c_new), fd)
-        c, d, fc, fd = c_new, d_new, fc_new, fd_new
-    refined = sign * flux_of(0.5 * (a + b))
-    return sign * np.maximum(best, refined)
-
-
 def godunov_flux(rho_left, rho_right, u_interface, model: VelocityModel):
     """Exact-Riemann (Godunov) interface flux of the density equation.
 
-    For built-in closures the flux is unimodal in rho with the critical point
-    known in closed form, so the minimum branch is the endpoint minimum and
-    the maximum branch checks the critical point.  Generic closures fall back
-    to dense sampling plus golden-section refinement on each interface.
+    The flux f(., u) is unimodal in rho (``validate_model`` checks it) with
+    its maximum at ``model.critical_density(u)``, so the minimum branch is
+    the endpoint minimum and the maximum branch checks the critical point.
+    Built-in and custom closures take this same path.
     """
     rl = np.asarray(rho_left, dtype=float)
     rr = np.asarray(rho_right, dtype=float)
@@ -82,21 +49,9 @@ def godunov_flux(rho_left, rho_right, u_interface, model: VelocityModel):
     rl, rr, ui = np.atleast_1d(rl, rr, ui)
     rl, rr, ui = np.broadcast_arrays(rl, rr, ui)
 
-    f_l = model.flux(rl, ui)
-    f_r = model.flux(rr, ui)
     crit = model.critical_density(ui)
-    if crit is not None:
-        crit = np.broadcast_to(np.asarray(crit, dtype=float), rl.shape).copy()
-        out = _godunov_pick(rl, rr, f_l, f_r, crit, model.flux(crit, ui))
-    else:
-        lo = np.minimum(rl, rr)
-        hi = np.maximum(rl, rr)
-        flux_of = lambda r: model.flux(r, ui[None, :] if r.ndim > 1 else ui)
-        f_min = _golden_extremum(flux_of, lo, hi, maximize=False)
-        f_max = _golden_extremum(flux_of, lo, hi, maximize=True)
-        f_min = np.minimum(f_min, np.minimum(f_l, f_r))
-        f_max = np.maximum(f_max, np.maximum(f_l, f_r))
-        out = np.where(rl <= rr, f_min, f_max)
+    out = _godunov_pick(rl, rr, model.flux(rl, ui), model.flux(rr, ui), crit,
+                        model.flux(crit, ui))
     return float(out[0]) if scalar else out
 
 
@@ -200,28 +155,21 @@ def entropy_residual_maxima(rho_old: np.ndarray, rho_new: np.ndarray,
     """max_i R_i at every level of ``levels`` for one recorded step.
 
     Equal bit-for-bit to ``entropy_residual_arrays(..., k, ...).max()`` at
-    each level.  When the closure has a closed-form critical density c, f
-    is evaluated once per step at the interface states a, b and at c, and
-    once per level at k, all before the level loop; every Godunov value of
-    the entropy flux is then a selection among those.  At an interface
-    with k < min(a, b) the entropy flux is F - f(k), at one with
-    k > max(a, b) it is f(k) - F (F the step's Godunov flux); the others
-    take both Godunov fluxes.  Closures without a closed-form c run the
-    per-level residual.
+    each level.  f is evaluated once per step at the interface states a, b
+    and at the critical density c, and once per level at k, all before the
+    level loop; every Godunov value of the entropy flux is then a selection
+    among those.  At an interface with k < min(a, b) the entropy flux is
+    F - f(k), at one with k > max(a, b) it is f(k) - F (F the step's
+    Godunov flux); the others take both Godunov fluxes.
     """
     levels = np.asarray(levels, dtype=float)
-    u_if = interface_marker(u)
-    crit = model.critical_density(u_if)
-    if crit is None:
-        return np.array([entropy_residual_arrays(rho_old, rho_new, u, k, dt,
-                                                 h, model).max()
-                         for k in levels.tolist()])
     if levels.size and not (levels.min() >= 0.0 and levels.max() <= 1.0):
         raise InputRangeError(f"entropy levels must be in [0,1], got {levels}")
+    u_if = interface_marker(u)
+    crit = model.critical_density(u_if)
     re = pad2(rho_old)
     a = re[1:-2]
     b = re[2:-1]
-    crit = np.broadcast_to(np.asarray(crit, dtype=float), a.shape).copy()
     f_a = model.flux(a, u_if)
     f_b = model.flux(b, u_if)
     f_c = model.flux(crit, u_if)

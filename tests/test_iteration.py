@@ -1,17 +1,21 @@
 """Slab-chained fixed-point construction: constants, traces, global solves."""
 import math
+import re
 
 import numpy as np
 import pytest
 
 from garzfv import (
+    CustomVelocityModel,
     GreenshieldsModel,
     Grid,
     InitialData,
     InputRangeError,
+    InvalidDataError,
     PicardDivergenceError,
     Piece,
     SlabConfig,
+    build_initial_state,
     compute_M0,
     compute_tau0,
     compute_tilde_C,
@@ -280,3 +284,16 @@ def test_context_constants_on_smoke():
         rel=1e-12)
     assert ctx.tau0 == pytest.approx(0.25)
     assert not ctx.constant_u
+
+
+def test_margin_error_names_the_wave_bound():
+    # the one-sided slope of sqrt(1 - rho) at rho = 1 makes the wave bound
+    # 1000 u, which widens the margin window to the whole domain
+    sc = scenario("smoke")
+    grid = Grid(-6.0, 6.0, 96)
+    model = CustomVelocityModel(lambda rho, u: u * np.sqrt(1.0 - rho))
+    with pytest.raises(InvalidDataError, match="wave_bound") as err:
+        make_context(sc.data, grid, sc.t_final, model, SlabConfig())
+    bound = float(re.search(r"wave_bound (\S+)", str(err.value)).group(1))
+    u_max = build_initial_state(sc.data, grid).u.values.max()
+    assert bound == pytest.approx(1000.0 * u_max, rel=1e-3)

@@ -7,16 +7,29 @@ from hypothesis import strategies as st
 from garzfv import (
     CustomVelocityModel,
     GreenshieldsModel,
+    Grid,
     InputRangeError,
     ModelValidationError,
     PowerLawModel,
     make_model,
     require_valid_model,
+    scenario,
+    solve_global,
     validate_model,
 )
 
 RHO = np.linspace(0.0, 1.0, 41)
 U = np.linspace(0.0, 2.0, 41)
+
+# meets the paper's four conditions, yet f = rho V has two crests
+BIMODAL = CustomVelocityModel(
+    lambda rho, u: u * (1.0 - rho)
+    * (1.0 + 3.0 / (1.0 + np.exp((rho - 0.15) / 0.01))), name="bimodal")
+
+
+def _solve_smoke_96(model):
+    sc = scenario("smoke")
+    return solve_global(sc.data, Grid(-6.0, 6.0, 96), sc.t_final, model)
 
 
 def test_greenshields_flux_values():
@@ -88,6 +101,52 @@ def test_increasing_velocity_in_rho_fails_validation():
 
 def test_custom_model_with_callable_derivatives_validates(hump_model):
     assert validate_model(hump_model, u_max=1.5).passed
+
+
+@pytest.mark.parametrize("velocity", [
+    lambda rho, u: u * (1.0 - rho),
+    lambda rho, u: u * (1.0 - rho) ** 2,
+    lambda rho, u: u * (1.0 - rho) ** 3,
+    lambda rho, u: u * np.sqrt(1.0 - rho),
+], ids=["gamma1", "gamma2", "gamma3", "sqrt"])
+def test_unimodal_custom_closures_validate(velocity):
+    # finite-difference slopes must not trip the unimodality check
+    assert validate_model(CustomVelocityModel(velocity), u_max=1.5).passed
+
+
+def test_bimodal_flux_fails_only_the_unimodal_check():
+    report = validate_model(BIMODAL, u_max=1.5)
+    assert [c.name for c in report.checks if not c.passed] == ["flux_unimodal"]
+    with pytest.raises(ModelValidationError, match="flux_unimodal"):
+        _solve_smoke_96(BIMODAL)
+
+
+@pytest.mark.parametrize("velocity", [lambda rho, u: 1 / 0,
+                                      lambda rho, u: np.ones(3)],
+                         ids=["raises", "wrong_shape"])
+def test_closure_failures_raise_model_validation_error(velocity):
+    with pytest.raises(ModelValidationError, match="'broken'"):
+        _solve_smoke_96(CustomVelocityModel(velocity, name="broken"))
+
+
+def test_generic_critical_density_is_the_analytic_root(hump_model):
+    a = hump_model.a
+    # df/drho is proportional to 1 + 2(a-1) rho - 3a rho^2
+    root = (2.0 * (a - 1.0) + np.sqrt(4.0 * (a - 1.0) ** 2 + 12.0 * a)) \
+        / (6.0 * a)
+    u = np.linspace(0.1, 2.0, 7)
+    crit = hump_model.critical_density(u)
+    assert crit.shape == u.shape
+    assert np.abs(crit - root).max() < 1e-10
+
+
+def test_custom_greenshields_matches_builtin_on_smoke():
+    custom = _solve_smoke_96(CustomVelocityModel(lambda rho, u: u * (1.0 - rho)))
+    builtin = _solve_smoke_96(GreenshieldsModel())
+    assert [s.t for s in custom.states] == [s.t for s in builtin.states]
+    for c, b in zip(custom.states, builtin.states):
+        assert np.abs(c.rho.values - b.rho.values).max() <= 1e-12
+        assert np.abs(c.u.values - b.u.values).max() <= 1e-12
 
 
 def test_make_model_dispatch():

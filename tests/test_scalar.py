@@ -59,6 +59,22 @@ def test_flux_matches_dense_oracle(rho_l, rho_r, u, gamma):
     assert got >= -1e-15
 
 
+def test_flux_matches_dense_oracle_for_generic_closures(hump_model):
+    # the bisected critical density puts custom closures on the same
+    # Godunov path as the built-ins; brute force is the reference
+    rng = np.random.default_rng(11)
+    rl, rr = rng.uniform(0, 1, 150), rng.uniform(0, 1, 150)
+    u = rng.uniform(0, 2, 150)
+    customs = [CustomVelocityModel(lambda rho, u, g=g: u * (1.0 - rho) ** g,
+                                   name=f"power{g}") for g in (1, 2, 3)]
+    for model in customs + [hump_model]:
+        got = godunov_flux(rl, rr, u, model)
+        ref = np.array([dense_flux_oracle(a, b, c, model)
+                        for a, b, c in zip(rl, rr, u)])
+        assert np.abs(got - ref).max() < 2e-9, model.name
+        assert np.all(got >= ref), model.name
+
+
 def test_flux_vectorized_matches_scalar():
     rng = np.random.default_rng(5)
     rl, rr = rng.uniform(0, 1, 200), rng.uniform(0, 1, 200)
@@ -222,9 +238,9 @@ def test_multilevel_kernel_matches_per_level_residual(data, gamma, n):
 
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), n=st.integers(1, 16))
-def test_multilevel_kernel_falls_back_for_custom_closure(data, n):
+def test_multilevel_kernel_matches_per_level_residual_for_custom_closure(
+        data, n):
     model = CustomVelocityModel(lambda rho, u: u * (1.0 - rho) ** 2)
-    assert model.critical_density(np.ones(3)) is None
     _assert_kernel_matches(*_kernel_case(data, model, n, list(AUDIT_LEVELS)),
                            model)
 
