@@ -233,16 +233,15 @@ def _march_slab(rho, v, w, times, u_of_t, model, h, cfl, u_inf,
                 recorder: SlabRecorder) -> SlabIterate:
     """March (rho, v, w) through all stored times with a frozen marker field."""
     rho = rho.copy()
-    v = v.copy()
-    w = w.copy()
+    q = np.stack((v, w))
     out = SlabIterate(times=times, rho=[], v=[], w=[], u=[], mass=[], tv=[],
                       influx=[])
 
     def store():
         out.rho.append(rho.copy())
-        out.v.append(v.copy())
-        out.w.append(w.copy())
-        out.u.append(u_inf + h * np.cumsum(v))
+        out.v.append(q[0].copy())
+        out.w.append(q[1].copy())
+        out.u.append(u_inf + h * np.cumsum(q[0]))
         out.mass.append(float(h * rho.sum()))
         out.tv.append(float(np.abs(np.diff(rho)).sum()))
         out.influx.append(float(recorder.influx))
@@ -260,8 +259,7 @@ def _march_slab(rho, v, w, times, u_of_t, model, h, cfl, u_inf,
             dt = min(dt_stable, remaining)
             rho_new, flux = density_step_arrays(rho, u_now, h, dt, model,
                                                 speed)
-            v = marker_step_arrays(v, rho, flux, h, dt)
-            w = marker_step_arrays(w, rho, flux, h, dt)
+            q = marker_step_arrays(q, rho, flux, h, dt)
             recorder.on_step(rho, rho_new, u_now, dt, flux, speed)
             rho = rho_new
             t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt

@@ -40,13 +40,14 @@ VALIDATION_TOL = 1e-12
 
 
 def _require_box(rho, u):
-    """Raise unless rho is (numerically) in [0,1] and u is nonnegative."""
+    """Raise unless rho is (numerically) in [0,1] and u >= 0; NaN raises."""
     rho = np.asarray(rho, dtype=float)
     u = np.asarray(u, dtype=float)
-    if rho.size and (rho.min() < -RANGE_TOL or rho.max() > 1.0 + RANGE_TOL):
+    if rho.size and not (rho.min() >= -RANGE_TOL
+                         and rho.max() <= 1.0 + RANGE_TOL):
         raise InputRangeError(
             f"density outside [0, 1]: range [{rho.min()}, {rho.max()}]")
-    if u.size and u.min() < -RANGE_TOL:
+    if u.size and not u.min() >= -RANGE_TOL:
         raise InputRangeError(f"marker u must be nonnegative, min {u.min()}")
     return rho, u
 
@@ -157,18 +158,26 @@ class VelocityModel:
     def critical_density(self, u):
         """Argmax of f(., u) over [0, 1], an array of u's shape.
 
-        Bisects the sign of lambda1 = df/drho, which is exact for the
-        unimodal flux that ``validate_model`` requires.
+        Bisects the sign of lambda1 = df/drho, unchecked (midpoints lie in
+        [0, 1]), exact for the unimodal flux that ``validate_model`` requires.
         """
         u = np.asarray(u, dtype=float)
         lo = np.zeros(u.shape)
         hi = np.ones(u.shape)
         for _ in range(CRIT_BISECTIONS):
             mid = 0.5 * (lo + hi)
-            rising = self.eigenvalues(mid, u)[0] > 0.0
+            rising = self.velocity(mid, u) + mid * self.d_rho(mid, u) > 0.0
             lo = np.where(rising, mid, lo)
             hi = np.where(rising, hi, mid)
         return 0.5 * (lo + hi)
+
+    def state_speed(self, rho, u):
+        """CFL speed: max of |lambda1|, |lambda2| and max_wave_speed(u) over
+        the pair's cells, unchecked (``scalar.max_speed`` checks them)."""
+        v = self.velocity(rho, u)
+        lam1 = v + rho * self.d_rho(rho, u)
+        return max(float(np.abs(lam1).max()), float(np.abs(v).max()),
+                   float(np.max(self.max_wave_speed(u))))
 
     def max_wave_speed(self, u):
         """sup over rho in [0,1] of |d/drho f(rho, u)|, per marker value."""
@@ -237,6 +246,14 @@ class PowerLawModel(VelocityModel):
     def max_wave_speed(self, u):
         # |d/drho f| is largest at rho = 0 where it equals u
         return np.abs(np.asarray(u, dtype=float))
+
+    def state_speed(self, rho, u):
+        """max |u|, the base rule's value for rho in [0, 1].  With s = 1 - rho,
+        lambda1 / u = s^(g-1) ((1+g) s - g) has maximum 1 (s = 1) and minimum
+        -((g-1)/(g+1))^(g-1) >= -1 on [0, 1], and lambda2 = u s^g <= u, in
+        floating point too.  At overshoot rho = -e >= -1e-9 the base rule reads
+        (1+e)^(g-1) (1+(1+g)e) |u|, about 2g e more (relative), this |u|."""
+        return float(np.abs(u).max())
 
     def sup_bounds(self, u_max) -> ModelBounds:
         if u_max < 0:

@@ -11,6 +11,9 @@ Two ghost cells per side copy the edge cells; with the domain-margin rule the
 edge cells never move, so this is exact outflow handling.  Since f(0, u) =
 f(1, u) = 0 for every admissible closure, the scheme preserves 0 <= rho <= 1
 regardless of how u varies in space.
+
+A march step range-checks its (rho, u) once, in ``max_speed``; the step and
+audit kernels then evaluate f = rho V without ``VelocityModel.flux``'s check.
 """
 
 from __future__ import annotations
@@ -18,14 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CflViolationError, InputRangeError
-from .model import VelocityModel
+from .model import VelocityModel, _require_box
 
 SPEED_FLOOR = 1e-12
 
 
 def pad2(a: np.ndarray) -> np.ndarray:
-    """Two copy-ghost cells on each side."""
-    return np.concatenate((a[:1], a[:1], a, a[-1:], a[-1:]))
+    """Two copy-ghost cells on each side of the last axis."""
+    return np.concatenate((a[..., :1], a[..., :1], a, a[..., -1:],
+                           a[..., -1:]), axis=-1)
 
 
 def interface_marker(u: np.ndarray) -> np.ndarray:
@@ -48,11 +52,17 @@ def godunov_flux(rho_left, rho_right, u_interface, model: VelocityModel):
     scalar = rl.ndim == 0 and rr.ndim == 0 and ui.ndim == 0
     rl, rr, ui = np.atleast_1d(rl, rr, ui)
     rl, rr, ui = np.broadcast_arrays(rl, rr, ui)
-
-    crit = model.critical_density(ui)
-    out = _godunov_pick(rl, rr, model.flux(rl, ui), model.flux(rr, ui), crit,
-                        model.flux(crit, ui))
+    _require_box((rl, rr), ui)
+    out = _godunov_parts(rl, rr, ui, model)[0]
     return float(out[0]) if scalar else out
+
+
+def _godunov_parts(rl, rr, ui, model: VelocityModel):
+    """(F, crit, f(rl), f(rr), f(crit)): Godunov flux F and what it is picked
+    from, f = rho V unchecked; callers range-check rl, rr and ui."""
+    crit = model.critical_density(ui)
+    f_l, f_r, f_c = (x * model.velocity(x, ui) for x in (rl, rr, crit))
+    return _godunov_pick(rl, rr, f_l, f_r, crit, f_c), crit, f_l, f_r, f_c
 
 
 def _godunov_pick(rl, rr, f_l, f_r, crit, f_crit):
@@ -66,11 +76,10 @@ def _godunov_pick(rl, rr, f_l, f_r, crit, f_crit):
 
 
 def max_speed(rho: np.ndarray, u: np.ndarray, model: VelocityModel) -> float:
-    """Largest wave speed seen by the pair (rho, u), floored at 1e-12."""
-    lam1, lam2 = model.eigenvalues(rho, u)
-    s = max(float(np.abs(lam1).max()), float(np.abs(lam2).max()),
-            float(np.max(model.max_wave_speed(u))))
-    return max(s, SPEED_FLOOR)
+    """``model.state_speed`` of the pair (rho, u), floored at 1e-12, after
+    the step's one range check (InputRangeError outside [0,1] x [0, inf))."""
+    rho, u = _require_box(rho, u)
+    return max(model.state_speed(rho, u), SPEED_FLOOR)
 
 
 def density_step_arrays(rho: np.ndarray, u: np.ndarray, h: float, dt: float,
@@ -78,13 +87,14 @@ def density_step_arrays(rho: np.ndarray, u: np.ndarray, h: float, dt: float,
     """One Godunov step on raw arrays; returns (rho_new, interface fluxes).
 
     speed is max_speed(rho, u, model), which the caller has already taken
-    to choose dt; steps with dt * speed above h raise CflViolationError.
+    to choose dt and to range-check (rho, u), so f is evaluated unchecked;
+    steps with dt * speed above h raise CflViolationError.
     """
     if dt * speed > h * (1.0 + 1e-9):
         raise CflViolationError(
             f"dt={dt:.3e} exceeds stable limit h/s_max={h / speed:.3e}")
     re = pad2(rho)
-    flux = godunov_flux(re[1:-2], re[2:-1], interface_marker(u), model)
+    flux = _godunov_parts(re[1:-2], re[2:-1], interface_marker(u), model)[0]
     rho_new = rho - (dt / h) * (flux[1:] - flux[:-1])
     return rho_new, flux
 
@@ -160,21 +170,19 @@ def entropy_residual_maxima(rho_old: np.ndarray, rho_new: np.ndarray,
     level loop; every Godunov value of the entropy flux is then a selection
     among those.  At an interface with k < min(a, b) the entropy flux is
     F - f(k), at one with k > max(a, b) it is f(k) - F (F the step's
-    Godunov flux); the others take both Godunov fluxes.
+    Godunov flux); the others take both Godunov fluxes.  f is evaluated
+    unchecked: the march range-checked (rho_old, u) in max_speed.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size and not (levels.min() >= 0.0 and levels.max() <= 1.0):
         raise InputRangeError(f"entropy levels must be in [0,1], got {levels}")
     u_if = interface_marker(u)
-    crit = model.critical_density(u_if)
     re = pad2(rho_old)
     a = re[1:-2]
     b = re[2:-1]
-    f_a = model.flux(a, u_if)
-    f_b = model.flux(b, u_if)
-    f_c = model.flux(crit, u_if)
-    f_levels = model.flux(np.repeat(levels[:, None], a.size, axis=1), u_if)
-    flux = _godunov_pick(a, b, f_a, f_b, crit, f_c)
+    flux, crit, f_a, f_b, f_c = _godunov_parts(a, b, u_if, model)
+    k_grid = np.repeat(levels[:, None], a.size, axis=1)
+    f_levels = k_grid * model.velocity(k_grid, u_if)
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     ue = pad2(u)

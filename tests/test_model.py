@@ -11,6 +11,7 @@ from garzfv import (
     InputRangeError,
     ModelValidationError,
     PowerLawModel,
+    VelocityModel,
     make_model,
     require_valid_model,
     scenario,
@@ -193,3 +194,31 @@ def test_sup_bounds_are_upper_bounds():
         assert np.abs(m.d_u(r, u)).max() <= b.d_u_sup + 1e-12
         assert np.abs(m.d_u_rho(r, u)).max() <= b.d_u_rho_sup + 1e-12
         assert np.abs(m.d_uu(r, u)).max() <= b.d_uu_sup + 1e-12
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 2.5, 3.0])
+def test_power_law_speed_hook_equals_eigenvalue_rule(gamma):
+    m = PowerLawModel(gamma)
+    rho = np.union1d(np.linspace(0.0, 1.0, 401), [1.0 / (1.0 + gamma)])
+    u = np.linspace(0.0, 3.0, 121)
+    # pairwise: |lambda1| and |lambda2| never exceed max_wave_speed = u
+    r, w = np.meshgrid(rho, u, indexing="ij")
+    lam1, lam2 = m.eigenvalues(r, w)
+    assert np.all(np.maximum(np.abs(lam1), np.abs(lam2)) <= w)
+    # the hook and the base rule agree on every marker row and overall
+    for row in range(u.size):
+        col = np.full(rho.size, u[row])
+        assert m.state_speed(rho, col) == \
+            VelocityModel.state_speed(m, rho, col)
+    assert m.state_speed(r, w) == VelocityModel.state_speed(m, r, w)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+def test_speed_hook_on_tolerated_overshoot(gamma):
+    # rho = -1e-9 passes the range check; there the eigenvalue rule reads
+    # about 2 gamma 1e-9 above |u| and the hook reads |u|
+    m = PowerLawModel(gamma)
+    rho, u = np.array([-1e-9]), np.array([1.5])
+    assert m.state_speed(rho, u) == 1.5
+    base = VelocityModel.state_speed(m, rho, u)
+    assert 1.5 < base <= 1.5 * (1.0 + 2.0 * gamma * 1e-9 * (1.0 + 1e-6))

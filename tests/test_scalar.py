@@ -250,3 +250,54 @@ def test_multilevel_kernel_rejects_levels_outside_unit_interval():
     with pytest.raises(InputRangeError):
         entropy_residual_maxima(rho, rho, np.ones(8), [0.5, 1.5], 0.01, 0.1,
                                 GSH)
+
+
+STEP_MODELS = [PowerLawModel(g) for g in (1.0, 2.0, 2.5, 3.0)] + [
+    CustomVelocityModel(lambda rho, u: u * (1.0 - rho) ** 2, name="sq")]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), model=st.sampled_from(STEP_MODELS),
+       n=st.integers(1, 30))
+def test_density_step_equals_godunov_flux_difference(data, model, n):
+    # vacuum, jam and critical-density cells hit exactly; the range check
+    # lives in max_speed, the step itself evaluates f unchecked
+    crit = float(model.critical_density(np.ones(1))[0])
+    cell = st.one_of(st.sampled_from([0.0, 1.0, crit]), st.floats(0.0, 1.0))
+    rho = np.array(data.draw(st.lists(cell, min_size=n, max_size=n))) + 0.0
+    u = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 3.0)),
+        min_size=n, max_size=n))) + 0.0
+    h = 0.05
+    speed = max_speed(rho, u, model)
+    dt = data.draw(st.floats(0.05, 1.0)) * h / speed
+    rho_new, flux = density_step_arrays(rho, u, h, dt, model, speed)
+    re = np.pad(rho, 2, mode="edge")
+    ue = np.pad(u, 2, mode="edge")
+    ref_flux = godunov_flux(re[1:-2], re[2:-1],
+                            0.5 * (ue[1:-2] + ue[2:-1]), model)
+    assert flux.tobytes() == ref_flux.tobytes()
+    assert rho_new.tobytes() == \
+        (rho - dt / h * np.diff(ref_flux)).tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    GSH, CustomVelocityModel(lambda rho, u: u * (1.0 - rho))],
+    ids=["builtin", "custom"])
+@pytest.mark.parametrize("bad", ["rho_above_one", "u_negative", "rho_nan",
+                                 "u_nan"])
+def test_max_speed_is_the_step_range_check(model, bad):
+    # NaN too: the power-law speed reads only u, so a NaN density would
+    # otherwise step on with a finite dt
+    rho = np.full(12, 0.5)
+    u = np.ones(12)
+    if bad == "rho_above_one":
+        rho[5] = 1.0 + 1e-6
+    elif bad == "u_negative":
+        u[7] = -1e-6
+    elif bad == "rho_nan":
+        rho[5] = np.nan
+    else:
+        u[7] = np.nan
+    with pytest.raises(InputRangeError):
+        max_speed(rho, u, model)

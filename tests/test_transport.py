@@ -148,3 +148,41 @@ def test_marker_routes_agree_where_flux_is_flat():
     z_prefix = _prefix(w_new, g.h, 0.0)
     z_direct = v_new / rho_new
     assert np.abs(z_prefix - z_direct).max() < 1e-10
+
+
+def _two_sided_reference(q, rho, flux, h, dt):
+    """The donor update written with q / rho taken on both sides of every
+    interface, each side padded separately."""
+    qe = np.pad(q, 2, mode="edge")
+    re = np.pad(rho, 2, mode="edge")
+
+    def ratio(qq, rr):
+        return np.divide(qq, rr, out=np.zeros_like(qq), where=rr > 0.0)
+
+    theta = np.where(flux >= 0.0, ratio(qe[1:-2], re[1:-2]),
+                     ratio(qe[2:-1], re[2:-1]))
+    g = flux * theta
+    return q - (dt / h) * (g[1:] - g[:-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30))
+def test_stacked_markers_equal_separate_and_two_sided_steps(data, n):
+    # fluxes of both signs and exact zeros; markers q = rho * ratio, and
+    # donors at rho = 0 carrying a nonzero q that the donor rule must ignore
+    def floats(lo, hi, size, special):
+        return np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from(special), st.floats(lo, hi)),
+            min_size=size, max_size=size))) + 0.0
+
+    rho = floats(0.0, 1.0, n, [0.0, 1.0])
+    v, w = (np.where(rho > 0.0, rho * floats(-2.0, 2.0, n, [0.0]),
+                     floats(-2.0, 2.0, n, [0.0])) for _ in range(2))
+    flux = floats(-0.5, 0.5, n + 1, [0.0])
+    h, dt = 0.05, data.draw(st.floats(1e-4, 0.05))
+    both = marker_step_arrays(np.stack((v, w)), rho, flux, h, dt)
+    for row, q in zip(both, (v, w)):
+        alone = marker_step_arrays(q, rho, flux, h, dt)
+        assert row.tobytes() == alone.tobytes()
+        assert alone.tobytes() == \
+            _two_sided_reference(q, rho, flux, h, dt).tobytes()
