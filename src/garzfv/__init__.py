@@ -26,8 +26,7 @@ from .model import (CustomVelocityModel, GreenshieldsModel, ModelBounds,
                     require_valid_model, validate_model)
 from .oracle import lwr_riemann_exact, riemann_initial_data, viscous_solve
 from .scalar import godunov_flux, max_speed
-from .scenarios import (SCENARIO_NAMES, Scenario, all_scenarios,
-                        perturb_data, scenario)
+from .scenarios import SCENARIO_NAMES, Scenario, perturb_data, scenario
 from .verify import (CheckResult, ConvergenceTable, RunReport,
                      StabilityResult, UniquenessResult, audit_trajectory,
                      convergence_study, measure_stability, uniqueness_check)

@@ -69,9 +69,6 @@ class CellField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def __len__(self):
-        return self.grid.n_cells
-
 
 def _same_grid(f: CellField, g: CellField):
     if f.grid != g.grid:

@@ -7,7 +7,10 @@ the slab's start profile frozen in time.  Every later iterate m:
    at iterate m-1's trajectory (linear interpolation between its snapshots);
 2. transports both conserved markers v = rho z and w = rho psi with the
    density fluxes produced in step 1;
-3. reconstructs z and u from the markers by prefix sums.
+3. reconstructs u from v by prefix sums.
+
+An iterate is stored as (m, n) arrays, row s holding the state at the
+slab's s-th stored time, so Phi below is one expression over whole iterates.
 
 Convergence is declared when the contraction functional
 
@@ -17,7 +20,9 @@ Convergence is declared when the contraction functional
 falls below tol_phi.  (The two terms deliberately carry different iterate
 offsets.)  The slab length tau0 and the growth constant C_tilde are
 advisory: convergence is decided by Phi, and the global driver halves tau0
-and retries, up to five times, if a slab fails to converge.
+and retries, up to five times, if a slab fails to converge.  The mass and
+total-variation series are computed once per slab, from the rows of the
+kept iterate.
 """
 
 from __future__ import annotations
@@ -146,16 +151,20 @@ class ProblemContext:
 
 @dataclass
 class SlabIterate:
-    """Snapshots of one Picard iterate at the slab's stored times."""
+    """One Picard iterate at the slab's m stored times.
+
+    rho, v, w and u are (m, n) arrays whose row s is the state at times[s];
+    influx[s] is the boundary influx accumulated from times[0] to times[s].
+    Mass and total variation are not stored: they are functions of the rho
+    rows, taken once from the iterate a slab keeps.
+    """
 
     times: np.ndarray
-    rho: list
-    v: list
-    w: list
-    u: list
-    mass: list
-    tv: list
-    influx: list  # cumulative boundary influx since slab start
+    rho: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    influx: np.ndarray
 
 
 class SlabRecorder:
@@ -182,8 +191,8 @@ class SlabRecorder:
             return
         maxima = entropy_residual_maxima(rho_old, rho_new, u, self.k_levels,
                                          dt, self.h, self.model)
-        for j, r in enumerate(maxima.tolist()):
-            self.entropy_max[j] = max(self.entropy_max[j], r)
+        # np.maximum keeps a NaN residual, which Python's max would drop
+        np.maximum(maxima, self.entropy_max, out=self.entropy_max)
 
     def entropy_table(self) -> dict:
         if self.n_steps == 0 or len(self.k_levels) == 0:
@@ -203,28 +212,24 @@ def _merge_times(base: np.ndarray, extra, tol: float) -> np.ndarray:
     return np.asarray(keep)
 
 
-def _frozen_iterate(rho, v, w, u, times, h) -> SlabIterate:
-    n = len(times)
-    mass = float(h * rho.sum())
-    tv = float(np.abs(np.diff(rho)).sum())
-    return SlabIterate(times=times, rho=[rho] * n, v=[v] * n, w=[w] * n,
-                       u=[u] * n, mass=[mass] * n, tv=[tv] * n,
-                       influx=[0.0] * n)
+def _frozen_iterate(rho, v, w, u, times) -> SlabIterate:
+    shape = (len(times), len(rho))
+    return SlabIterate(times, *(np.broadcast_to(a, shape)
+                                for a in (rho, v, w, u)),
+                       influx=np.zeros(len(times)))
 
 
 def _interp_u(iterate: SlabIterate):
-    times = iterate.times
+    """u of the iterate, linear in t between stored times; the march asks
+    only for t in [times[0], times[-1]), and the times strictly increase."""
+    times, u = iterate.times, iterate.u
 
     def u_at(t: float) -> np.ndarray:
         j = int(np.searchsorted(times, t, side="right")) - 1
-        j = min(max(j, 0), len(times) - 2)
-        t0, t1 = times[j], times[j + 1]
-        if t1 <= t0:
-            return iterate.u[j]
-        lam = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+        lam = (t - times[j]) / (times[j + 1] - times[j])
         if lam == 0.0:
-            return iterate.u[j]
-        return (1.0 - lam) * iterate.u[j] + lam * iterate.u[j + 1]
+            return u[j]
+        return (1.0 - lam) * u[j] + lam * u[j + 1]
 
     return u_at
 
@@ -232,25 +237,14 @@ def _interp_u(iterate: SlabIterate):
 def _march_slab(rho, v, w, times, u_of_t, model, h, cfl, u_inf,
                 recorder: SlabRecorder) -> SlabIterate:
     """March (rho, v, w) through all stored times with a frozen marker field."""
-    rho = rho.copy()
+    shape = (len(times), len(rho))
+    out = SlabIterate(times, *(np.empty(shape) for _ in range(4)),
+                      influx=np.empty(len(times)))
     q = np.stack((v, w))
-    out = SlabIterate(times=times, rho=[], v=[], w=[], u=[], mass=[], tv=[],
-                      influx=[])
-
-    def store():
-        out.rho.append(rho.copy())
-        out.v.append(q[0].copy())
-        out.w.append(q[1].copy())
-        out.u.append(u_inf + h * np.cumsum(q[0]))
-        out.mass.append(float(h * rho.sum()))
-        out.tv.append(float(np.abs(np.diff(rho)).sum()))
-        out.influx.append(float(recorder.influx))
-
     t = float(times[0])
-    store()
     time_tol = 1e-13 * max(1.0, abs(float(times[-1])))
-    for t_next in times[1:]:
-        t_next = float(t_next)
+    # times[0] is t, so row 0 stores the start state without a step
+    for s, t_next in enumerate(times.tolist()):
         while t_next - t > time_tol:
             u_now = u_of_t(t)
             speed = max_speed(rho, u_now, model)
@@ -264,19 +258,12 @@ def _march_slab(rho, v, w, times, u_of_t, model, h, cfl, u_inf,
             rho = rho_new
             t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt
         t = t_next
-        store()
-    return out
-
-
-def _phi_series(it_prev: SlabIterate, it_curr: SlabIterate,
-                v_prevprev: list, h: float) -> np.ndarray:
-    """Phi at every stored time: L1 rho gap (prev, curr) plus L1 v gap
-    (prev, prevprev); of iterate m-2 only its v snapshots are needed."""
-    n = len(it_curr.times)
-    out = np.empty(n)
-    for s in range(n):
-        out[s] = h * np.abs(it_prev.rho[s] - it_curr.rho[s]).sum() \
-            + h * np.abs(it_prev.v[s] - v_prevprev[s]).sum()
+        out.rho[s] = rho
+        out.v[s], out.w[s] = q
+        out.influx[s] = recorder.influx
+    np.cumsum(out.v, axis=1, out=out.u)
+    out.u *= h
+    out.u += u_inf
     return out
 
 
@@ -329,9 +316,8 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     k_levels = (np.linspace(0.0, 1.0, cfg.entropy_levels)
                 if cfg.entropy_levels > 0 else np.empty(0))
 
-    frozen = _frozen_iterate(rho0, v0, w0, u0, events, h)
-    v_prev_prev = frozen.v
-    prev = frozen
+    prev = _frozen_iterate(rho0, v0, w0, u0, events)
+    v_prev_prev = prev.v  # of iterate m-2 Phi needs only v
     records = []
     tol = ctx.tol_phi
     last_phi = None
@@ -345,7 +331,10 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     for m in range(2, cfg.max_picard_iters + 1):
         recorder = SlabRecorder(model, h, ())
         curr = march(recorder)
-        phi_mixed = float(_phi_series(prev, curr, v_prev_prev, h).max())
+        # Phi at every stored time, then its sup over them
+        phi_mixed = float((h * abs(prev.rho - curr.rho).sum(axis=1)
+                           + h * abs(prev.v - v_prev_prev).sum(axis=1)
+                           ).max())
         ratio = (phi_mixed / last_phi
                  if last_phi is not None and last_phi > 0.0 else None)
         records.append(IterationRecord(index=m, phi_mixed=phi_mixed,
@@ -398,18 +387,10 @@ class Trajectory:
     def final_state(self) -> SystemState:
         return self.states[-1]
 
-    def state_at(self, t: float) -> SystemState:
-        times = np.asarray([s.t for s in self.states])
-        j = int(np.argmin(np.abs(times - t)))
-        if abs(times[j] - t) > 1e-9 * max(1.0, abs(t)):
-            raise InputRangeError(f"no stored state at t={t}")
-        return self.states[j]
 
-
-def _wave_bound(model: VelocityModel, u_max: float) -> float:
-    lattice = np.linspace(0.0, max(u_max, 0.0), 65)
+def _wave_bound(model: VelocityModel, bounds: ModelBounds) -> float:
+    lattice = np.linspace(0.0, max(bounds.u_max, 0.0), 65)
     speed = float(np.max(model.max_wave_speed(lattice)))
-    bounds = model.sup_bounds(u_max)
     return max(bounds.v_sup, speed, SPEED_FLOOR)
 
 
@@ -422,7 +403,8 @@ def make_context(data: InitialData, grid: Grid, t_final: float,
     state0 = build_initial_state(data, grid)
     u_max = float(state0.u.values.max())
     require_valid_model(model, u_max)
-    wave = _wave_bound(model, u_max)
+    bounds = model.sup_bounds(u_max)
+    wave = _wave_bound(model, bounds)
     check_margins(state0, t_final, wave)
     tv0 = total_variation(state0.rho)
     rho0_l1 = l1_norm(state0.rho)
@@ -437,8 +419,7 @@ def make_context(data: InitialData, grid: Grid, t_final: float,
         u0_sup=u_max, z0_sup=z0_sup, psi0_sup=psi0_sup, rho0_l1=rho0_l1, tv0=tv0,
         m0=compute_M0(state0.rho), c_tilde=c_tilde,
         tau0=compute_tau0(c_tilde), tol_phi=tol_phi,
-        wave_bound=wave, constant_u=constant_u,
-        bounds=model.sup_bounds(u_max))
+        wave_bound=wave, constant_u=constant_u, bounds=bounds)
     return ctx, state0
 
 
@@ -460,10 +441,8 @@ def solve_global(data: InitialData, grid: Grid, t_final: float,
 
     states = [state0]
     slabs = []
-    series_times = [0.0]
-    mass_series = [state0.mass()]
-    tv_series = [total_variation(state0.rho)]
-    influx_series = [0.0]
+    # per slab: times, mass, TV and cumulative influx after its start time
+    series = [([0.0], [state0.mass()], [total_variation(state0.rho)], [0.0])]
 
     t = 0.0
     tau = ctx.tau0
@@ -483,12 +462,10 @@ def solve_global(data: InitialData, grid: Grid, t_final: float,
                 raise
             tau *= 0.5
             continue
-        for s in range(1, len(iterate.times)):
-            ts = float(iterate.times[s])
-            series_times.append(ts)
-            mass_series.append(iterate.mass[s])
-            tv_series.append(iterate.tv[s])
-            influx_series.append(cum_influx + iterate.influx[s])
+        rho = iterate.rho[1:]
+        series.append((iterate.times[1:], grid.h * rho.sum(axis=1),
+                       np.abs(np.diff(rho, axis=1)).sum(axis=1),
+                       cum_influx + iterate.influx[1:]))
         for ot in inner:
             s = int(np.argmin(np.abs(iterate.times - ot)))
             states.append(state_from_arrays(
@@ -503,9 +480,7 @@ def solve_global(data: InitialData, grid: Grid, t_final: float,
                                   iterate.w[-1], state.z_inf, state.u_inf,
                                   grid)
         t = t1
+    series_times, mass, tv, influx = (np.concatenate(c) for c in zip(*series))
     return Trajectory(states=states, output_times=output_times, slabs=slabs,
-                      series_times=np.asarray(series_times),
-                      mass_series=np.asarray(mass_series),
-                      tv_series=np.asarray(tv_series),
-                      influx_series=np.asarray(influx_series),
-                      context=ctx)
+                      series_times=series_times, mass_series=mass,
+                      tv_series=tv, influx_series=influx, context=ctx)

@@ -102,10 +102,6 @@ def scenario(name: str) -> Scenario:
             f"{', '.join(SCENARIO_NAMES)}") from None
 
 
-def all_scenarios() -> list:
-    return [build() for build in _BUILDERS.values()]
-
-
 def _piece_value(p: Piece, x: float) -> float:
     if p.x_right == p.x_left or p.v_left == p.v_right:
         return p.v_left

@@ -185,11 +185,17 @@ def _entropy_check(traj: Trajectory, ctx: ProblemContext):
     table = {}
     for slab in traj.slabs:
         for k, r in slab.entropy_max.items():
-            table[k] = max(table.get(k, -math.inf), r)
+            # np.maximum keeps a NaN residual, which Python's max would drop
+            table[k] = float(np.maximum(r, table.get(k, -math.inf)))
     tol = ENTROPY_TOL_FACTOR * ctx.grid.h
     if not table:
         return CheckResult("entropy_residual", True, 0.0, tol,
                            "entropy audit disabled"), table
+    bad = [k for k, r in table.items() if not math.isfinite(r)]
+    if bad:
+        return CheckResult(
+            "entropy_residual", False, math.nan, tol,
+            f"non-finite residual at k-levels {bad}"), table
     worst = max(table.values())
     return CheckResult(
         "entropy_residual", worst <= tol, worst, tol,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import garzfv
+from garzfv import iteration
 from garzfv.cli import main
 from garzfv.config import (config_from_scenario, dump_config_text,
                            parse_config_text)
@@ -161,11 +162,40 @@ def test_solve_outputs_are_deterministic(tmp_path):
             "--n-cells", "96", "--n-output", "3")
     for sub in ("a", "b"):
         assert run(tmp_path / sub, *args) == 0
-    for rel in ("manifest.json", "report.csv", "snapshots/0000.csv",
-                "snapshots/0002.csv", "plot/tv.dat", "plot/mass.dat"):
-        b1 = (tmp_path / "a" / "solve-smoke" / rel).read_bytes()
-        b2 = (tmp_path / "b" / "solve-smoke" / rel).read_bytes()
-        assert b1 == b2, rel
+    a, b = (tmp_path / sub / "solve-smoke" for sub in ("a", "b"))
+    rels = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert rels == sorted(p.relative_to(b) for p in b.rglob("*")
+                          if p.is_file())
+    assert Path("report.json") in rels and Path("plot/phi.dat") in rels
+    for rel in rels:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def test_nan_entropy_residual_fails_the_audit(tmp_path, monkeypatch):
+    # a NaN residual at one level in one step must fail the audit and be
+    # named; a Python max merge drops it and the run passed with 1.7e-14
+    real = iteration.entropy_residual_maxima
+    calls = [0]
+
+    def maxima(*args):
+        calls[0] += 1
+        out = real(*args)
+        if calls[0] == 5:
+            out[4] = np.nan  # level k = 0.4
+        return out
+
+    monkeypatch.setattr(iteration, "entropy_residual_maxima", maxima)
+    assert run(tmp_path, "solve", "--scenario", "smoke", "--t-final", "0.25",
+               "--n-cells", "96") == 1
+    report = json.loads(
+        (tmp_path / "solve-smoke" / "report.json").read_text())
+    check = next(c for c in report["checks"]
+                 if c["name"] == "entropy_residual")
+    assert check["passed"] is False
+    assert check["detail"].endswith("k-levels [0.4]")
+    assert np.isnan(report["entropy_table"]["0.4"])
+    assert all(np.isfinite(r) for k, r in report["entropy_table"].items()
+               if k != "0.4")
 
 
 def test_shock_tv_series_is_flat(tmp_path):
