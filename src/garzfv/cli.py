@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -57,10 +57,13 @@ def _load_config(args) -> RunConfig:
         cfg = config_from_scenario(scenario(args.scenario))
     else:
         raise ConfigError("one of --config or --scenario is required")
+    return _apply_flags(cfg, args)
+
+
+def _apply_flags(cfg: RunConfig, args) -> RunConfig:
     # the run-source flags store under their RunConfig field names
-    overrides = {f.name: getattr(args, f.name, None)
-                 for f in fields(RunConfig)}
-    return apply_overrides(cfg, overrides)
+    return apply_overrides(cfg, {f.name: getattr(args, f.name, None)
+                                 for f in fields(RunConfig)})
 
 
 def _output_root(args) -> str:
@@ -81,40 +84,45 @@ def _out_dir(args, cfg: RunConfig, command: str) -> str:
     return os.path.join(_output_root(args), name)
 
 
-def _run_solve(cfg: RunConfig):
-    return solve_global(cfg.data(), cfg.grid(), cfg.t_final, cfg.model(),
-                        cfg.slab(), cfg.n_output)
+def _solve_audit_write(args, cfg: RunConfig, command: str,
+                       snapshots: bool, plots: bool, audit: bool):
+    """Solve cfg, audit the run if asked, and write the manifest, the
+    reports and the asked-for snapshots and plots to the command's run
+    directory.  Returns (trajectory, report or None, run directory)."""
+    slab = cfg.slab() if audit else replace(cfg.slab(), entropy_levels=0)
+    traj = solve_global(cfg.data(), cfg.grid(), cfg.t_final, cfg.model(),
+                        slab, cfg.n_output)
+    report = audit_trajectory(traj) if audit else None
+    out = _out_dir(args, cfg, command)
+    runio.write_trajectory(out, traj, cfg, report, write_snapshots=snapshots)
+    if report is not None:
+        runio.write_report(out, report)
+    if plots:
+        runio.emit_plotdata(out, traj)
+    return traj, report, out
+
+
+def _report_exit(report) -> int:
+    if report is None:
+        return 0
+    print(report.summary())
+    return 0 if report.passed else 1
 
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    traj = _run_solve(cfg)
-    report = audit_trajectory(traj) if cfg.audit else None
-    out = _out_dir(args, cfg, "solve")
-    runio.write_trajectory(out, traj, cfg, report,
-                           write_snapshots=cfg.write_snapshots)
-    if report is not None:
-        runio.write_report(out, report)
-    if cfg.write_plot:
-        runio.emit_plotdata(out, traj)
+    traj, report, out = _solve_audit_write(
+        args, cfg, "solve", cfg.write_snapshots, cfg.write_plot, cfg.audit)
     print(f"solved to t={cfg.t_final:g} in {len(traj.slabs)} slab(s); "
           f"outputs in {out}")
-    if report is not None:
-        print(report.summary())
-        if not report.passed:
-            return 1
-    return 0
+    return _report_exit(report)
 
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    traj = _run_solve(cfg)
-    report = audit_trajectory(traj)
-    out = _out_dir(args, cfg, "verify")
-    runio.write_trajectory(out, traj, cfg, report, write_snapshots=False)
-    runio.write_report(out, report)
-    print(report.summary())
-    return 0 if report.passed else 1
+    _, report, _ = _solve_audit_write(args, cfg, "verify", snapshots=False,
+                                      plots=False, audit=True)
+    return _report_exit(report)
 
 
 def cmd_stability(args) -> int:
@@ -122,9 +130,15 @@ def cmd_stability(args) -> int:
     grid = cfg.grid()
     data1 = cfg.data()
     if args.config2:
-        cfg2 = parse_config(args.config2)
-        if cfg2.grid() != grid:
-            raise ConfigError("stability pair must share the grid")
+        cfg2 = _apply_flags(parse_config(args.config2), args)
+        differ = [f"[{f.metadata['section']}] {f.metadata['key'] or f.name}"
+                  for f in fields(RunConfig)
+                  if f.metadata["section"] not in ("initial", "output")
+                  and getattr(cfg2, f.name) != getattr(cfg, f.name)]
+        if differ:
+            raise ConfigError(
+                "stability pair may differ only in [initial] and [output]; "
+                f"--config2 differs in {', '.join(differ)}")
         data2 = cfg2.data()
     else:
         if args.shift_cells == 0 and args.du_inf == 0.0:
@@ -136,17 +150,10 @@ def cmd_stability(args) -> int:
                                cfg.slab(), cfg.n_output)
     out = _out_dir(args, cfg, "stability")
     runio.write_json(os.path.join(out, "stability.json"), {
-        "k_measured": result.k_measured,
-        "c_hat": result.c_hat,
-        "lhs0": result.lhs0,
-        "within_envelope": result.within_envelope,
-        "times": result.times,
-        "lhs_series": result.lhs_series,
-        "ratio_series": result.ratio_series,
-        "envelope_series": result.envelope_series,
-        "note": result.note,
-    })
-    runio.emit_plotdata(out, stability=result)
+        **asdict(result), "within_envelope": result.within_envelope,
+        "note": result.note})
+    runio.write_table(os.path.join(out, "plot", "stability_ratio.dat"),
+                      (result.times, result.ratio_series), " ")
     print(f"K_measured = {result.k_measured:.6g} "
           f"(empirical lower bound on any valid constant); "
           f"advisory envelope rate c_hat = {result.c_hat:.6g}")
@@ -159,10 +166,8 @@ def cmd_uniqueness(args) -> int:
     result = uniqueness_check(cfg.data(), cfg.grid(), cfg.t_final,
                               cfg.model(), cfg.slab(), args.seeds)
     out = _out_dir(args, cfg, "uniqueness")
-    runio.write_json(os.path.join(out, "uniqueness.json"), {
-        "gap": result.gap, "tol": result.tol, "passed": result.passed,
-        "settings": result.settings,
-    })
+    runio.write_json(os.path.join(out, "uniqueness.json"),
+                     {**asdict(result), "passed": result.passed})
     print(f"max pairwise gap {result.gap:.3e} vs tol {result.tol:.3e}: "
           f"{'pass' if result.passed else 'FAIL'}")
     return 0 if result.passed else 1
@@ -211,11 +216,8 @@ def cmd_convergence(args) -> int:
     table = convergence_study(cfg.data(), cfg.t_final, grids, cfg.model(),
                               exact, cfg.slab(), window)
     out = _out_dir(args, cfg, "convergence")
-    runio.write_json(os.path.join(out, "convergence.json"), {
-        "rows": [{"h": r.h, "error": r.error, "order": r.order}
-                 for r in table.rows],
-        "window": list(window) if window else None,
-    })
+    runio.write_json(os.path.join(out, "convergence.json"),
+                     {**asdict(table), "window": window})
     print("h, L1 error, observed order")
     for r in table.rows:
         order = "-" if r.order is None else f"{r.order:.3f}"
@@ -258,43 +260,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "with density-slaved marker transport")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run one solve and write outputs")
-    _add_run_source(p)
-    _add_output_root(p)
-    p.set_defaults(func=cmd_solve)
+    def run_command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        _add_run_source(p)
+        _add_output_root(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", help="solve and audit, report only")
-    _add_run_source(p)
-    _add_output_root(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("stability", help="measure the perturbation ratio")
-    _add_run_source(p)
-    _add_output_root(p)
+    run_command("solve", cmd_solve, "run one solve and write outputs")
+    run_command("verify", cmd_verify, "solve and audit, report only")
+    p = run_command("stability", cmd_stability,
+                    "measure the perturbation ratio")
     p.add_argument("--config2", help="second datum configuration")
     p.add_argument("--shift-cells", type=int, default=0,
                    help="shift the datum by this many cells")
     p.add_argument("--du-inf", type=float, default=0.0,
                    help="perturb the left marker boundary value")
-    p.set_defaults(func=cmd_stability)
-
-    p = sub.add_parser("uniqueness",
-                       help="same data under perturbed solver settings")
-    _add_run_source(p)
-    _add_output_root(p)
+    p = run_command("uniqueness", cmd_uniqueness,
+                    "same data under perturbed solver settings")
     p.add_argument("--seeds", type=int, default=3)
-    p.set_defaults(func=cmd_uniqueness)
-
-    p = sub.add_parser("convergence",
-                       help="grid ladder against the exact solution")
-    _add_run_source(p)
-    _add_output_root(p)
+    p = run_command("convergence", cmd_convergence,
+                    "grid ladder against the exact solution")
     p.add_argument("--grids", default="256,512,1024",
                    help="comma-separated cell counts, halving h")
     p.add_argument("--window",
                    help="x_lo,x_hi error window (use --window=-0.5,0.5 "
                         "for negative bounds)")
-    p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("riemann", help="exact Riemann profile to CSV")
     p.add_argument("--rho-left", "--rhoL", dest="rho_left", type=float,

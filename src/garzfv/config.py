@@ -120,10 +120,8 @@ class RunConfig:
                              for f in fields(SlabConfig)})
 
 
-def _parse_bool(raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    val = str(raw).strip().lower()
+def _parse_bool(raw: str) -> bool:
+    val = raw.strip().lower()
     if val in ("1", "on", "true", "yes"):
         return True
     if val in ("0", "off", "false", "no"):

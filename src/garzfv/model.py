@@ -58,7 +58,6 @@ class ModelBounds:
 
     u_max: float
     v_sup: float
-    d_rho_sup: float
     d_u_sup: float
     d_u_rho_sup: float
     d_uu_sup: float
@@ -200,7 +199,6 @@ class VelocityModel:
         return ModelBounds(
             u_max=float(u_max),
             v_sup=float(np.abs(self.velocity(rho, u)).max()),
-            d_rho_sup=float(np.abs(self.d_rho(rho, u)).max()),
             d_u_sup=float(np.abs(self.d_u(rho, u)).max()),
             d_u_rho_sup=float(np.abs(self.d_u_rho(rho, u)).max()),
             d_uu_sup=float(np.abs(self.d_uu(rho, u)).max()),
@@ -262,7 +260,6 @@ class PowerLawModel(VelocityModel):
         return ModelBounds(
             u_max=u_max,
             v_sup=u_max,
-            d_rho_sup=self.gamma * u_max,
             d_u_sup=1.0,
             d_u_rho_sup=self.gamma,
             d_uu_sup=0.0,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import RunConfig, dump_config_text, format_number
 from .iteration import Trajectory
-from .verify import RunReport, StabilityResult, reported_constants
+from .verify import RunReport, reported_constants
 
 SNAPSHOT_COLUMNS = ("x_center", "rho", "u", "z", "psi", "v", "w")
 
@@ -32,25 +32,21 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+def _json_default(obj):
+    """json hook for the numpy values payloads carry; np.float64 is already
+    a float and prints as one."""
     if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: str, payload: dict) -> None:
-    text = json.dumps(_json_ready(payload), sort_keys=True, indent=1,
-                      separators=(",", ": "))
+    text = json.dumps(payload, sort_keys=True, indent=1,
+                      separators=(",", ": "), default=_json_default)
     _write_text(path, text + "\n")
 
 
@@ -111,8 +107,10 @@ def report_payload(report: RunReport) -> dict:
             "name": c.name, "passed": c.passed, "worst": c.worst,
             "tol": c.tol, "detail": c.detail,
         } for c in report.checks],
-        "entropy_table": {f"{k:.1f}": v
-                          for k, v in sorted(report.entropy_table.items())},
+        # rounding to 12 places keeps the default ladder's "0.1"-style keys
+        # and gives distinct levels of any finer ladder distinct keys
+        "entropy_table": {str(round(k, 12)): v
+                          for k, v in report.entropy_table.items()},
         "constants": report.constants,
         "notes": report.notes,
     }
@@ -138,30 +136,25 @@ def write_report(out_dir: str, report: RunReport) -> None:
     write_json(os.path.join(out_dir, "report.json"), report_payload(report))
 
 
-def emit_plotdata(out_dir: str, traj: Trajectory | None = None,
-                  stability: StabilityResult | None = None) -> None:
-    """Write plot-ready two-column files for a run and/or a stability pair."""
+def emit_plotdata(out_dir: str, traj: Trajectory) -> None:
+    """Write a run's plot-ready two-column files."""
     plot = os.path.join(out_dir, "plot")
-    if traj is not None:
-        for i, state in enumerate(traj.states):
-            x = state.grid.centers()
-            write_table(os.path.join(plot, f"rho_{i:04d}.dat"),
-                        (x, state.rho.values), " ")
-            write_table(os.path.join(plot, f"u_{i:04d}.dat"),
-                        (x, state.u.values), " ")
-            write_table(os.path.join(plot, f"z_{i:04d}.dat"),
-                        (x, state.z.values), " ")
-        write_table(os.path.join(plot, "tv.dat"),
-                    (traj.series_times, traj.tv_series), " ")
-        write_table(os.path.join(plot, "mass.dat"),
-                    (traj.series_times, traj.mass_series), " ")
-        phi_t = []
-        phi_v = []
-        for s in traj.slabs:
-            for rec in s.trace.records:
-                phi_t.append(s.t1)
-                phi_v.append(rec.phi_mixed)
-        write_table(os.path.join(plot, "phi.dat"), (phi_t, phi_v), " ")
-    if stability is not None:
-        write_table(os.path.join(plot, "stability_ratio.dat"),
-                    (stability.times, stability.ratio_series), " ")
+    for i, state in enumerate(traj.states):
+        x = state.grid.centers()
+        write_table(os.path.join(plot, f"rho_{i:04d}.dat"),
+                    (x, state.rho.values), " ")
+        write_table(os.path.join(plot, f"u_{i:04d}.dat"),
+                    (x, state.u.values), " ")
+        write_table(os.path.join(plot, f"z_{i:04d}.dat"),
+                    (x, state.z.values), " ")
+    write_table(os.path.join(plot, "tv.dat"),
+                (traj.series_times, traj.tv_series), " ")
+    write_table(os.path.join(plot, "mass.dat"),
+                (traj.series_times, traj.mass_series), " ")
+    phi_t = []
+    phi_v = []
+    for s in traj.slabs:
+        for rec in s.trace.records:
+            phi_t.append(s.t1)
+            phi_v.append(rec.phi_mixed)
+    write_table(os.path.join(plot, "phi.dat"), (phi_t, phi_v), " ")

@@ -279,7 +279,8 @@ def measure_stability(data1: InitialData, data2: InitialData, grid: Grid,
     series exp(c_hat t) uses a growth rate assembled from both runs'
     constants and bounds every ratio in practice; it is advisory.
     """
-    cfg = cfg or SlabConfig()
+    # the pair is compared on states only, so neither run is entropy-audited
+    cfg = replace(cfg or SlabConfig(), entropy_levels=0)
     traj1 = solve_global(data1, grid, t_final, model, cfg, n_output)
     traj2 = solve_global(data2, grid, t_final, model, cfg, n_output)
     times = traj1.output_times
@@ -392,7 +393,7 @@ def convergence_study(data_of_grid, t_final: float, grids,
         if abs(ratio - 2.0) > 1e-9:
             raise InputRangeError(
                 f"ladder must halve h between rungs, got ratio {ratio:g}")
-    cfg = cfg or SlabConfig(entropy_levels=0)
+    cfg = replace(cfg or SlabConfig(), entropy_levels=0)
 
     rows = []
     prev_err = None

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import garzfv
-from garzfv import iteration
+from garzfv import cli, iteration, verify
 from garzfv.cli import main
 from garzfv.config import (config_from_scenario, dump_config_text,
                            parse_config_text)
@@ -275,3 +276,172 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "solved to t=0.2" in proc.stdout
     assert (tmp_path / "solve-constant" / "manifest.json").exists()
+
+
+LADDER_INI = ("[initial]\n"
+              "rho_pieces = -4 0 0.3 ; 0 4 0.8428571428571429\n"
+              "u_inf = 1\n"
+              "[slab]\n"
+              "t_final = 0.8\n")
+
+
+def assert_same_tree(a: Path, b: Path):
+    """The two directories hold the same relative paths, each with the same
+    bytes."""
+    rels = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert rels == sorted(p.relative_to(b) for p in b.rglob("*")
+                          if p.is_file())
+    for rel in rels:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def write_config(path: Path, name: str, **fields) -> str:
+    path.write_text(dump_config_text(replace(
+        config_from_scenario(scenario(name)), **fields)))
+    return str(path)
+
+
+RUN_COMMANDS = {
+    "verify": ("verify-smoke", "verify", "--scenario", "smoke",
+               "--n-cells", "64", "--t-final", "0.3"),
+    "stability": ("stability-smoke", "stability", "--scenario", "smoke",
+                  "--n-cells", "64", "--t-final", "0.3", "--shift-cells",
+                  "2", "--du-inf", "0.01"),
+    "uniqueness": ("uniqueness-smoke", "uniqueness", "--scenario", "smoke",
+                   "--n-cells", "64", "--t-final", "0.3", "--seeds", "2"),
+    "convergence": ("convergence-ladder", "convergence", "--config",
+                    "ladder.ini", "--grids", "64,128,256",
+                    "--window=-0.6,0.4"),
+    "riemann": ("riemann", "riemann", "--rho-left", "0.3", "--rho-right",
+                "0.8", "--u", "1", "--t", "0.5", "--n-cells", "64"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+def test_run_commands_are_deterministic(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ladder.ini").write_text(LADDER_INI)
+    run_dir, *argv = RUN_COMMANDS[command]
+    for sub in ("a", "b"):
+        assert run(tmp_path / sub, *argv) == 0
+    assert_same_tree(tmp_path / "a" / run_dir, tmp_path / "b" / run_dir)
+
+
+@pytest.mark.parametrize("name", ["shock", "smoke"])
+def test_verify_writes_exactly_the_solve_reports(tmp_path, capsys, name):
+    argv = ("--scenario", name, "--n-cells", "64", "--t-final", "0.3",
+            "--n-output", "3")
+    assert run(tmp_path, "solve", *argv) == 0
+    solve_out = capsys.readouterr().out
+    assert run(tmp_path, "verify", *argv) == 0
+    verify_out = capsys.readouterr().out
+    # verify prints the audit summary alone; solve prints it after its line
+    assert solve_out.startswith("solved to t=0.3 in ")
+    assert solve_out.split("\n", 1)[1] == verify_out
+    solve_dir = tmp_path / f"solve-{name}"
+    verify_dir = tmp_path / f"verify-{name}"
+    files = ["manifest.json", "report.csv", "report.json"]
+    assert sorted(p.name for p in verify_dir.rglob("*")) == files
+    for f in files:
+        assert (verify_dir / f).read_bytes() == (solve_dir / f).read_bytes()
+
+
+@pytest.mark.parametrize("levels", [11, 13, 21])
+def test_report_json_keeps_every_entropy_level(tmp_path, monkeypatch,
+                                               levels):
+    real = cli.audit_trajectory
+    reports = []
+
+    def audit(traj):
+        reports.append(real(traj))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "audit_trajectory", audit)
+    cfg_path = write_config(tmp_path / "levels.ini", "smoke", n_cells=96,
+                            t_final=0.25, entropy_levels=levels)
+    assert run(tmp_path, "verify", "--config", cfg_path) == 0
+    table = json.loads(
+        (tmp_path / "verify-levels" / "report.json").read_text())[
+            "entropy_table"]
+    assert len(table) == levels
+    expected = sorted(reports[0].entropy_table.items())
+    assert len(expected) == levels
+    written = sorted((float(key), r) for key, r in table.items())
+    for (k_written, r_written), (k, r) in zip(written, expected,
+                                              strict=True):
+        assert k_written == pytest.approx(k, abs=1e-12)
+        assert r_written == r
+    if levels == 11:
+        assert sorted(table) == [f"{i / 10:.1f}" for i in range(11)]
+
+
+def _count_entropy_kernel_calls(monkeypatch) -> list:
+    real = iteration.entropy_residual_maxima
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(iteration, "entropy_residual_maxima", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["solve", "stability", "convergence"])
+def test_unaudited_runs_skip_the_entropy_kernel(tmp_path, monkeypatch,
+                                                command):
+    # these runs read no entropy table, so their solves must not audit;
+    # putting the default 11-level audit back must not move a written byte
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ladder.ini").write_text(LADDER_INI)
+    write_config(tmp_path / "quiet.ini", "smoke", n_cells=96, t_final=0.3,
+                 n_output=3, audit=False)
+    run_dir, *argv = {
+        "solve": ("solve-quiet", "solve", "--config", "quiet.ini"),
+        "stability": RUN_COMMANDS["stability"],
+        "convergence": RUN_COMMANDS["convergence"],
+    }[command]
+    calls = _count_entropy_kernel_calls(monkeypatch)
+    assert run(tmp_path / "plain", *argv) == 0
+    assert calls[0] == 0
+    module = cli if command == "solve" else verify
+    real = module.solve_global
+
+    def audited(*args):
+        args = list(args)
+        args[4] = replace(args[4], entropy_levels=11)
+        return real(*args)
+
+    monkeypatch.setattr(module, "solve_global", audited)
+    assert run(tmp_path / "audited", *argv) == 0
+    assert calls[0] > 0
+    assert_same_tree(tmp_path / "plain" / run_dir,
+                     tmp_path / "audited" / run_dir)
+
+
+def test_stability_config2_takes_the_flags(tmp_path):
+    # the pair may differ in [initial] and [output]; the flags apply to both
+    cfg1 = write_config(tmp_path / "one.ini", "smoke")
+    cfg2 = write_config(tmp_path / "two.ini", "smoke", z_inf=0.1,
+                        out_dir="elsewhere", n_output=4)
+    assert run(tmp_path, "stability", "--config", cfg1, "--config2", cfg2,
+               "--n-cells", "64", "--t-final", "0.2") == 0
+    payload = json.loads(
+        (tmp_path / "stability-one" / "stability.json").read_text())
+    assert payload["lhs0"] > 0.0
+    assert payload["times"][-1] == 0.2
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_stability_config2_rejects_other_settings(tmp_path, capsys):
+    cfg1 = write_config(tmp_path / "one.ini", "smoke", n_cells=64,
+                        t_final=0.2)
+    cfg2 = write_config(tmp_path / "two.ini", "smoke", n_cells=64,
+                        model_name="power", gamma=3.0, t_final=0.05,
+                        u_inf=1.01)
+    assert run(tmp_path, "stability", "--config", cfg1,
+               "--config2", cfg2) == 2
+    err = capsys.readouterr().err
+    assert "[model] name, [model] gamma, [slab] t_final" in err
+    assert "u_inf" not in err
+    assert not (tmp_path / "stability-one").exists()

@@ -25,6 +25,7 @@ from garzfv import (
     solve_global,
     uniqueness_check,
 )
+from garzfv import iteration
 from garzfv.core import state_from_arrays
 
 GSH = GreenshieldsModel()
@@ -133,6 +134,28 @@ def test_convergence_monotone_on_moving_shock():
     tab = convergence_study(data, 1.0, grids, GSH, exact)
     assert tab.errors()[-1] < tab.errors()[0]
     assert len(tab.orders()) == 2
+
+
+def test_studies_solve_without_the_entropy_audit(monkeypatch):
+    # the studies compare states only; with their default SlabConfig() or
+    # one that asks for an audit, no solve may run the entropy kernel
+    real = iteration.entropy_residual_maxima
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(iteration, "entropy_residual_maxima", counted)
+    sc = scenario("smoke")
+    grid = Grid(sc.grid.x_min, sc.grid.x_max, 64)
+    data2 = perturb_data(sc.data, grid, shift_cells=2, du_inf=0.01)
+    measure_stability(sc.data, data2, grid, 0.3, sc.model())
+    data = riemann_initial_data(0.3, 0.8, 1.0, -4.0, 4.0)
+    exact = lambda t, x: lwr_riemann_exact(0.3, 0.8, 1.0, GSH, t, x)
+    convergence_study(data, 0.5, [Grid(-4, 4, n) for n in (64, 128, 256)],
+                      GSH, exact, cfg=SlabConfig())
+    assert calls[0] == 0
 
 
 def test_report_serialization_shapes(audited):
