@@ -129,7 +129,14 @@ def cmd_stability(args) -> int:
     cfg = _load_config(args)
     grid = cfg.grid()
     data1 = cfg.data()
+    perturbation = [flag for flag, value in
+                    (("--shift-cells", args.shift_cells),
+                     ("--du-inf", args.du_inf)) if value != 0]
     if args.config2:
+        if perturbation:
+            raise ConfigError(
+                "give --config2 or a perturbation, not both; --config2 "
+                f"would ignore {', '.join(perturbation)}")
         cfg2 = _apply_flags(parse_config(args.config2), args)
         differ = [f"[{f.metadata['section']}] {f.metadata['key'] or f.name}"
                   for f in fields(RunConfig)
@@ -141,7 +148,7 @@ def cmd_stability(args) -> int:
                 f"--config2 differs in {', '.join(differ)}")
         data2 = cfg2.data()
     else:
-        if args.shift_cells == 0 and args.du_inf == 0.0:
+        if not perturbation:
             raise ConfigError(
                 "give --config2 or a perturbation "
                 "(--shift-cells / --du-inf)")
@@ -153,7 +160,8 @@ def cmd_stability(args) -> int:
         **asdict(result), "within_envelope": result.within_envelope,
         "note": result.note})
     runio.write_table(os.path.join(out, "plot", "stability_ratio.dat"),
-                      (result.times, result.ratio_series), " ")
+                      (runio.format_column(result.times),
+                       runio.format_column(result.ratio_series)), " ")
     print(f"K_measured = {result.k_measured:.6g} "
           f"(empirical lower bound on any valid constant); "
           f"advisory envelope rate c_hat = {result.c_hat:.6g}")
@@ -235,7 +243,9 @@ def cmd_riemann(args) -> int:
     rho = lwr_riemann_exact(args.rho_left, args.rho_right, args.u_bar,
                             model, args.t, x)
     path = os.path.join(_output_root(args), "riemann", "exact.csv")
-    runio.write_table(path, (x, rho), ",", ("x_center", "rho"))
+    runio.write_table(path, (runio.format_column(x),
+                             runio.format_column(rho)), ",",
+                      ("x_center", "rho"))
     print(f"exact profile at t={args.t:g} written to {path}")
     return 0
 

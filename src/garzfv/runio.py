@@ -10,6 +10,11 @@ Layout under a run directory:
 
 Identical inputs produce bit-identical bytes: floats print as %.17g, JSON
 keys are sorted, and nothing timestamps itself.
+
+Table text is built column by column with format_column, which formats
+each distinct bit pattern of a column once: the solutions are plateaus,
+fans and piecewise-constant markers, so most values a run writes repeat.
+Each writer formats the grid-centre column once for all its files.
 """
 
 from __future__ import annotations
@@ -50,13 +55,22 @@ def write_json(path: str, payload: dict) -> None:
     _write_text(path, text + "\n")
 
 
+def format_column(values) -> list[str]:
+    """%.17g text of each float in a 1-D column, formatting each distinct
+    bit pattern once.  Patterns, not values, are deduplicated: -0.0 == 0.0
+    but they print "-0" and "0"."""
+    a = np.ascontiguousarray(values, dtype=float)
+    _, first, inverse = np.unique(a.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    text = np.array(["%.17g" % x for x in a[first].tolist()], dtype=object)
+    return text.take(inverse).tolist()
+
+
 def write_table(path: str, columns, sep: str, header=None) -> None:
-    """Write equal-length numeric columns as %.17g text, one row per line,
-    after an optional header row of column names."""
-    row = sep.join(["%.17g"] * len(columns))
+    """Write equal-length text columns (lists of str, see format_column),
+    one row per line, after an optional header row of column names."""
     lines = [sep.join(header)] if header else []
-    lines += [row % r for r in
-              zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
+    lines += map(sep.join, zip(*columns))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -123,10 +137,11 @@ def write_trajectory(out_dir: str, traj: Trajectory,
     write_json(os.path.join(out_dir, "manifest.json"),
                trajectory_manifest(traj, cfg, report))
     if write_snapshots:
+        x = format_column(traj.grid.centers())
         for i, state in enumerate(traj.states):
-            cols = (state.grid.centers(), state.rho.values, state.u.values,
-                    state.z.values, state.psi.values, state.v.values,
-                    state.w.values)
+            cols = [x] + [format_column(f.values) for f in
+                          (state.rho, state.u, state.z, state.psi, state.v,
+                           state.w)]
             write_table(os.path.join(out_dir, "snapshots", f"{i:04d}.csv"),
                         cols, ",", SNAPSHOT_COLUMNS)
 
@@ -139,22 +154,22 @@ def write_report(out_dir: str, report: RunReport) -> None:
 def emit_plotdata(out_dir: str, traj: Trajectory) -> None:
     """Write a run's plot-ready two-column files."""
     plot = os.path.join(out_dir, "plot")
+    x = format_column(traj.grid.centers())
     for i, state in enumerate(traj.states):
-        x = state.grid.centers()
-        write_table(os.path.join(plot, f"rho_{i:04d}.dat"),
-                    (x, state.rho.values), " ")
-        write_table(os.path.join(plot, f"u_{i:04d}.dat"),
-                    (x, state.u.values), " ")
-        write_table(os.path.join(plot, f"z_{i:04d}.dat"),
-                    (x, state.z.values), " ")
+        for name, field in (("rho", state.rho), ("u", state.u),
+                            ("z", state.z)):
+            write_table(os.path.join(plot, f"{name}_{i:04d}.dat"),
+                        (x, format_column(field.values)), " ")
+    t = format_column(traj.series_times)
     write_table(os.path.join(plot, "tv.dat"),
-                (traj.series_times, traj.tv_series), " ")
+                (t, format_column(traj.tv_series)), " ")
     write_table(os.path.join(plot, "mass.dat"),
-                (traj.series_times, traj.mass_series), " ")
+                (t, format_column(traj.mass_series)), " ")
     phi_t = []
     phi_v = []
     for s in traj.slabs:
         for rec in s.trace.records:
             phi_t.append(s.t1)
             phi_v.append(rec.phi_mixed)
-    write_table(os.path.join(plot, "phi.dat"), (phi_t, phi_v), " ")
+    write_table(os.path.join(plot, "phi.dat"),
+                (format_column(phi_t), format_column(phi_v)), " ")

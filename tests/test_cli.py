@@ -172,6 +172,41 @@ def test_solve_outputs_are_deterministic(tmp_path):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+def test_solve_tables_match_the_row_formula(tmp_path, monkeypatch):
+    # rebuild every snapshot and per-state plot file from the run's own
+    # states with the per-row %.17g formula the column formatter replaced
+    trajs = []
+    real = cli.solve_global
+
+    def kept(*args):
+        trajs.append(real(*args))
+        return trajs[-1]
+
+    monkeypatch.setattr(cli, "solve_global", kept)
+    assert run(tmp_path, "solve", "--scenario", "smoke", "--n-cells", "96",
+               "--n-output", "3") == 0
+    out = tmp_path / "solve-smoke"
+    (traj,) = trajs
+
+    def table(cols, sep, header=None):
+        row = sep.join(["%.17g"] * len(cols))
+        lines = [sep.join(header)] if header else []
+        lines += [row % r for r in zip(*(c.tolist() for c in cols))]
+        return ("\n".join(lines) + "\n").encode()
+
+    assert len(traj.states) == 4
+    for i, s in enumerate(traj.states):
+        x = s.grid.centers()
+        assert (out / "snapshots" / f"{i:04d}.csv").read_bytes() == table(
+            (x, s.rho.values, s.u.values, s.z.values, s.psi.values,
+             s.v.values, s.w.values), ",",
+            ("x_center", "rho", "u", "z", "psi", "v", "w"))
+        for name in ("rho", "u", "z"):
+            field = getattr(s, name).values
+            assert (out / "plot" / f"{name}_{i:04d}.dat").read_bytes() \
+                == table((x, field), " ")
+
+
 def test_nan_entropy_residual_fails_the_audit(tmp_path, monkeypatch):
     # a NaN residual at one level in one step must fail the audit and be
     # named; a Python max merge drops it and the run passed with 1.7e-14
@@ -225,6 +260,22 @@ def test_stability_requires_a_perturbation(tmp_path, capsys):
                "--n-cells", "64", "--t-final", "0.2")
     assert code == 2
     assert "perturbation" in capsys.readouterr().err
+
+
+def test_stability_config2_excludes_the_perturbation_flags(tmp_path,
+                                                          capsys):
+    cfg1 = write_config(tmp_path / "one.ini", "smoke", n_cells=64,
+                        t_final=0.2)
+    cfg2 = write_config(tmp_path / "two.ini", "smoke", n_cells=64,
+                        t_final=0.2, z_inf=0.1)
+    assert run(tmp_path, "stability", "--config", cfg1, "--config2", cfg2,
+               "--shift-cells", "5", "--du-inf", "0.3") == 2
+    assert "--shift-cells, --du-inf" in capsys.readouterr().err
+    assert run(tmp_path, "stability", "--config", cfg1, "--config2", cfg2,
+               "--du-inf", "0.3") == 2
+    err = capsys.readouterr().err
+    assert "--du-inf" in err and "--shift-cells" not in err
+    assert not (tmp_path / "stability-one").exists()
 
 
 def test_uniqueness_cli(tmp_path):
