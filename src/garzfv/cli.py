@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -23,8 +24,9 @@ from . import runio
 from .config import (RunConfig, apply_overrides, config_from_scenario,
                      dump_config_text, parse_config)
 from .core import Grid
-from .errors import ConfigError, GarzError, PicardDivergenceError
-from .iteration import solve_global
+from .errors import (ConfigError, GarzError, InputRangeError,
+                     PicardDivergenceError)
+from .iteration import check_run_span, solve_global
 from .model import make_model, validate_model
 from .oracle import lwr_riemann_exact
 from .scenarios import SCENARIO_NAMES, perturb_data, scenario
@@ -57,7 +59,23 @@ def _load_config(args) -> RunConfig:
         cfg = config_from_scenario(scenario(args.scenario))
     else:
         raise ConfigError("one of --config or --scenario is required")
-    return _apply_flags(cfg, args)
+    cfg = _apply_flags(cfg, args)
+    with _rejected_values():
+        cfg.grid()
+        cfg.slab()
+        cfg.model()
+        check_run_span(cfg.t_final, cfg.n_output)
+    return cfg
+
+
+@contextmanager
+def _rejected_values():
+    """A value that building the run's grid, slab settings, closure or
+    span rejects is a configuration error (exit 2), not a solver failure."""
+    try:
+        yield
+    except InputRangeError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
@@ -213,7 +231,8 @@ def cmd_convergence(args) -> int:
         sizes = [int(s) for s in args.grids.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad --grids list {args.grids!r}") from exc
-    grids = [Grid(cfg.x_min, cfg.x_max, n) for n in sizes]
+    with _rejected_values():
+        grids = [Grid(cfg.x_min, cfg.x_max, n) for n in sizes]
     window = None
     if args.window:
         try:
@@ -237,8 +256,9 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_riemann(args) -> int:
-    model = make_model(args.model, args.gamma)
-    grid = Grid(args.x_min, args.x_max, args.n_cells)
+    with _rejected_values():
+        model = make_model(args.model, args.gamma)
+        grid = Grid(args.x_min, args.x_max, args.n_cells)
     x = grid.centers()
     rho = lwr_riemann_exact(args.rho_left, args.rho_right, args.u_bar,
                             model, args.t, x)
@@ -251,7 +271,8 @@ def cmd_riemann(args) -> int:
 
 
 def cmd_validate_model(args) -> int:
-    model = make_model(args.model, args.gamma)
+    with _rejected_values():
+        model = make_model(args.model, args.gamma)
     report = validate_model(model, args.u_max, args.n_samples)
     print(report.summary())
     return 0 if report.passed else 1

@@ -423,6 +423,15 @@ def make_context(data: InitialData, grid: Grid, t_final: float,
     return ctx, state0
 
 
+def check_run_span(t_final: float, n_output: int) -> None:
+    """Range checks of a run's end time and its number of output
+    intervals."""
+    if not t_final > 0.0:
+        raise InputRangeError(f"t_final must be positive, got {t_final}")
+    if n_output < 1:
+        raise InputRangeError("n_output must be >= 1")
+
+
 def solve_global(data: InitialData, grid: Grid, t_final: float,
                  model: VelocityModel, cfg: SlabConfig | None = None,
                  n_output: int = 32) -> Trajectory:
@@ -433,8 +442,7 @@ def solve_global(data: InitialData, grid: Grid, t_final: float,
     run, after which the divergence error propagates with its trace.
     """
     cfg = cfg or SlabConfig()
-    if n_output < 1:
-        raise InputRangeError("n_output must be >= 1")
+    check_run_span(t_final, n_output)
     ctx, state0 = make_context(data, grid, t_final, model, cfg)
     output_times = np.linspace(0.0, t_final, n_output + 1)
     time_tol = 1e-12 * max(1.0, t_final)

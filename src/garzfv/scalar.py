@@ -130,32 +130,47 @@ def entropy_residual_arrays(rho_old: np.ndarray, rho_new: np.ndarray,
     q_hi = godunov_flux(np.maximum(a, k), np.maximum(b, k), u_if, model)
     q_lo = godunov_flux(np.minimum(a, k), np.minimum(b, k), u_if, model)
     du_center = (ue[3:-1] - ue[1:-3]) / (2.0 * h)
-    return _residual(q_hi - q_lo, rho_old, rho_new, u, k, dt, h, du_center,
-                     model)
+    q = q_hi - q_lo
+    return _residual(q[1:] - q[:-1], rho_old, rho_new, k, model.d_u(k, u),
+                     du_center, dt, h)
 
 
-def _residual(q, rho_old, rho_new, u, k, dt, h, du_center, model):
-    """R_i at level k from the entropy fluxes q at the n+1 interfaces."""
+def _residual(dq, rho_old, rho_new, k, d_u, du_center, dt, h):
+    """R_i at level k from the entropy-flux differences dq = Q_{i+1/2} -
+    Q_{i-1/2} and d_u = dV/du(k, u_i); k is a scalar or a column of levels
+    against rows of cells."""
     d_old = rho_old - k
     d_new = rho_new - k
-    sgn = _level_sign(d_old, d_new, rho_old, rho_new)
-    src = sgn * k * model.d_u(k, u) * du_center
-    return ((np.abs(d_new) - np.abs(d_old)) / dt
-            + (q[1:] - q[:-1]) / h + src)
+    src = _level_sign(d_old, d_new, rho_old, rho_new)
+    # (|d_new| - |d_old|)/dt + dq/h + ((s k) d_u) du, operation by operation,
+    # in place: the batched kernel keeps few (levels x cells) temporaries
+    src *= k
+    src *= d_u
+    src *= du_center
+    res = np.abs(d_new, out=d_new)
+    res -= np.abs(d_old, out=d_old)
+    res /= dt
+    res += dq / h
+    res += src
+    return res
 
 
 def _level_sign(d_old, d_new, rho_old, rho_new):
-    """s_i of the source term from d = rho - k before and after the step."""
+    """s_i of the source term from d = rho - k before and after the step;
+    the cells run along the last axis."""
     sgn = np.sign(d_old)
     s_new = np.sign(d_new)
     # cells where the sign changes: d_old != d_new there, so rho_new != rho_old
     idx = np.flatnonzero(sgn != s_new)
     if idx.size:
-        s_old, s_new = sgn[idx], s_new[idx]
+        cell = idx % sgn.shape[-1]
+        flat, s_new, d_old, d_new = (x.reshape(-1)
+                                     for x in (sgn, s_new, d_old, d_new))
+        s_old, s_new = flat[idx], s_new[idx]
         mean = ((np.abs(d_new[idx]) - np.abs(d_old[idx]))
-                / (rho_new[idx] - rho_old[idx]))
-        sgn[idx] = np.where(s_old == 0.0, s_new,
-                            np.where(s_old * s_new < 0.0, mean, s_old))
+                / (rho_new[cell] - rho_old[cell]))
+        flat[idx] = np.where(s_old == 0.0, s_new,
+                             np.where(s_old * s_new < 0.0, mean, s_old))
     return sgn
 
 
@@ -165,42 +180,100 @@ def entropy_residual_maxima(rho_old: np.ndarray, rho_new: np.ndarray,
     """max_i R_i at every level of ``levels`` for one recorded step.
 
     Equal bit-for-bit to ``entropy_residual_arrays(..., k, ...).max()`` at
-    each level.  f is evaluated once per step at the interface states a, b
-    and at the critical density c, and once per level at k, all before the
-    level loop; every Godunov value of the entropy flux is then a selection
+    each level, with R_i computed only on the cells that move: those where
+    rho_old or u differs from cell i-1 or i+1, or rho_new[i] from
+    rho_old[i], bit for bit (the copy ghosts make each edge cell its own
+    outer neighbour).
+
+    Every other cell has R_i = +0.0 at every level.  Its two interface
+    entropy fluxes are computed from the same bits, so they are the same
+    bits and their difference is +0.0; |d_new| - |d_old| is x - x = +0.0;
+    u[i+1] - u[i-1] is +0.0, so the source term is +-0.0; and
+    +0.0 + +-0.0 = +0.0.  This needs finite values, which the march's range
+    check and an admissible closure (pointwise, finite on the box) give.
+    The moving cells' residuals are scattered into a +0.0-filled
+    (levels x n) table, so each row maximum is taken over the reference's
+    values, signed zeros and NaN included.
+
+    All levels go in one pass over (levels x cells) arrays, except dV/du:
+    it is evaluated level by level with a scalar k, as the reference does,
+    because numpy's array ``**`` and its 0-d ``**`` can differ in the last
+    bit (the power law with gamma = 2.5 shows it).
+    """
+    levels = np.asarray(levels, dtype=float)
+    if levels.size and not (levels.min() >= 0.0 and levels.max() <= 1.0):
+        raise InputRangeError(f"entropy levels must be in [0,1], got {levels}")
+    table = np.zeros((levels.size, len(rho_old)))
+    cells = _moving_cells(rho_old, rho_new, u)
+    if cells.size and levels.size:
+        table[:, cells] = _moving_residuals(rho_old, rho_new, u, cells,
+                                            levels, dt, h, model)
+    return table.max(axis=1)
+
+
+def _moving_cells(rho_old, rho_new, u):
+    """Indices of the cells that move, compared on int64 bit views."""
+    old, new, mark = (np.ascontiguousarray(x, dtype=float).view(np.int64)
+                      for x in (rho_old, rho_new, u))
+    jump = (old[1:] != old[:-1]) | (mark[1:] != mark[:-1])
+    moving = new != old
+    moving[1:] |= jump
+    moving[:-1] |= jump
+    return np.flatnonzero(moving)
+
+
+def _moving_residuals(rho_old, rho_new, u, cells, levels, dt, h, model):
+    """R at (levels x cells) for the given cells, in ascending order."""
+    # interface j lies between cells j-1 and j; cell i reads j = i and i+1
+    on_face = np.zeros(len(rho_old) + 1, dtype=bool)
+    on_face[cells] = True
+    on_face[cells + 1] = True
+    faces = np.flatnonzero(on_face)
+    re = pad2(rho_old)
+    ue = pad2(u)
+    west, east = faces + 1, faces + 2
+    k = levels[:, None]
+    dq = np.diff(_level_entropy_fluxes(re[west], re[east],
+                                       0.5 * (ue[west] + ue[east]), k, model))
+    if faces.size > cells.size + 1:
+        # several runs of moving cells: drop the differences across gaps
+        dq = dq[:, np.searchsorted(faces, cells)]
+    u_c = u[cells]
+    d_u = np.empty((levels.size, cells.size))
+    for j, level in enumerate(levels.tolist()):
+        d_u[j] = model.d_u(level, u_c)
+    du_center = (ue[cells + 3] - ue[cells + 1]) / (2.0 * h)
+    return _residual(dq, rho_old[cells], rho_new[cells], k, d_u, du_center,
+                     dt, h)
+
+
+def _level_entropy_fluxes(a, b, u_if, k, model):
+    """Godunov entropy flux Q(a, b) at every level of the column k.
+
+    f is evaluated once at the interface states a, b and at the critical
+    density c, and once per level at k (on the column, an array as in the
+    reference); every Godunov value of the entropy flux is a selection
     among those.  At an interface with k < min(a, b) the entropy flux is
     F - f(k), at one with k > max(a, b) it is f(k) - F (F the step's
     Godunov flux); the others take both Godunov fluxes.  f is evaluated
     unchecked: the march range-checked (rho_old, u) in max_speed.
     """
-    levels = np.asarray(levels, dtype=float)
-    if levels.size and not (levels.min() >= 0.0 and levels.max() <= 1.0):
-        raise InputRangeError(f"entropy levels must be in [0,1], got {levels}")
-    u_if = interface_marker(u)
-    re = pad2(rho_old)
-    a = re[1:-2]
-    b = re[2:-1]
     flux, crit, f_a, f_b, f_c = _godunov_parts(a, b, u_if, model)
-    k_grid = np.repeat(levels[:, None], a.size, axis=1)
-    f_levels = k_grid * model.velocity(k_grid, u_if)
+    f_k = k * model.velocity(k, u_if)
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    ue = pad2(u)
-    du_center = (ue[3:-1] - ue[1:-3]) / (2.0 * h)
-    out = np.empty(levels.size)
-    for j, k in enumerate(levels.tolist()):
-        f_k = f_levels[j]
-        q = np.where(k < lo, flux - f_k, f_k - flux)
-        mid = np.flatnonzero((lo <= k) & (k <= hi))
-        if mid.size:
-            am, bm, cm = a[mid], b[mid], crit[mid]
-            fam, fbm, fcm, fkm = f_a[mid], f_b[mid], f_c[mid], f_k[mid]
-            q[mid] = (_godunov_pick(np.maximum(am, k), np.maximum(bm, k),
-                                    np.where(am >= k, fam, fkm),
-                                    np.where(bm >= k, fbm, fkm), cm, fcm)
-                      - _godunov_pick(np.minimum(am, k), np.minimum(bm, k),
-                                      np.where(am <= k, fam, fkm),
-                                      np.where(bm <= k, fbm, fkm), cm, fcm))
-        out[j] = _residual(q, rho_old, rho_new, u, k, dt, h, du_center,
-                           model).max()
-    return out
+    q = np.where(k < lo, flux - f_k, f_k - flux)
+    mid = np.flatnonzero((lo <= k) & (k <= hi))
+    if mid.size:
+        row, col = np.divmod(mid, a.size)
+        km = k[row, 0]
+        am, bm, cm = a[col], b[col], crit[col]
+        fam, fbm, fcm, fkm = f_a[col], f_b[col], f_c[col], f_k[row, col]
+        q.reshape(-1)[mid] = (
+            _godunov_pick(np.maximum(am, km), np.maximum(bm, km),
+                          np.where(am >= km, fam, fkm),
+                          np.where(bm >= km, fbm, fkm), cm, fcm)
+            - _godunov_pick(np.minimum(am, km), np.minimum(bm, km),
+                            np.where(am <= km, fam, fkm),
+                            np.where(bm <= km, fbm, fkm), cm, fcm))
+    return q

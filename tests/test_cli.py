@@ -101,18 +101,46 @@ def test_validate_model_exit_codes(capsys):
     assert "[ok  ]" in out and "jam_velocity_zero" in out
 
 
-def test_greenshields_with_gamma_exits_1(tmp_path, capsys):
+def test_greenshields_with_gamma_exits_2(tmp_path, capsys):
+    # a closure the configuration cannot build is a configuration error
     cfg_path = tmp_path / "gsh.ini"
     cfg_path.write_text(dump_config_text(config_from_scenario(
         scenario("constant"))).replace("gamma = 1", "gamma = 2"))
-    assert run(tmp_path, "verify", "--config", str(cfg_path)) == 1
+    assert run(tmp_path, "verify", "--config", str(cfg_path)) == 2
     assert run(tmp_path, "riemann", "--rho-left", "0.8", "--rho-right",
                "0.2", "--u", "1", "--t", "0.5", "--model", "greenshields",
-               "--gamma", "2") == 1
+               "--gamma", "2") == 2
     assert main(["validate-model", "--model", "greenshields",
-                 "--gamma", "2"]) == 1
+                 "--gamma", "2"]) == 2
     assert capsys.readouterr().err.count("greenshields") == 3
     assert not (tmp_path / "riemann").exists()
+    assert not (tmp_path / "verify-gsh").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--cfl", "2", "cfl must be in (0, 1]"),
+    ("--n-cells", "1", "n_cells must be >= 2"),
+    ("--n-output", "0", "n_output must be >= 1"),
+    ("--t-final", "nan", "t_final must be positive"),
+    ("--tol-phi", "nan", "tol_phi must be positive"),
+])
+def test_rejected_run_values_exit_2(tmp_path, capsys, flag, value, message):
+    # every config value the solver would reject fails before any solve,
+    # with the solver's own message
+    for command in ("solve", "verify", "dump-config"):
+        argv = [command, "--scenario", "constant", flag, value]
+        if command != "dump-config":
+            argv += ["--seed-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rejected_grid_ladder_exits_2(tmp_path, capsys):
+    assert run(tmp_path, "convergence", "--scenario", "shock",
+               "--grids", "64,1") == 2
+    assert "n_cells must be >= 2" in capsys.readouterr().err
 
 
 def test_dump_config_keeps_literal_values(tmp_path, capsys):

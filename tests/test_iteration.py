@@ -28,6 +28,7 @@ from garzfv import (
 )
 from garzfv import iteration
 from garzfv.core import CellField
+from garzfv.scalar import entropy_residual_arrays
 
 GSH = GreenshieldsModel()
 
@@ -318,3 +319,27 @@ def test_margin_error_names_the_wave_bound():
     bound = float(re.search(r"wave_bound (\S+)", str(err.value)).group(1))
     u_max = build_initial_state(sc.data, grid).u.values.max()
     assert bound == pytest.approx(1000.0 * u_max, rel=1e-3)
+
+
+@pytest.mark.parametrize("name", ["smoke", "shock", "vacuum"])
+def test_entropy_tables_match_the_per_level_reference(monkeypatch, name):
+    # the shipped kernel audits only the cells that move, all levels at
+    # once; every slab's table must carry the per-level reference's bits
+    sc = scenario(name)
+    grid = Grid(sc.grid.x_min, sc.grid.x_max, 128)
+
+    def tables():
+        traj = solve_global(sc.data, grid, sc.t_final, sc.model())
+        return [np.array(list(slab.entropy_max.items())).tobytes()
+                for slab in traj.slabs]
+
+    shipped = tables()
+    assert shipped and all(shipped)
+
+    def reference(rho_old, rho_new, u, levels, dt, h, model):
+        return np.array([entropy_residual_arrays(rho_old, rho_new, u, k, dt,
+                                                 h, model).max()
+                         for k in levels.tolist()])
+
+    monkeypatch.setattr(iteration, "entropy_residual_maxima", reference)
+    assert tables() == shipped

@@ -219,21 +219,124 @@ def _kernel_case(data, model, n, tie_values):
     return rho, rho_new, u, dt, h
 
 
-def _assert_kernel_matches(rho, rho_new, u, dt, h, model):
-    got = entropy_residual_maxima(rho, rho_new, u, AUDIT_LEVELS, dt, h, model)
-    ref = np.array([entropy_residual_arrays(rho, rho_new, u, float(k), dt, h,
-                                            model).max()
-                    for k in AUDIT_LEVELS])
+def _reference_maxima(rho, rho_new, u, levels, dt, h, model):
+    """max_i R_i level by level from the per-level residual."""
+    return np.array([entropy_residual_arrays(rho, rho_new, u, k, dt, h,
+                                             model).max()
+                     for k in np.asarray(levels, dtype=float).tolist()])
+
+
+def _assert_kernel_matches(rho, rho_new, u, dt, h, model,
+                           levels=AUDIT_LEVELS):
+    got = entropy_residual_maxima(rho, rho_new, u, levels, dt, h, model)
+    ref = _reference_maxima(rho, rho_new, u, levels, dt, h, model)
     assert got.tobytes() == ref.tobytes()
+    return got
+
+
+# gamma 2.5 rounds (1 - k)**gamma differently as a 0-d and as an array power
+GAMMAS = [1.0, 2.0, 2.5, 3.0]
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), gamma=st.sampled_from([1.0, 2.0, 3.0]),
-       n=st.integers(1, 40))
+@given(data=st.data(), gamma=st.sampled_from(GAMMAS), n=st.integers(1, 40))
 def test_multilevel_kernel_matches_per_level_residual(data, gamma, n):
     model = PowerLawModel(gamma)
     ties = list(AUDIT_LEVELS) + [1.0 / (1.0 + gamma)]
     _assert_kernel_matches(*_kernel_case(data, model, n, ties), model)
+
+
+def _pieces(data, n, values):
+    """n cells of 1-4 constant pieces (some maybe empty) drawn from values."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=3)))
+    vals = data.draw(st.lists(values, min_size=len(cuts) + 1,
+                              max_size=len(cuts) + 1))
+    return np.repeat(np.array(vals, dtype=float), np.diff([0, *cuts, n]))
+
+
+def _plateau_case(data, model, n, tie_values):
+    """Piecewise-constant (rho_old, u), so most cells do not move, and a
+    CFL-limited rho_new with a few cells then reset to a tie value.  -0.0
+    sits next to 0.0: the two are equal but not the same bits."""
+    rho = _pieces(data, n, st.sampled_from([-0.0, *tie_values]))
+    u = _pieces(data, n, st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0]),
+                                   st.floats(0.0, 2.0)))
+    h = 0.05
+    speed = max_speed(rho, u, model)
+    dt = data.draw(st.floats(0.05, 1.0)) * h / speed
+    rho_new, _ = density_step_arrays(rho, u, h, dt, model, speed)
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        rho_new[i] = data.draw(st.sampled_from(tie_values))
+    return rho, rho_new, u, dt, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), gamma=st.sampled_from(GAMMAS), n=st.integers(1, 60))
+def test_multilevel_kernel_matches_per_level_residual_on_plateaus(
+        data, gamma, n):
+    model = PowerLawModel(gamma)
+    ties = list(AUDIT_LEVELS) + [1.0 / (1.0 + gamma)]
+    _assert_kernel_matches(*_plateau_case(data, model, n, ties), model)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), n=st.integers(1, 24))
+def test_multilevel_kernel_on_plateaus_for_custom_closure(data, n):
+    model = CustomVelocityModel(lambda rho, u: u * (1.0 - rho) ** 2)
+    _assert_kernel_matches(*_plateau_case(data, model, n, list(AUDIT_LEVELS)),
+                           model)
+
+
+def test_multilevel_kernel_is_positive_zero_where_nothing_moves():
+    rho = np.full(16, 0.3)
+    got = _assert_kernel_matches(rho, rho.copy(), np.ones(16), 0.01, 0.05,
+                                 GSH)
+    assert got.tobytes() == np.zeros(AUDIT_LEVELS.size).tobytes()
+
+
+@pytest.mark.parametrize("moved", [False, True])
+def test_multilevel_kernel_on_one_cell(moved):
+    rho = np.array([0.4])
+    rho_new = rho + 0.01 if moved else rho.copy()
+    _assert_kernel_matches(rho, rho_new, np.array([1.3]), 0.01, 0.05, GSH)
+
+
+def test_multilevel_kernel_with_every_cell_moving():
+    n = 24
+    x = np.linspace(-1.0, 1.0, n)
+    rho = 0.5 + 0.4 * np.tanh(2.0 * x)
+    u = 1.0 + 0.3 * x
+    speed = max_speed(rho, u, GSH)
+    dt = 0.5 * 0.05 / speed
+    rho_new, _ = density_step_arrays(rho, u, 0.05, dt, GSH, speed)
+    assert np.all(rho_new != rho)
+    _assert_kernel_matches(rho, rho_new, u, dt, 0.05, GSH)
+
+
+def test_multilevel_kernel_keeps_still_cells_when_moving_ones_are_negative():
+    # one cell moves towards every level from a plateau below them all, so
+    # its residual is negative at each level; the still cells' +0.0 is the
+    # maximum, as in the reference
+    rho = np.full(12, 0.55)
+    rho_new = rho.copy()
+    rho_new[6] = 0.5501
+    levels = [0.6, 0.7, 0.8, 0.9, 1.0]
+    per_cell = [entropy_residual_arrays(rho, rho_new, np.ones(12), k, 0.01,
+                                        0.05, GSH)[6] for k in levels]
+    assert max(per_cell) < 0.0
+    got = _assert_kernel_matches(rho, rho_new, np.ones(12), 0.01, 0.05, GSH,
+                                 levels)
+    assert got.tobytes() == np.zeros(len(levels)).tobytes()
+
+
+def test_multilevel_kernel_reports_nan_in_a_moving_cell():
+    g = Grid(-2.0, 2.0, 32)
+    rho = np.where(g.centers() < 0.0, 0.2, 0.8)
+    u = np.ones(32)
+    rho_new, _, dt = _cfl_step(rho, u, g.h)
+    rho_new[16] = np.nan
+    got = _assert_kernel_matches(rho, rho_new, u, dt, g.h, GSH)
+    assert np.isnan(got).all()
 
 
 @settings(max_examples=15, deadline=None)
