@@ -30,8 +30,8 @@ from .iteration import check_run_span, solve_global
 from .model import make_model, validate_model
 from .oracle import lwr_riemann_exact
 from .scenarios import SCENARIO_NAMES, perturb_data, scenario
-from .verify import (audit_trajectory, convergence_study, measure_stability,
-                     uniqueness_check)
+from .verify import (audit_trajectory, check_ladder, convergence_study,
+                     measure_stability, uniqueness_check)
 
 
 def _add_run_source(p: argparse.ArgumentParser) -> None:
@@ -71,7 +71,8 @@ def _load_config(args) -> RunConfig:
 @contextmanager
 def _rejected_values():
     """A value that building the run's grid, slab settings, closure or
-    span rejects is a configuration error (exit 2), not a solver failure."""
+    span, or a command's argument checks, reject is a configuration error
+    (exit 2), not a solver failure."""
     try:
         yield
     except InputRangeError as exc:
@@ -189,8 +190,11 @@ def cmd_stability(args) -> int:
 
 def cmd_uniqueness(args) -> int:
     cfg = _load_config(args)
+    if args.seeds < 2:
+        raise ConfigError(f"seeds must be >= 2, got {args.seeds}")
     result = uniqueness_check(cfg.data(), cfg.grid(), cfg.t_final,
-                              cfg.model(), cfg.slab(), args.seeds)
+                              cfg.model(), cfg.slab(), args.seeds,
+                              cfg.n_output)
     out = _out_dir(args, cfg, "uniqueness")
     runio.write_json(os.path.join(out, "uniqueness.json"),
                      {**asdict(result), "passed": result.passed})
@@ -233,6 +237,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"bad --grids list {args.grids!r}") from exc
     with _rejected_values():
         grids = [Grid(cfg.x_min, cfg.x_max, n) for n in sizes]
+        check_ladder(grids)
     window = None
     if args.window:
         try:
@@ -241,7 +246,7 @@ def cmd_convergence(args) -> int:
             raise ConfigError(f"bad --window {args.window!r}") from exc
         window = (lo, hi)
     table = convergence_study(cfg.data(), cfg.t_final, grids, cfg.model(),
-                              exact, cfg.slab(), window)
+                              exact, cfg.slab(), window, cfg.n_output)
     out = _out_dir(args, cfg, "convergence")
     runio.write_json(os.path.join(out, "convergence.json"),
                      {**asdict(table), "window": window})
@@ -258,10 +263,10 @@ def cmd_convergence(args) -> int:
 def cmd_riemann(args) -> int:
     with _rejected_values():
         model = make_model(args.model, args.gamma)
-        grid = Grid(args.x_min, args.x_max, args.n_cells)
-    x = grid.centers()
-    rho = lwr_riemann_exact(args.rho_left, args.rho_right, args.u_bar,
-                            model, args.t, x)
+        x = Grid(args.x_min, args.x_max, args.n_cells).centers()
+        # it range-checks only its arguments, before evaluating anything
+        rho = lwr_riemann_exact(args.rho_left, args.rho_right, args.u_bar,
+                                model, args.t, x)
     path = os.path.join(_output_root(args), "riemann", "exact.csv")
     runio.write_table(path, (runio.format_column(x),
                              runio.format_column(rho)), ",",
@@ -273,7 +278,7 @@ def cmd_riemann(args) -> int:
 def cmd_validate_model(args) -> int:
     with _rejected_values():
         model = make_model(args.model, args.gamma)
-    report = validate_model(model, args.u_max, args.n_samples)
+        report = validate_model(model, args.u_max, args.n_samples)
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -365,9 +370,8 @@ def main(argv=None) -> int:
         if trace is not None:
             print(f"slab [{trace.t0:g}, {trace.t1:g}], "
                   f"tol {trace.tol_phi:.3e}", file=sys.stderr)
-            for rec in trace.records:
-                print(f"  iterate {rec.index}: phi {rec.phi_mixed:.6e}",
-                      file=sys.stderr)
+            for i, phi in enumerate(trace.phi, start=2):
+                print(f"  iterate {i}: phi {phi:.6e}", file=sys.stderr)
         return 1
     except GarzError as exc:
         print(f"error: {exc}", file=sys.stderr)

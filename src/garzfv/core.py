@@ -238,10 +238,10 @@ class SystemState:
         return float(self.grid.h * self.rho.values.sum())
 
 
-def ratio_or(q: np.ndarray, rho: np.ndarray, fallback=0.0) -> np.ndarray:
-    """q / rho where rho exceeds the vacuum floor, else the fallback value."""
+def ratio_or(q: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """q / rho where rho exceeds the vacuum floor, else 0."""
     supported = rho > RHO_FLOOR
-    out = np.full(q.shape, fallback, dtype=float)
+    out = np.zeros(q.shape)
     np.divide(q, rho, out=out, where=supported)
     return out
 
@@ -284,14 +284,14 @@ def build_initial_state(data: InitialData, grid: Grid) -> SystemState:
 
 
 def recommended_domain(data: InitialData, t_final: float,
-                       wave_bound: float, cushion: float = 1.0
-                       ) -> tuple[float, float]:
-    """Domain large enough that boundary cells stay at their far-field state."""
+                       wave_bound: float) -> tuple[float, float]:
+    """Domain large enough that boundary cells stay at their far-field
+    state: the data's support widened by the wave reach plus 1."""
     lo, hi = data.support()
     if data.psi_pieces:
         lo = min(lo, min(p.x_left for p in data.psi_pieces))
         hi = max(hi, max(p.x_right for p in data.psi_pieces))
-    reach = wave_bound * t_final + cushion
+    reach = wave_bound * t_final + 1.0
     return lo - reach, hi + reach
 
 

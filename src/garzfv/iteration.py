@@ -23,6 +23,10 @@ advisory: convergence is decided by Phi, and the global driver halves tau0
 and retries, up to five times, if a slab fails to converge.  The mass and
 total-variation series are computed once per slab, from the rows of the
 kept iterate.
+
+A converged slab is described by two records: its PicardTrace, the Phi
+value of each iterate after the first, and the SlabRecorder of the march
+it keeps, which carries the trace.  Trajectory.slabs holds those recorders.
 """
 
 from __future__ import annotations
@@ -167,10 +171,29 @@ class SlabIterate:
     influx: np.ndarray
 
 
-class SlabRecorder:
-    """Per-step diagnostics of one iterate's march (entropy, CFL, influx).
+@dataclass
+class PicardTrace:
+    """Phi of one slab's iterates: phi[i] is Phi of iterate i + 2, the
+    first iterate having none."""
 
-    With no entropy levels the recorder only tracks influx, steps and CFL.
+    t0: float
+    t1: float
+    tol_phi: float
+    phi: list
+    converged: bool = False
+    stop_reason: str = ""
+
+    @property
+    def iterations(self) -> int:
+        return len(self.phi) + 1
+
+
+class SlabRecorder:
+    """What one march measured: its steps, its largest CFL number and, per
+    entropy level, its largest entropy residual.
+
+    The kept march's recorder is the slab's record: picard_slab attaches
+    the slab's trace to it, and the slab's span is read from the trace.
     """
 
     def __init__(self, model: VelocityModel, h: float, k_levels):
@@ -178,13 +201,20 @@ class SlabRecorder:
         self.h = h
         self.k_levels = np.asarray(k_levels, dtype=float)
         self.entropy_max = np.full(len(self.k_levels), -math.inf)
-        self.influx = 0.0
         self.n_steps = 0
         self.max_cfl = 0.0
+        self.trace: PicardTrace | None = None
 
-    def on_step(self, rho_old, rho_new, u, dt, flux, speed):
+    @property
+    def t0(self) -> float:
+        return self.trace.t0
+
+    @property
+    def t1(self) -> float:
+        return self.trace.t1
+
+    def on_step(self, rho_old, rho_new, u, dt, speed):
         """Record one step; speed is max_speed(rho_old, u) as set dt."""
-        self.influx += dt * (flux[0] - flux[-1])
         self.n_steps += 1
         self.max_cfl = max(self.max_cfl, dt * speed / self.h)
         if len(self.k_levels) == 0:
@@ -241,6 +271,7 @@ def _march_slab(rho, v, w, times, u_of_t, model, h, cfl, u_inf,
     out = SlabIterate(times, *(np.empty(shape) for _ in range(4)),
                       influx=np.empty(len(times)))
     q = np.stack((v, w))
+    influx = 0.0
     t = float(times[0])
     time_tol = 1e-13 * max(1.0, abs(float(times[-1])))
     # times[0] is t, so row 0 stores the start state without a step
@@ -254,57 +285,37 @@ def _march_slab(rho, v, w, times, u_of_t, model, h, cfl, u_inf,
             rho_new, flux = density_step_arrays(rho, u_now, h, dt, model,
                                                 speed)
             q = marker_step_arrays(q, rho, flux, h, dt)
-            recorder.on_step(rho, rho_new, u_now, dt, flux, speed)
+            influx += dt * (flux[0] - flux[-1])
+            recorder.on_step(rho, rho_new, u_now, dt, speed)
             rho = rho_new
             t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt
         t = t_next
         out.rho[s] = rho
         out.v[s], out.w[s] = q
-        out.influx[s] = recorder.influx
+        out.influx[s] = influx
     np.cumsum(out.v, axis=1, out=out.u)
     out.u *= h
     out.u += u_inf
     return out
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    index: int
-    phi_mixed: float
-    ratio_mixed: float | None
-
-
-@dataclass
-class PicardTrace:
-    t0: float
-    t1: float
-    tol_phi: float
-    records: list
-    converged: bool
-    iterations: int
-    stop_reason: str
-
-    def phi_history(self) -> list:
-        return [r.phi_mixed for r in self.records]
-
-
 def picard_slab(state: SystemState, t0: float, t1: float,
-                model: VelocityModel, ctx: ProblemContext, cfg: SlabConfig,
-                extra_events=()):
+                ctx: ProblemContext, cfg: SlabConfig, extra_events=()):
     """Iterate one slab to convergence.
 
-    Returns (final SlabIterate, PicardTrace, SlabRecorder of the final
-    iterate).  Picard marches record no entropy residuals; once Phi reaches
-    tol_phi the converged iterate is marched once more, from the same start
-    state with the same marker field, with the entropy audit on.  That march
+    Returns (kept SlabIterate, PicardTrace, SlabRecorder of the kept
+    march); the recorder carries the trace and is the slab's record.
+    Picard marches record no entropy residuals; once Phi reaches tol_phi
+    the converged iterate is marched once more, from the same start state
+    with the same marker field, with the entropy audit on.  That march
     reproduces the iterate bit-for-bit.  Raises PicardDivergenceError
     carrying the trace when tol_phi is not reached within max_picard_iters
     iterates.
     """
     if not t1 > t0:
         raise InputRangeError(f"need t1 > t0, got [{t0}, {t1}]")
-    grid = state.grid
-    h = grid.h
+    model = ctx.model
+    h = state.grid.h
     time_tol = 1e-12 * max(1.0, abs(t1))
     base = np.linspace(t0, t1, cfg.snapshots_per_slab + 1)
     events = _merge_times(base, extra_events, time_tol)
@@ -318,58 +329,41 @@ def picard_slab(state: SystemState, t0: float, t1: float,
 
     prev = _frozen_iterate(rho0, v0, w0, u0, events)
     v_prev_prev = prev.v  # of iterate m-2 Phi needs only v
-    records = []
     tol = ctx.tol_phi
-    last_phi = None
-    trace = PicardTrace(t0=t0, t1=t1, tol_phi=tol, records=records,
-                        converged=False, iterations=1, stop_reason="")
+    trace = PicardTrace(t0=t0, t1=t1, tol_phi=tol, phi=[])
 
     def march(recorder):
         return _march_slab(rho0, v0, w0, events, _interp_u(prev), model, h,
                            cfg.cfl, state.u_inf, recorder)
 
-    for m in range(2, cfg.max_picard_iters + 1):
+    while trace.iterations < cfg.max_picard_iters:
         recorder = SlabRecorder(model, h, ())
         curr = march(recorder)
         # Phi at every stored time, then its sup over them
-        phi_mixed = float((h * abs(prev.rho - curr.rho).sum(axis=1)
-                           + h * abs(prev.v - v_prev_prev).sum(axis=1)
-                           ).max())
-        ratio = (phi_mixed / last_phi
-                 if last_phi is not None and last_phi > 0.0 else None)
-        records.append(IterationRecord(index=m, phi_mixed=phi_mixed,
-                                       ratio_mixed=ratio))
-        trace.iterations = m
-        if phi_mixed <= tol:
+        phi = float((h * abs(prev.rho - curr.rho).sum(axis=1)
+                     + h * abs(prev.v - v_prev_prev).sum(axis=1)).max())
+        trace.phi.append(phi)
+        if phi <= tol:
             trace.converged = True
-            trace.stop_reason = f"phi {phi_mixed:.3e} <= tol {tol:.3e}"
+            trace.stop_reason = f"phi {phi:.3e} <= tol {tol:.3e}"
             if len(k_levels):
                 curr = None  # the re-march rebuilds it; hold one copy only
                 recorder = SlabRecorder(model, h, k_levels)
                 curr = march(recorder)
+            recorder.trace = trace
             return curr, trace, recorder
         v_prev_prev = prev.v
         prev = curr
-        last_phi = phi_mixed
-    trace.stop_reason = (f"phi still {last_phi:.3e} after "
+    trace.stop_reason = (f"phi still {trace.phi[-1]:.3e} after "
                          f"{cfg.max_picard_iters} iterates (tol {tol:.3e})")
     raise PicardDivergenceError(
         f"slab [{t0:g}, {t1:g}] did not converge: {trace.stop_reason}", trace)
 
 
 @dataclass
-class SlabSummary:
-    t0: float
-    t1: float
-    trace: PicardTrace
-    entropy_max: dict
-    n_steps: int
-    max_cfl: float
-
-
-@dataclass
 class Trajectory:
-    """Solver output: states at the output times plus per-slab diagnostics."""
+    """Solver output: states at the output times plus per-slab records
+    (the kept march's SlabRecorder of each slab, carrying its trace)."""
 
     states: list
     output_times: np.ndarray
@@ -462,8 +456,8 @@ def solve_global(data: InitialData, grid: Grid, t_final: float,
         inner = output_times[(output_times > t + time_tol)
                              & (output_times <= t1 + time_tol)]
         try:
-            iterate, trace, recorder = picard_slab(
-                state, t, t1, model, ctx, cfg, extra_events=inner)
+            iterate, _, record = picard_slab(state, t, t1, ctx, cfg,
+                                             extra_events=inner)
         except PicardDivergenceError:
             halvings += 1
             if halvings > MAX_TAU_HALVINGS:
@@ -480,10 +474,7 @@ def solve_global(data: InitialData, grid: Grid, t_final: float,
                 float(ot), iterate.rho[s], iterate.v[s], iterate.w[s],
                 state.z_inf, state.u_inf, grid))
         cum_influx += iterate.influx[-1]
-        slabs.append(SlabSummary(t0=t, t1=t1, trace=trace,
-                                 entropy_max=recorder.entropy_table(),
-                                 n_steps=recorder.n_steps,
-                                 max_cfl=recorder.max_cfl))
+        slabs.append(record)
         state = state_from_arrays(t1, iterate.rho[-1], iterate.v[-1],
                                   iterate.w[-1], state.z_inf, state.u_inf,
                                   grid)

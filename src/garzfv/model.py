@@ -321,8 +321,10 @@ def validate_model(model: VelocityModel, u_max: float,
     """
     if n_samples < 2:
         raise InputRangeError("n_samples must be >= 2")
+    if not 0.0 <= u_max < np.inf:
+        raise InputRangeError(f"u_max must be finite and >= 0, got {u_max}")
     rho = np.linspace(0.0, 1.0, n_samples)[:, None]
-    u = np.linspace(0.0, max(float(u_max), 0.0), n_samples)[None, :]
+    u = np.linspace(0.0, float(u_max), n_samples)[None, :]
     rho_b, u_b = np.broadcast_arrays(rho, u)
 
     def sample(what, fun):
@@ -384,10 +386,11 @@ def validate_model(model: VelocityModel, u_max: float,
                                  tuple(checks))
 
 
-def require_valid_model(model: VelocityModel, u_max: float,
-                        n_samples: int = 101) -> ModelValidationReport:
-    """validate_model, raising ModelValidationError on failure."""
-    report = validate_model(model, u_max, n_samples)
+def require_valid_model(model: VelocityModel,
+                        u_max: float) -> ModelValidationReport:
+    """validate_model on the default lattice, raising ModelValidationError
+    on failure."""
+    report = validate_model(model, u_max)
     if not report.passed:
         raise ModelValidationError(
             "velocity closure failed validation:\n" + report.summary(), report)

@@ -76,10 +76,10 @@ def lwr_riemann_exact(rho_left: float, rho_right: float, u_bar: float,
     for name, val in (("rho_left", rho_left), ("rho_right", rho_right)):
         if not 0.0 <= val <= 1.0:
             raise InputRangeError(f"{name} must lie in [0, 1], got {val}")
-    if u_bar < 0.0:
-        raise InputRangeError(f"u_bar must be >= 0, got {u_bar}")
-    if t < 0.0:
-        raise InputRangeError(f"t must be >= 0, got {t}")
+    if not 0.0 <= u_bar < np.inf:
+        raise InputRangeError(f"u_bar must be finite and >= 0, got {u_bar}")
+    if not 0.0 <= t < np.inf:
+        raise InputRangeError(f"t must be finite and >= 0, got {t}")
     _check_concave_flux(model, u_bar)
     x = np.atleast_1d(np.asarray(x, dtype=float))
 

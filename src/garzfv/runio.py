@@ -84,7 +84,7 @@ def trajectory_manifest(traj: Trajectory, cfg: RunConfig | None = None,
             "max_cfl": s.max_cfl,
             "iterations": s.trace.iterations,
             "converged": s.trace.converged,
-            "phi_history": s.trace.phi_history(),
+            "phi_history": s.trace.phi,
             "stop_reason": s.trace.stop_reason,
         })
     manifest = {
@@ -165,11 +165,7 @@ def emit_plotdata(out_dir: str, traj: Trajectory) -> None:
                 (t, format_column(traj.tv_series)), " ")
     write_table(os.path.join(plot, "mass.dat"),
                 (t, format_column(traj.mass_series)), " ")
-    phi_t = []
-    phi_v = []
-    for s in traj.slabs:
-        for rec in s.trace.records:
-            phi_t.append(s.t1)
-            phi_v.append(rec.phi_mixed)
+    phi_t = [s.t1 for s in traj.slabs for _ in s.trace.phi]
+    phi_v = [phi for s in traj.slabs for phi in s.trace.phi]
     write_table(os.path.join(plot, "phi.dat"),
                 (format_column(phi_t), format_column(phi_v)), " ")

@@ -184,7 +184,7 @@ def _tv_checks(traj: Trajectory, ctx: ProblemContext) -> list:
 def _entropy_check(traj: Trajectory, ctx: ProblemContext):
     table = {}
     for slab in traj.slabs:
-        for k, r in slab.entropy_max.items():
+        for k, r in slab.entropy_table().items():
             # np.maximum keeps a NaN residual, which Python's max would drop
             table[k] = float(np.maximum(r, table.get(k, -math.inf)))
     tol = ENTROPY_TOL_FACTOR * ctx.grid.h
@@ -210,22 +210,21 @@ def _phi_check(traj: Trajectory, ctx: ProblemContext):
         tr = slab.trace
         all_converged = all_converged and tr.converged
         iters.append(tr.iterations)
-        if tr.records:
-            worst = max(worst, tr.records[-1].phi_mixed - ctx.tol_phi)
+        # a kept slab's trace holds at least one Phi
+        worst = max(worst, tr.phi[-1] - ctx.tol_phi)
     return CheckResult(
         "picard_converged", all_converged and worst <= 0.0,
         max(worst, 0.0), ctx.tol_phi,
         f"iterations per slab: {iters}")
 
 
-def audit_trajectory(traj: Trajectory,
-                     ctx: ProblemContext | None = None) -> RunReport:
+def audit_trajectory(traj: Trajectory) -> RunReport:
     """Evaluate the full invariant battery on a finished trajectory.
 
     Failures become report entries, never exceptions; the report is a pure
     function of the trajectory.
     """
-    ctx = ctx if ctx is not None else traj.context
+    ctx = traj.context
     checks = []
     checks.extend(_bounds_checks(traj, ctx))
     checks.extend(_prefix_checks(traj))
@@ -373,6 +372,17 @@ class ConvergenceTable:
         return all(e[i + 1] <= e[i] for i in range(len(e) - 1))
 
 
+def check_ladder(grids: list) -> None:
+    """At least 3 grids, each halving h of the one before."""
+    if len(grids) < 3:
+        raise InputRangeError("need a ladder of at least 3 grids")
+    for g_coarse, g_fine in zip(grids, grids[1:]):
+        ratio = g_coarse.h / g_fine.h
+        if abs(ratio - 2.0) > 1e-9:
+            raise InputRangeError(
+                f"ladder must halve h between rungs, got ratio {ratio:g}")
+
+
 def convergence_study(data_of_grid, t_final: float, grids,
                       model: VelocityModel, exact,
                       cfg: SlabConfig | None = None,
@@ -386,13 +396,7 @@ def convergence_study(data_of_grid, t_final: float, grids,
     integral.  Orders are log2(e_coarse / e_fine) between consecutive rungs.
     """
     grids = list(grids)
-    if len(grids) < 3:
-        raise InputRangeError("need a ladder of at least 3 grids")
-    for g_coarse, g_fine in zip(grids, grids[1:]):
-        ratio = g_coarse.h / g_fine.h
-        if abs(ratio - 2.0) > 1e-9:
-            raise InputRangeError(
-                f"ladder must halve h between rungs, got ratio {ratio:g}")
+    check_ladder(grids)
     cfg = replace(cfg or SlabConfig(), entropy_levels=0)
 
     rows = []

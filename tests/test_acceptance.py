@@ -150,9 +150,10 @@ def test_6_picard_iteration_contracts(solved):
     _, traj = solved("smoke")
     ok = all(s.trace.converged and s.trace.iterations <= 25
              for s in traj.slabs)
-    ratios = [r.ratio_mixed
-              for s in traj.slabs for r in s.trace.records[2:]
-              if r.ratio_mixed is not None]
+    # Phi ratios from the fourth iterate on, where the previous Phi is > 0
+    ratios = [phi[i] / phi[i - 1]
+              for phi in (s.trace.phi for s in traj.slabs)
+              for i in range(2, len(phi)) if phi[i - 1] > 0.0]
     ok = ok and len(ratios) >= 1 and max(ratios) <= 0.9
     iters = [s.trace.iterations for s in traj.slabs]
     _line(6, "iteration contraction", ok,

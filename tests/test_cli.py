@@ -1,4 +1,5 @@
 """Batch front-end: exit codes, file layout, determinism."""
+import inspect
 import json
 import os
 import subprocess
@@ -141,6 +142,72 @@ def test_rejected_grid_ladder_exits_2(tmp_path, capsys):
     assert run(tmp_path, "convergence", "--scenario", "shock",
                "--grids", "64,1") == 2
     assert "n_cells must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["riemann", "--rho-left", "1.5", "--rho-right", "0.2", "--u", "1",
+      "--t", "0.5"], "rho_left must lie in [0, 1], got 1.5"),
+    (["riemann", "--rho-left", "0.5", "--rho-right", "0.2", "--u", "-1",
+      "--t", "0.5"], "u_bar must be finite and >= 0, got -1.0"),
+    (["riemann", "--rho-left", "0.5", "--rho-right", "0.2", "--u", "inf",
+      "--t", "0.5"], "u_bar must be finite and >= 0, got inf"),
+    (["riemann", "--rho-left", "0.5", "--rho-right", "0.2", "--u", "1",
+      "--t", "-1"], "t must be finite and >= 0, got -1.0"),
+    (["riemann", "--rho-left", "0.5", "--rho-right", "0.2", "--u", "1",
+      "--t", "nan"], "t must be finite and >= 0, got nan"),
+    (["uniqueness", "--scenario", "constant", "--seeds", "1"],
+     "seeds must be >= 2, got 1"),
+    (["convergence", "--scenario", "shock", "--grids", "64,128"],
+     "need a ladder of at least 3 grids"),
+    (["convergence", "--scenario", "shock", "--grids", "64,100,200"],
+     "ladder must halve h between rungs"),
+])
+def test_rejected_argument_values_exit_2(tmp_path, capsys, argv, message):
+    # argument values the computation would reject fail before it runs
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n-samples", "1"], "n_samples must be >= 2"),
+    (["--u-max", "-1"], "u_max must be finite and >= 0, got -1.0"),
+    (["--u-max", "nan"], "u_max must be finite and >= 0, got nan"),
+    (["--u-max", "inf"], "u_max must be finite and >= 0, got inf"),
+])
+def test_validate_model_rejects_its_arguments(capsys, argv, message):
+    assert main(["validate-model"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("command, study, result", [
+    ("uniqueness", "uniqueness_check",
+     verify.UniquenessResult(gap=0.0, tol=1.0, settings=[])),
+    ("convergence", "convergence_study", verify.ConvergenceTable(rows=[])),
+])
+def test_n_output_reaches_the_study(tmp_path, monkeypatch, command, study,
+                                    result):
+    # the flag, else [output] n_output, sets the study's output intervals
+    real = getattr(verify, study)
+    seen = []
+
+    def capture(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        seen.append(bound.arguments["n_output"])
+        return result
+
+    monkeypatch.setattr(cli, study, capture)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ladder.ini").write_text(LADDER_INI
+                                         + "[output]\nn_output = 5\n")
+    argv = [command, "--config", "ladder.ini"]
+    assert run(tmp_path, *argv) == 0
+    assert run(tmp_path, *argv, "--n-output", "7") == 0
+    assert seen == [5, 7]
 
 
 def test_dump_config_keeps_literal_values(tmp_path, capsys):

@@ -177,9 +177,10 @@ def test_state_from_arrays_reconstructs_prefixes():
 def test_ratio_or_floors_vacuum():
     q = np.array([0.2, 0.0, 1e-20])
     rho = np.array([0.4, 0.0, 1e-15])
-    out = ratio_or(q, rho, fallback=7.0)
+    out = ratio_or(q, rho)
     assert out[0] == pytest.approx(0.5)
-    assert out[1] == 7.0 and out[2] == 7.0
+    assert out[1] == 0.0 and out[2] == 0.0
+    assert not np.signbit(out[1:]).any()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 """Slab-chained fixed-point construction: constants, traces, global solves."""
+import importlib
 import math
 import re
 
@@ -15,6 +16,7 @@ from garzfv import (
     PicardDivergenceError,
     Piece,
     SlabConfig,
+    VelocityModel,
     build_initial_state,
     compute_M0,
     compute_tau0,
@@ -154,7 +156,7 @@ def test_unaudited_solve_marches_once_per_picard_iterate(monkeypatch):
         assert len(slab_marches) == trace.iterations - 1
         assert slab_marches[-1][1] is iterate
         assert recorder.entropy_table() == {}
-    assert all(s.entropy_max == {} for s in traj.slabs)
+    assert all(s.entropy_table() == {} for s in traj.slabs)
 
 
 def test_constant_datum_converges_in_two_iterations():
@@ -163,7 +165,7 @@ def test_constant_datum_converges_in_two_iterations():
                        u_inf=1.0)
     cfg = SlabConfig()
     ctx, st0 = make_context(data, g, 1.0, GSH, cfg)
-    iterate, trace, recorder = picard_slab(st0, 0.0, ctx.tau0, GSH, ctx, cfg)
+    iterate, trace, recorder = picard_slab(st0, 0.0, ctx.tau0, ctx, cfg)
     assert trace.converged and trace.iterations == 2
     for rho in iterate.rho:
         assert np.abs(rho - 0.45).max() < 1e-13
@@ -174,10 +176,9 @@ def test_constant_u_slab_converges_second_iteration():
     sc = scenario("shock")
     cfg = SlabConfig()
     ctx, st0 = make_context(sc.data, sc.grid, sc.t_final, sc.model(), cfg)
-    iterate, trace, recorder = picard_slab(st0, 0.0, ctx.tau0, sc.model(),
-                                           ctx, cfg)
+    iterate, trace, recorder = picard_slab(st0, 0.0, ctx.tau0, ctx, cfg)
     assert trace.converged and trace.iterations == 2
-    assert trace.records[-1].phi_mixed <= ctx.tol_phi
+    assert trace.phi[-1] <= ctx.tol_phi
 
 
 def test_single_slab_when_horizon_is_short():
@@ -231,14 +232,13 @@ def test_series_agree_with_the_stored_states(solved, name, entropy_audit):
 
 def test_smoke_contraction_trace():
     sc, grid, cfg, ctx, st0 = _smoke_context(n=128)
-    iterate, trace, recorder = picard_slab(st0, 0.0, ctx.tau0, sc.model(),
-                                           ctx, cfg)
+    iterate, trace, recorder = picard_slab(st0, 0.0, ctx.tau0, ctx, cfg)
     assert trace.converged
-    phis = trace.phi_history()
+    phis = trace.phi
     assert all(b < a for a, b in zip(phis, phis[1:]))
-    for rec in trace.records[2:]:
-        if rec.ratio_mixed is not None:
-            assert rec.ratio_mixed <= 0.9
+    for i in range(2, len(phis)):
+        if phis[i - 1] > 0.0:
+            assert phis[i] / phis[i - 1] <= 0.9
 
 
 def test_divergence_error_carries_trace():
@@ -246,10 +246,96 @@ def test_divergence_error_carries_trace():
     tight = SlabConfig(tol_phi=1e-30, max_picard_iters=2)
     ctx2, st0b = make_context(sc.data, grid, sc.t_final, sc.model(), tight)
     with pytest.raises(PicardDivergenceError) as err:
-        picard_slab(st0b, 0.0, ctx2.tau0, sc.model(), ctx2, tight)
+        picard_slab(st0b, 0.0, ctx2.tau0, ctx2, tight)
     trace = err.value.trace
     assert trace is not None and trace.iterations == 2
     assert not trace.converged
+
+
+# The slab-record contract: what runio, verify and the span tracer in
+# perfbench/spans.py read from picard_slab's result and Trajectory.slabs.
+
+@pytest.mark.parametrize("levels", [11, 0])
+def test_picard_slab_returns_the_kept_march_record(monkeypatch, levels):
+    sc, grid, _, ctx, st0 = _smoke_context(n=384)
+    cfg = SlabConfig(entropy_levels=levels)
+    marches = []  # per march: (its recorder, its density steps)
+    real_march = iteration._march_slab
+    real_step = iteration.density_step_arrays
+
+    def step(*args):
+        marches[-1][1] += 1
+        return real_step(*args)
+
+    def march(*args):
+        marches.append([args[-1], 0])
+        return real_march(*args)
+
+    monkeypatch.setattr(iteration, "density_step_arrays", step)
+    monkeypatch.setattr(iteration, "_march_slab", march)
+    iterate, trace, record = picard_slab(st0, 0.0, ctx.tau0, ctx, cfg)
+    assert trace.converged
+    assert trace.iterations == len(trace.phi) + 1 >= 3
+    assert len(marches) == trace.iterations - 1 + (levels > 0)
+    kept, kept_steps = marches[-1]
+    assert record is kept and record.trace is trace
+    assert record.n_steps == kept_steps > 0
+    assert (record.t0, record.t1) == (0.0, ctx.tau0)
+    assert record.k_levels.tolist() == np.linspace(0.0, 1.0,
+                                                   levels).tolist()
+    assert len(record.entropy_table()) == levels
+
+
+def test_divergence_trace_counts_its_iterates():
+    sc, grid, *_ = _smoke_context(n=96)
+    tight = SlabConfig(tol_phi=1e-30, max_picard_iters=4)
+    ctx, st0 = make_context(sc.data, grid, sc.t_final, sc.model(), tight)
+    with pytest.raises(PicardDivergenceError) as err:
+        picard_slab(st0, 0.0, ctx.tau0, ctx, tight)
+    trace = err.value.trace
+    assert len(trace.phi) == 3 and trace.iterations == 4
+    assert trace.stop_reason.startswith(f"phi still {trace.phi[-1]:.3e}")
+
+
+@pytest.mark.parametrize("levels", [11, 0])
+def test_trajectory_slabs_are_the_slab_records(levels):
+    sc = scenario("smoke")
+    grid = Grid(sc.grid.x_min, sc.grid.x_max, 96)
+    cfg = SlabConfig(entropy_levels=levels)
+    traj = solve_global(sc.data, grid, sc.t_final, sc.model(), cfg)
+    assert len(traj.slabs) >= 2
+    assert traj.slabs[0].t0 == 0.0 and traj.slabs[-1].t1 == sc.t_final
+    for a, b in zip(traj.slabs, traj.slabs[1:]):
+        assert a.t1 == b.t0
+    for s in traj.slabs:
+        assert (s.t0, s.t1) == (s.trace.t0, s.trace.t1)
+        assert s.trace.converged
+        assert s.trace.iterations == len(s.trace.phi) + 1
+        assert s.n_steps > 0 and 0.0 < s.max_cfl <= cfg.cfl
+        table = s.entropy_table()
+        assert list(table) == np.linspace(0.0, 1.0, levels).tolist()
+        assert all(isinstance(r, float) for r in table.values())
+
+
+# (module, names) perfbench/spans.py rebinds to trace the solver's layers
+TRACED_BINDINGS = {
+    "iteration": ("density_step_arrays", "marker_step_arrays", "max_speed",
+                  "entropy_residual_arrays", "picard_slab", "make_context",
+                  "solve_global"),
+    "scalar": ("max_speed", "godunov_flux"),
+    "verify": ("solve_global", "audit_trajectory", "uniqueness_check",
+               "measure_stability"),
+    "cli": ("solve_global", "audit_trajectory", "parse_config", "main"),
+    "runio": ("write_trajectory", "write_report", "emit_plotdata"),
+}
+
+
+def test_the_bindings_the_span_tracer_rebinds_exist():
+    for module, names in TRACED_BINDINGS.items():
+        owner = importlib.import_module(f"garzfv.{module}")
+        for name in names:
+            assert callable(getattr(owner, name)), (module, name)
+    assert callable(VelocityModel.__dict__["flux"])
 
 
 def test_global_solve_halves_slab_on_divergence():
@@ -330,7 +416,7 @@ def test_entropy_tables_match_the_per_level_reference(monkeypatch, name):
 
     def tables():
         traj = solve_global(sc.data, grid, sc.t_final, sc.model())
-        return [np.array(list(slab.entropy_max.items())).tobytes()
+        return [np.array(list(slab.entropy_table().items())).tobytes()
                 for slab in traj.slabs]
 
     shipped = tables()

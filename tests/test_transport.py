@@ -82,12 +82,12 @@ def test_extract_ratio_examples():
     g = Grid(0.0, 1.0, 30)
     x = g.centers()
     rho = np.where(x < 0.5, 0.5, 0.0)
-    ratio = ratio_or(0.3 * rho, rho, fallback=9.0)
+    ratio = ratio_or(0.3 * rho, rho)
     assert np.abs(ratio[x < 0.5] - 0.3).max() < 1e-15
-    assert np.all(ratio[x >= 0.5] == 9.0)
+    assert np.all(ratio[x >= 0.5] == 0.0)
 
-    vac = ratio_or(np.zeros(30), np.zeros(30), fallback=-1.0)
-    assert np.all(vac == -1.0)
+    vac = ratio_or(np.ones(30), np.zeros(30))
+    assert np.all(vac == 0.0)
 
 
 @settings(max_examples=50, deadline=None)

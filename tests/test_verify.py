@@ -181,7 +181,8 @@ def test_smoke_plateau_just_above_an_entropy_level_passes_audit():
     traj = solve_global(data, grid, sc.t_final, sc.model())
     report = audit_trajectory(traj)
     assert report.passed, [c.name for c in report.failures()]
-    level_06 = max(v for s in traj.slabs for k, v in s.entropy_max.items()
+    level_06 = max(v for s in traj.slabs
+                   for k, v in s.entropy_table().items()
                    if abs(k - 0.6) < 1e-9)
     assert level_06 <= 0.1 * 10.0 * grid.h
 
