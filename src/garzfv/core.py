@@ -128,17 +128,6 @@ def _check_pieces(pieces) -> tuple[Piece, ...]:
     return pieces
 
 
-def piecewise_eval(pieces, x: np.ndarray) -> np.ndarray:
-    """Pointwise value of the profile (0 outside all pieces)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for p in pieces:
-        inside = (x >= p.x_left) & (x <= p.x_right)
-        frac = (x - p.x_left) / (p.x_right - p.x_left)
-        out = np.where(inside, p.v_left + (p.v_right - p.v_left) * frac, out)
-    return out
-
-
 def cell_averages(pieces, grid: Grid) -> np.ndarray:
     """Cell averages of the piecewise-linear profile.
 

@@ -12,6 +12,14 @@ the slab's start profile frozen in time.  Every later iterate m:
 An iterate is stored as (m, n) arrays, row s holding the state at the
 slab's s-th stored time, so Phi below is one expression over whole iterates.
 
+A march steps only a window of cells.  A cell whose three-cell stencil is
+constant in rho, u, v and w cannot change in a step (the transport has
+finite speed), so each step runs the step kernels on the one range of cells
+that holds every bitwise jump of those arrays; outside it the full-width
+step would return each cell's own bits, the influx and the CFL speed are
+the same, and so are the entropy residual maxima of an audited march.
+``_march_slab`` states the proof and how the window is kept.
+
 Convergence is declared when the contraction functional
 
     Phi_{m-1} = sup over stored times of
@@ -213,14 +221,26 @@ class SlabRecorder:
     def t1(self) -> float:
         return self.trace.t1
 
-    def on_step(self, rho_old, rho_new, u, dt, speed):
-        """Record one step; speed is max_speed(rho_old, u) as set dt."""
+    def on_step(self, rho_old, rho_new, u, dt, speed, outside: bool):
+        """Record one step on the cells the march stepped; speed is
+        max_speed(rho_old, u) as set dt, and outside says whether the
+        march has cells beyond these, which the step left in place.
+
+        Such a cell's residual is +0.0 (see entropy_residual_maxima), so
+        the full row's maximum is this window's maximum raised to +0.0.
+        No residual is -0.0: |d_new| - |d_old| is never -0.0, dividing a
+        nonzero by dt <= 1 cannot round to zero (solve_global's slabs are
+        at most 1/4 long), and x + y is -0.0 only when both are.  So the
+        maximum is one number whatever the order, and NaN propagates.
+        """
         self.n_steps += 1
         self.max_cfl = max(self.max_cfl, dt * speed / self.h)
         if len(self.k_levels) == 0:
             return
         maxima = entropy_residual_maxima(rho_old, rho_new, u, self.k_levels,
                                          dt, self.h, self.model)
+        if outside:
+            np.maximum(maxima, 0.0, out=maxima)
         # np.maximum keeps a NaN residual, which Python's max would drop
         np.maximum(maxima, self.entropy_max, out=self.entropy_max)
 
@@ -249,47 +269,90 @@ def _frozen_iterate(rho, v, w, u, times) -> SlabIterate:
                        influx=np.zeros(len(times)))
 
 
-def _interp_u(iterate: SlabIterate):
-    """u of the iterate, linear in t between stored times; the march asks
-    only for t in [times[0], times[-1]), and the times strictly increase."""
-    times, u = iterate.times, iterate.u
+def _row_spans(rows: np.ndarray):
+    """Per row of a (k, n) array, the cell range [lo, hi) holding every
+    cell that differs from a neighbour, compared as int64 bits; outside it
+    the row is constant on each side and equal to the range's end cell.
+    A constant row gets the empty range (n, 0)."""
+    n = rows.shape[1]
+    bits = rows.view(np.int64)
+    jump = bits[:, 1:] != bits[:, :-1]
+    has = jump.any(axis=1)
+    lo = np.where(has, jump.argmax(axis=1), n)
+    hi = np.where(has, n - jump[:, ::-1].argmax(axis=1), 0)
+    return lo.tolist(), hi.tolist()
 
-    def u_at(t: float) -> np.ndarray:
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        lam = (t - times[j]) / (times[j + 1] - times[j])
-        if lam == 0.0:
-            return u[j]
-        return (1.0 - lam) * u[j] + lam * u[j + 1]
 
-    return u_at
-
-
-def _march_slab(rho, v, w, times, u_of_t, model, h, cfl, u_inf,
+def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf,
                 recorder: SlabRecorder) -> SlabIterate:
-    """March (rho, v, w) through all stored times with a frozen marker field."""
-    shape = (len(times), len(rho))
+    """March (rho, v, w) through all stored times with the marker field
+    frozen at u_rows, the previous iterate's u, linear in t between rows.
+
+    Each step runs the kernels on one window [a, b) of cells and writes it
+    back.  The window holds every cell whose rho, v, w or u_now differs,
+    as int64 bits, from a neighbour; outside it each array is constant on
+    each side and equal, bit for bit, to the window's end cell.  So:
+
+    - the window's copy ghosts equal its real neighbours, and its fluxes
+      equal the full march's at the same interfaces, its two end fluxes
+      the domain's end fluxes (influx is unchanged);
+    - an outside cell has equal fluxes on both faces, F - F = +0.0, and
+      keeps rho and the markers (x - (dt/h) 0.0 is x, -0.0 included);
+    - the range check and ``state_speed`` (a pointwise closure) see every
+      distinct value of the full arrays, so dt, each raised error and its
+      message's extremes are unchanged (a message whose extreme is a zero
+      carried by both +0.0 and -0.0 cells may print either sign).
+
+    This needs finite fluxes and donor ratios, which the range check and a
+    marker dominated by the density (|q| <= M rho) give.
+
+    The window is kept without a full-width scan per step.  After a step
+    on [a, b) the jumps of (rho, v, w) lie in [a-1, b+1); one exact scan
+    of the window at each stored time re-tightens it.  u_now is
+    interpolated between rows j and j+1 of u_rows, so its jumps lie in the
+    union of their spans, taken for all rows once per march.
+    """
+    n = len(rho)
+    shape = (len(times), n)
     out = SlabIterate(times, *(np.empty(shape) for _ in range(4)),
                       influx=np.empty(len(times)))
-    q = np.stack((v, w))
+    state = np.stack((rho, v, w))  # rows rho, v, w; stepped in place
+    rho, q = state[0], state[1:]
+    u_lo, u_hi = _row_spans(u_rows)
     influx = 0.0
-    t = float(times[0])
-    time_tol = 1e-13 * max(1.0, abs(float(times[-1])))
-    # times[0] is t, so row 0 stores the start state without a step
-    for s, t_next in enumerate(times.tolist()):
+    tlist = times.tolist()
+    t = tlist[0]
+    time_tol = 1e-13 * max(1.0, abs(tlist[-1]))
+    # times[0] is t, so row 0 stores the start state without a step, and
+    # the scan after it sets the window [lo, hi) of (rho, v, w)
+    for s, t_next in enumerate(tlist):
         while t_next - t > time_tol:
-            u_now = u_of_t(t)
-            speed = max_speed(rho, u_now, model)
+            # t lies in [times[s-1], times[s])
+            a = min(lo, u_lo[s - 1], u_lo[s])
+            b = max(hi, u_hi[s - 1], u_hi[s])
+            if a >= b:
+                a, b = 0, 1
+            lam = (t - tlist[s - 1]) / (t_next - tlist[s - 1])
+            u_now = u_rows[s - 1, a:b]
+            if lam != 0.0:
+                u_now = (1.0 - lam) * u_now + lam * u_rows[s, a:b]
+            rho_old = rho[a:b]
+            speed = max_speed(rho_old, u_now, model)
             dt_stable = cfl * h / speed
             remaining = t_next - t
             dt = min(dt_stable, remaining)
-            rho_new, flux = density_step_arrays(rho, u_now, h, dt, model,
+            rho_new, flux = density_step_arrays(rho_old, u_now, h, dt, model,
                                                 speed)
-            q = marker_step_arrays(q, rho, flux, h, dt)
+            q[:, a:b] = marker_step_arrays(q[:, a:b], rho_old, flux, h, dt)
             influx += dt * (flux[0] - flux[-1])
-            recorder.on_step(rho, rho_new, u_now, dt, speed)
-            rho = rho_new
+            recorder.on_step(rho_old, rho_new, u_now, dt, speed, b - a < n)
+            rho[a:b] = rho_new
+            lo, hi = max(a - 1, 0), min(b + 1, n)
             t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt
         t = t_next
+        # (rho, v, w) are constant outside [lo, hi)
+        span_lo, span_hi = _row_spans(state)
+        lo, hi = min(span_lo), max(span_hi)
         out.rho[s] = rho
         out.v[s], out.w[s] = q
         out.influx[s] = influx
@@ -333,8 +396,8 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     trace = PicardTrace(t0=t0, t1=t1, tol_phi=tol, phi=[])
 
     def march(recorder):
-        return _march_slab(rho0, v0, w0, events, _interp_u(prev), model, h,
-                           cfg.cfl, state.u_inf, recorder)
+        return _march_slab(rho0, v0, w0, events, prev.u, model, h, cfg.cfl,
+                           state.u_inf, recorder)
 
     while trace.iterations < cfg.max_picard_iters:
         recorder = SlabRecorder(model, h, ())

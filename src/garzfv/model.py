@@ -37,6 +37,10 @@ FD_STEP_SECOND = 1e-4  # second differences (1e-6 sits on the cancellation floor
 CRIT_BISECTIONS = 40   # halvings of [0, 1] for the critical density (~1e-12)
 RANGE_TOL = 1e-9
 VALIDATION_TOL = 1e-12
+# one-sided differences of V at a box edge with these steps differ by about
+# FD_STEP |V''| / 2 for a C^2 closure; more growth is an unbounded slope
+EDGE_STEPS = (FD_STEP, FD_STEP / 100.0)
+SLOPE_GROWTH_TOL = 1e-3
 
 
 def _require_box(rho, u):
@@ -69,6 +73,7 @@ class ConditionCheck:
     passed: bool
     worst_violation: float
     where: tuple[float, float]
+    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,8 @@ class ModelValidationReport:
             tag = "ok  " if c.passed else "FAIL"
             lines.append(f"  [{tag}] {c.name:22s} worst={c.worst_violation:.3e} "
                          f"at (rho={c.where[0]:.4f}, u={c.where[1]:.4f})")
+            if c.detail:
+                lines.append(f"         {c.detail}")
         return "\n".join(lines)
 
 
@@ -310,7 +317,11 @@ def validate_model(model: VelocityModel, u_max: float,
     """Check the closure conditions on a lattice of [0,1] x [0, u_max].
 
     Six checks: one per structural condition, twice-differentiable (proxied
-    by finiteness of V and all four sampled derivatives), V >= 0,
+    by finiteness of V and all four sampled derivatives, and by one-sided
+    differences of V at the edges rho = 0, rho = 1 and u = 0 that settle as
+    the step shrinks from 1e-6 to 1e-8: the clamped finite difference is
+    finite for any continuous V, so only its growth shows an unbounded
+    slope such as that of u sqrt(1 - rho) at rho = 1), V >= 0,
     dV/drho <= 0, dV/du >= 0 and V(1, u) = 0, plus a unimodal flux
     f = rho V in rho, which the Godunov flux relies on: once df/drho falls
     below -1e-12 it may not rise above 1e-12 at a larger lattice density.
@@ -327,10 +338,10 @@ def validate_model(model: VelocityModel, u_max: float,
     u = np.linspace(0.0, float(u_max), n_samples)[None, :]
     rho_b, u_b = np.broadcast_arrays(rho, u)
 
-    def sample(what, fun):
+    def sample(what, fun, at=(rho, u)):
         try:
-            return np.broadcast_to(np.asarray(fun(rho, u), dtype=float),
-                                   rho_b.shape)
+            return np.broadcast_to(np.asarray(fun(*at), dtype=float),
+                                   np.broadcast(*at).shape)
         except Exception as exc:  # user code may raise anything
             raise ModelValidationError(
                 f"velocity closure '{model.name}': {what} failed on the "
@@ -354,8 +365,11 @@ def validate_model(model: VelocityModel, u_max: float,
     finite = np.isfinite(v) & np.isfinite(dr) & np.isfinite(du) \
         & np.isfinite(dur) & np.isfinite(duu)
     worst, where = located_max(np.where(finite, 0.0, np.inf))
-    checks.append(ConditionCheck("smooth_c2", bool(np.all(finite)),
-                                 worst, where))
+    detail = ""
+    if worst == 0.0:
+        worst, where, detail = _edge_slope_growth(sample, model, rho, u)
+    checks.append(ConditionCheck("smooth_c2", worst <= VALIDATION_TOL,
+                                 worst, where, detail))
 
     worst, where = located_max(np.maximum(-v, 0.0))
     checks.append(ConditionCheck("v_nonnegative", worst <= VALIDATION_TOL,
@@ -384,6 +398,35 @@ def validate_model(model: VelocityModel, u_max: float,
 
     return ModelValidationReport(model.name, float(u_max), n_samples,
                                  tuple(checks))
+
+
+def _edge_slope_growth(sample, model, rho, u):
+    """(violation, where, detail): how far the magnitude of a one-sided
+    difference of V at the edge rho = 0, rho = 1 or u = 0 grows from step
+    EDGE_STEPS[0] to EDGE_STEPS[1], relative to 1 + its first value,
+    beyond SLOPE_GROWTH_TOL, at its worst; detail names the edge."""
+    worst, where, detail = 0.0, (0.0, 0.0), ""
+    for var, edge, sign in (("rho", 0.0, 1.0), ("rho", 1.0, -1.0),
+                            ("u", 0.0, 1.0)):
+        along = u if var == "rho" else rho
+
+        def v_at(x):
+            at = (x, u) if var == "rho" else (rho, x)
+            return sample("velocity", model.velocity, at).ravel()
+
+        d1, d2 = ((v_at(edge + sign * s) - v_at(edge))
+                  / ((edge + sign * s) - edge) for s in EDGE_STEPS)
+        growth = (np.abs(d2) - np.abs(d1)) / (1.0 + np.abs(d1))
+        i = int(np.argmax(growth))
+        if growth[i] - SLOPE_GROWTH_TOL > worst:
+            worst = float(growth[i]) - SLOPE_GROWTH_TOL
+            x = float(along.ravel()[i])
+            where = (edge, x) if var == "rho" else (x, edge)
+            detail = (f"one-sided dV/d{var} at {var} = {edge:g} grows from "
+                      f"{d1[i]:.3e} to {d2[i]:.3e} as the step shrinks from "
+                      f"{EDGE_STEPS[0]:g} to {EDGE_STEPS[1]:g}: V is not "
+                      "C^2 on the box")
+    return worst, where, detail
 
 
 def require_valid_model(model: VelocityModel,

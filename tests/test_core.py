@@ -20,7 +20,19 @@ from garzfv import (
     l1_norm,
     total_variation,
 )
-from garzfv.core import piecewise_eval, ratio_or, state_from_arrays
+from garzfv.core import ratio_or, state_from_arrays
+
+
+def piecewise_eval(pieces, x: np.ndarray) -> np.ndarray:
+    """Pointwise value of the profile (0 outside all pieces): the reference
+    for cell_averages."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for p in pieces:
+        inside = (x >= p.x_left) & (x <= p.x_right)
+        frac = (x - p.x_left) / (p.x_right - p.x_left)
+        out = np.where(inside, p.v_left + (p.v_right - p.v_left) * frac, out)
+    return out
 
 
 def field(values, grid):

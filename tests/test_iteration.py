@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from garzfv import (
     CustomVelocityModel,
@@ -15,6 +17,7 @@ from garzfv import (
     InvalidDataError,
     PicardDivergenceError,
     Piece,
+    PowerLawModel,
     SlabConfig,
     VelocityModel,
     build_initial_state,
@@ -28,8 +31,9 @@ from garzfv import (
     solve_global,
     total_variation,
 )
-from garzfv import iteration
+from garzfv import cli, iteration
 from garzfv.core import CellField
+from garzfv.scenarios import SCENARIO_NAMES
 from garzfv.scalar import entropy_residual_arrays
 
 GSH = GreenshieldsModel()
@@ -395,16 +399,16 @@ def test_context_constants_on_smoke():
 
 
 def test_margin_error_names_the_wave_bound():
-    # the one-sided slope of sqrt(1 - rho) at rho = 1 makes the wave bound
-    # 1000 u, which widens the margin window to the whole domain
+    # V = u (1 - rho^100) has lambda1 = -100 u at rho = 1, so the wave
+    # bound is 100 u, which widens the margin window to the whole domain
     sc = scenario("smoke")
     grid = Grid(-6.0, 6.0, 96)
-    model = CustomVelocityModel(lambda rho, u: u * np.sqrt(1.0 - rho))
+    model = CustomVelocityModel(lambda rho, u: u * (1.0 - rho ** 100))
     with pytest.raises(InvalidDataError, match="wave_bound") as err:
         make_context(sc.data, grid, sc.t_final, model, SlabConfig())
     bound = float(re.search(r"wave_bound (\S+)", str(err.value)).group(1))
     u_max = build_initial_state(sc.data, grid).u.values.max()
-    assert bound == pytest.approx(1000.0 * u_max, rel=1e-3)
+    assert bound == pytest.approx(100.0 * u_max, rel=1e-3)
 
 
 @pytest.mark.parametrize("name", ["smoke", "shock", "vacuum"])
@@ -429,3 +433,150 @@ def test_entropy_tables_match_the_per_level_reference(monkeypatch, name):
 
     monkeypatch.setattr(iteration, "entropy_residual_maxima", reference)
     assert tables() == shipped
+
+
+# The windowed march against the march over all n cells.
+
+def reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf,
+                    recorder):
+    """_march_slab stepping every cell: the same kernels through
+    iteration's names, full width, with u interpolated on all cells."""
+    shape = (len(times), len(rho))
+    out = iteration.SlabIterate(times, *(np.empty(shape) for _ in range(4)),
+                                influx=np.empty(len(times)))
+    q = np.stack((v, w))
+    influx = 0.0
+    t = float(times[0])
+    time_tol = 1e-13 * max(1.0, abs(float(times[-1])))
+    for s, t_next in enumerate(times.tolist()):
+        while t_next - t > time_tol:
+            j = int(np.searchsorted(times, t, side="right")) - 1
+            lam = (t - times[j]) / (times[j + 1] - times[j])
+            u_now = u_rows[j] if lam == 0.0 else \
+                (1.0 - lam) * u_rows[j] + lam * u_rows[j + 1]
+            speed = iteration.max_speed(rho, u_now, model)
+            remaining = t_next - t
+            dt = min(cfl * h / speed, remaining)
+            rho_new, flux = iteration.density_step_arrays(rho, u_now, h, dt,
+                                                          model, speed)
+            q = iteration.marker_step_arrays(q, rho, flux, h, dt)
+            influx += dt * (flux[0] - flux[-1])
+            recorder.on_step(rho, rho_new, u_now, dt, speed, False)
+            rho = rho_new
+            t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt
+        t = t_next
+        out.rho[s] = rho
+        out.v[s], out.w[s] = q
+        out.influx[s] = influx
+    np.cumsum(out.v, axis=1, out=out.u)
+    out.u *= h
+    out.u += u_inf
+    return out
+
+
+@st.composite
+def _field(draw, n, values):
+    """n cells of plateaus, and at most one short active piece of
+    cell-wise values touching them."""
+    cuts = draw(st.lists(st.integers(1, n - 1), unique=True,
+                         max_size=draw(st.integers(0, 3))))
+    edges = [0, *sorted(cuts), n]
+    out = np.empty(n)
+    for a, b in zip(edges, edges[1:]):
+        out[a:b] = draw(values)
+    if draw(st.booleans()):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(a + 1, min(n, a + 4)))
+        out[a:b] = draw(st.lists(values, min_size=b - a, max_size=b - a))
+    return out
+
+
+@st.composite
+def _march_inputs(draw):
+    n = draw(st.integers(2, 60))
+    density = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.3, 0.6]),
+                        st.floats(0.0, 1.0))
+    ratio = st.one_of(st.sampled_from([0.0, -0.0, 0.3]),
+                      st.floats(-1.0, 1.0))
+    marker = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 2.0))
+    rho = draw(_field(n, density))
+    # markers dominated by the density, as v = rho z and w = rho psi are
+    v = rho * draw(_field(n, ratio))
+    w = rho * draw(_field(n, ratio))
+    # short event steps next to intervals of many CFL steps
+    steps = draw(st.lists(st.one_of(st.floats(1e-12, 1e-9),
+                                    st.floats(1e-3, 0.2)),
+                          min_size=1, max_size=5))
+    times = np.cumsum([draw(st.floats(0.0, 1.0)), *steps])
+    # rows of the previous iterate: one field, a plateau changed in some
+    u_rows = np.tile(draw(_field(n, marker)), (len(times), 1))
+    for row in u_rows:
+        if draw(st.booleans()):
+            a = draw(st.integers(0, n - 1))
+            row[a:draw(st.integers(a + 1, n))] = draw(marker)
+    return rho, v, w, times, u_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_march_inputs(),
+       model=st.sampled_from([GSH, PowerLawModel(2.5)]),
+       cfl=st.sampled_from([0.5, 1.0]),
+       levels=st.sampled_from([0, 3]))
+def test_windowed_march_matches_the_full_width_march(data, model, cfl,
+                                                     levels):
+    rho, v, w, times, u_rows = data
+    h = 0.05
+    results = []
+    for march in (iteration._march_slab, reference_march):
+        rec = iteration.SlabRecorder(model, h, np.linspace(0.0, 1.0, levels))
+        results.append((march(rho, v, w, times, u_rows, model, h, cfl, 0.25,
+                              rec), rec))
+    (got, got_rec), (ref, ref_rec) = results
+    assert _same_iterate(got, ref)
+    assert got_rec.n_steps == ref_rec.n_steps
+    assert got_rec.max_cfl == ref_rec.max_cfl
+    assert got_rec.entropy_max.tobytes() == ref_rec.entropy_max.tobytes()
+
+
+@pytest.mark.parametrize("tail", ["rho", "u"])
+def test_windowed_march_range_check_sees_a_constant_tail(tail):
+    # the out-of-range values sit in a constant tail far from the cells
+    # that move; the window reaches only the tail's first cell, and the
+    # range check must report what the full-width march reports
+    n = 64
+    rho = np.full(n, 0.4)
+    rho[10:14] = 0.8
+    times = np.linspace(0.0, 0.1, 3)
+    u_rows = np.ones((len(times), n))
+    if tail == "rho":
+        rho[40:] = 1.0 + 1e-6
+    else:
+        u_rows[:, 40:] = -1e-3
+    messages = []
+    for march in (iteration._march_slab, reference_march):
+        rec = iteration.SlabRecorder(GSH, 0.05, ())
+        with pytest.raises(InputRangeError) as err:
+            march(rho, 0.1 * rho, 0.2 * rho, times, u_rows, GSH, 0.05, 0.5,
+                  1.0, rec)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert ("density outside" if tail == "rho" else "nonnegative") \
+        in messages[0]
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_solve_run_directory_matches_the_full_width_march(tmp_path,
+                                                          monkeypatch, name):
+    # a whole audited run, snapshots, plots and report, byte for byte
+    args = ["solve", "--scenario", name, "--n-cells", "96", "--n-output",
+            "4"]
+    assert cli.main(args + ["--seed-dir", str(tmp_path / "window")]) == 0
+    monkeypatch.setattr(iteration, "_march_slab", reference_march)
+    assert cli.main(args + ["--seed-dir", str(tmp_path / "full")]) == 0
+    a, b = (tmp_path / sub / f"solve-{name}" for sub in ("window", "full"))
+    rels = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert rels == sorted(p.relative_to(b) for p in b.rglob("*")
+                          if p.is_file())
+    assert len(rels) > 4
+    for rel in rels:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel

@@ -108,11 +108,29 @@ def test_custom_model_with_callable_derivatives_validates(hump_model):
     lambda rho, u: u * (1.0 - rho),
     lambda rho, u: u * (1.0 - rho) ** 2,
     lambda rho, u: u * (1.0 - rho) ** 3,
-    lambda rho, u: u * np.sqrt(1.0 - rho),
-], ids=["gamma1", "gamma2", "gamma3", "sqrt"])
+], ids=["gamma1", "gamma2", "gamma3"])
 def test_unimodal_custom_closures_validate(velocity):
     # finite-difference slopes must not trip the unimodality check
     assert validate_model(CustomVelocityModel(velocity), u_max=1.5).passed
+
+
+@pytest.mark.parametrize("velocity, edge", [
+    (lambda rho, u: u * np.sqrt(1.0 - rho), "rho = 1"),
+    (lambda rho, u: u * (1.0 - rho) * (1.0 - np.sqrt(rho)), "rho = 0"),
+    (lambda rho, u: np.sqrt(u) * (1.0 - rho), "u = 0"),
+], ids=["sqrt_jam", "sqrt_vacuum", "sqrt_marker"])
+def test_unbounded_edge_slope_fails_smooth_c2(velocity, edge):
+    # the finite difference clamped at the box edge is finite for any
+    # continuous closure (for u sqrt(1 - rho) it reads -1000 u at rho = 1),
+    # so only its growth as the step shrinks shows the unbounded slope
+    model = CustomVelocityModel(velocity, name="steep")
+    report = validate_model(model, u_max=1.5)
+    assert [c.name for c in report.checks if not c.passed] == ["smooth_c2"]
+    check = report.checks[0]
+    assert check.worst_violation > 1.0
+    assert f"at {edge} grows" in check.detail
+    with pytest.raises(ModelValidationError, match=f"at {edge} grows"):
+        require_valid_model(model, u_max=1.5)
 
 
 def test_bimodal_flux_fails_only_the_unimodal_check():
