@@ -226,8 +226,18 @@ class SlabRecorder:
         max_speed(rho_old, u) as set dt, and outside says whether the
         march has cells beyond these, which the step left in place.
 
-        Such a cell's residual is +0.0 (see entropy_residual_maxima), so
-        the full row's maximum is this window's maximum raised to +0.0.
+        Such a cell i has a constant stencil (see _march_slab): rho_old
+        and u are the same bits at i-1, i and i+1 (the copy ghosts make
+        each edge cell its own outer neighbour), and so are rho_new[i] and
+        rho_old[i].  Its residual is +0.0 at every level.  Its two
+        interface entropy fluxes are computed from the same bits, so they
+        are the same bits and their difference is +0.0; |d_new| - |d_old|
+        is x - x = +0.0; u[i+1] - u[i-1] is +0.0, so the source term is
+        +-0.0; and +0.0 + +-0.0 = +0.0.  This needs finite values, which
+        the range check and an admissible closure (pointwise, finite on
+        the box) give.  So the full row's maximum is this window's maximum
+        raised to +0.0.
+
         No residual is -0.0: |d_new| - |d_old| is never -0.0, dividing a
         nonzero by dt <= 1 cannot round to zero (solve_global's slabs are
         at most 1/4 long), and x + y is -0.0 only when both are.  So the

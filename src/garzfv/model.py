@@ -37,10 +37,14 @@ FD_STEP_SECOND = 1e-4  # second differences (1e-6 sits on the cancellation floor
 CRIT_BISECTIONS = 40   # halvings of [0, 1] for the critical density (~1e-12)
 RANGE_TOL = 1e-9
 VALIDATION_TOL = 1e-12
-# one-sided differences of V at a box edge with these steps differ by about
-# FD_STEP |V''| / 2 for a C^2 closure; more growth is an unbounded slope
-EDGE_STEPS = (FD_STEP, FD_STEP / 100.0)
-SLOPE_GROWTH_TOL = 1e-3
+# one-sided differences of V at a box edge, order -> (steps, growth tol):
+# from the first step to the second, a smooth closure's first difference
+# moves by about FD_STEP |V''| / 2 and its second by about 1e-3 |V'''| (10 %
+# for u (1 - rho^100) at rho = 1); more growth is an unbounded derivative,
+# such as u (1 - rho)^1.5's second at rho = 1 (a factor 10).  The second
+# differences' steps stay above their rounding floor, eps |V| / step^2
+EDGE_DIFFERENCES = {1: ((FD_STEP, FD_STEP / 100.0), 1e-3),
+                    2: ((1e-3, 1e-5), 0.25)}
 
 
 def _require_box(rho, u):
@@ -318,10 +322,12 @@ def validate_model(model: VelocityModel, u_max: float,
 
     Six checks: one per structural condition, twice-differentiable (proxied
     by finiteness of V and all four sampled derivatives, and by one-sided
-    differences of V at the edges rho = 0, rho = 1 and u = 0 that settle as
-    the step shrinks from 1e-6 to 1e-8: the clamped finite difference is
-    finite for any continuous V, so only its growth shows an unbounded
-    slope such as that of u sqrt(1 - rho) at rho = 1), V >= 0,
+    first and second differences of V at the edges rho = 0, rho = 1 and
+    u = 0 that settle as the step shrinks, from 1e-6 to 1e-8 and from 1e-3
+    to 1e-5: a clamped finite difference is finite for any continuous V,
+    so only its growth shows an unbounded slope such as that of
+    u sqrt(1 - rho) at rho = 1, or an unbounded curvature such as that of
+    u (1 - rho)^1.5 there), V >= 0,
     dV/drho <= 0, dV/du >= 0 and V(1, u) = 0, plus a unimodal flux
     f = rho V in rho, which the Godunov flux relies on: once df/drho falls
     below -1e-12 it may not rise above 1e-12 at a larger lattice density.
@@ -402,9 +408,10 @@ def validate_model(model: VelocityModel, u_max: float,
 
 def _edge_slope_growth(sample, model, rho, u):
     """(violation, where, detail): how far the magnitude of a one-sided
-    difference of V at the edge rho = 0, rho = 1 or u = 0 grows from step
-    EDGE_STEPS[0] to EDGE_STEPS[1], relative to 1 + its first value,
-    beyond SLOPE_GROWTH_TOL, at its worst; detail names the edge."""
+    first or second difference of V at the edge rho = 0, rho = 1 or u = 0
+    grows from its order's first EDGE_DIFFERENCES step to its second,
+    relative to 1 + its first value, beyond that order's tolerance, at its
+    worst; detail names the edge and the difference."""
     worst, where, detail = 0.0, (0.0, 0.0), ""
     for var, edge, sign in (("rho", 0.0, 1.0), ("rho", 1.0, -1.0),
                             ("u", 0.0, 1.0)):
@@ -414,18 +421,25 @@ def _edge_slope_growth(sample, model, rho, u):
             at = (x, u) if var == "rho" else (rho, x)
             return sample("velocity", model.velocity, at).ravel()
 
-        d1, d2 = ((v_at(edge + sign * s) - v_at(edge))
-                  / ((edge + sign * s) - edge) for s in EDGE_STEPS)
-        growth = (np.abs(d2) - np.abs(d1)) / (1.0 + np.abs(d1))
-        i = int(np.argmax(growth))
-        if growth[i] - SLOPE_GROWTH_TOL > worst:
-            worst = float(growth[i]) - SLOPE_GROWTH_TOL
-            x = float(along.ravel()[i])
-            where = (edge, x) if var == "rho" else (x, edge)
-            detail = (f"one-sided dV/d{var} at {var} = {edge:g} grows from "
-                      f"{d1[i]:.3e} to {d2[i]:.3e} as the step shrinks from "
-                      f"{EDGE_STEPS[0]:g} to {EDGE_STEPS[1]:g}: V is not "
-                      "C^2 on the box")
+        def difference(order, step):
+            # d is the step actually taken; edge + j d is exact for j <= 2
+            d = (edge + sign * step) - edge
+            values = [v_at(edge + j * d) for j in range(order + 1)]
+            return np.diff(values, n=order, axis=0)[0] / d ** order
+
+        for order, (steps, tol) in EDGE_DIFFERENCES.items():
+            d1, d2 = (difference(order, s) for s in steps)
+            growth = (np.abs(d2) - np.abs(d1)) / (1.0 + np.abs(d1))
+            i = int(np.argmax(growth))
+            if growth[i] - tol > worst:
+                worst = float(growth[i]) - tol
+                x = float(along.ravel()[i])
+                where = (edge, x) if var == "rho" else (x, edge)
+                name = f"dV/d{var}" if order == 1 else f"d2V/d{var}2"
+                detail = (f"one-sided {name} at {var} = {edge:g} grows from "
+                          f"{d1[i]:.3e} to {d2[i]:.3e} as the step shrinks "
+                          f"from {steps[0]:g} to {steps[1]:g}: V is not "
+                          "C^2 on the box")
     return worst, where, detail
 
 

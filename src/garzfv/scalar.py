@@ -180,71 +180,26 @@ def entropy_residual_maxima(rho_old: np.ndarray, rho_new: np.ndarray,
     """max_i R_i at every level of ``levels`` for one recorded step.
 
     Equal bit-for-bit to ``entropy_residual_arrays(..., k, ...).max()`` at
-    each level, with R_i computed only on the cells that move: those where
-    rho_old or u differs from cell i-1 or i+1, or rho_new[i] from
-    rho_old[i], bit for bit (the copy ghosts make each edge cell its own
-    outer neighbour).
-
-    Every other cell has R_i = +0.0 at every level.  Its two interface
-    entropy fluxes are computed from the same bits, so they are the same
-    bits and their difference is +0.0; |d_new| - |d_old| is x - x = +0.0;
-    u[i+1] - u[i-1] is +0.0, so the source term is +-0.0; and
-    +0.0 + +-0.0 = +0.0.  This needs finite values, which the march's range
-    check and an admissible closure (pointwise, finite on the box) give.
-    The moving cells' residuals are scattered into a +0.0-filled
-    (levels x n) table, so each row maximum is taken over the reference's
-    values, signed zeros and NaN included.
-
-    All levels go in one pass over (levels x cells) arrays, except dV/du:
-    it is evaluated level by level with a scalar k, as the reference does,
-    because numpy's array ``**`` and its 0-d ``**`` can differ in the last
-    bit (the power law with gamma = 2.5 shows it).
+    each level, signed zeros and NaN included.  All levels go in one pass
+    over (levels x cells) arrays, except dV/du: it is evaluated level by
+    level with a scalar k, as the reference does, because numpy's array
+    ``**`` and its 0-d ``**`` can differ in the last bit (the power law
+    with gamma = 2.5 shows it).
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size and not (levels.min() >= 0.0 and levels.max() <= 1.0):
         raise InputRangeError(f"entropy levels must be in [0,1], got {levels}")
-    table = np.zeros((levels.size, len(rho_old)))
-    cells = _moving_cells(rho_old, rho_new, u)
-    if cells.size and levels.size:
-        table[:, cells] = _moving_residuals(rho_old, rho_new, u, cells,
-                                            levels, dt, h, model)
-    return table.max(axis=1)
-
-
-def _moving_cells(rho_old, rho_new, u):
-    """Indices of the cells that move, compared on int64 bit views."""
-    old, new, mark = (np.ascontiguousarray(x, dtype=float).view(np.int64)
-                      for x in (rho_old, rho_new, u))
-    jump = (old[1:] != old[:-1]) | (mark[1:] != mark[:-1])
-    moving = new != old
-    moving[1:] |= jump
-    moving[:-1] |= jump
-    return np.flatnonzero(moving)
-
-
-def _moving_residuals(rho_old, rho_new, u, cells, levels, dt, h, model):
-    """R at (levels x cells) for the given cells, in ascending order."""
-    # interface j lies between cells j-1 and j; cell i reads j = i and i+1
-    on_face = np.zeros(len(rho_old) + 1, dtype=bool)
-    on_face[cells] = True
-    on_face[cells + 1] = True
-    faces = np.flatnonzero(on_face)
     re = pad2(rho_old)
     ue = pad2(u)
-    west, east = faces + 1, faces + 2
     k = levels[:, None]
-    dq = np.diff(_level_entropy_fluxes(re[west], re[east],
-                                       0.5 * (ue[west] + ue[east]), k, model))
-    if faces.size > cells.size + 1:
-        # several runs of moving cells: drop the differences across gaps
-        dq = dq[:, np.searchsorted(faces, cells)]
-    u_c = u[cells]
-    d_u = np.empty((levels.size, cells.size))
+    q = _level_entropy_fluxes(re[1:-2], re[2:-1], interface_marker(u), k,
+                              model)
+    d_u = np.empty((levels.size, len(u)))
     for j, level in enumerate(levels.tolist()):
-        d_u[j] = model.d_u(level, u_c)
-    du_center = (ue[cells + 3] - ue[cells + 1]) / (2.0 * h)
-    return _residual(dq, rho_old[cells], rho_new[cells], k, d_u, du_center,
-                     dt, h)
+        d_u[j] = model.d_u(level, u)
+    du_center = (ue[3:-1] - ue[1:-3]) / (2.0 * h)
+    return _residual(np.diff(q), rho_old, rho_new, k, d_u, du_center, dt,
+                     h).max(axis=1)
 
 
 def _level_entropy_fluxes(a, b, u_if, k, model):

@@ -109,8 +109,8 @@ def _piece_value(p: Piece, x: float) -> float:
     return p.v_left + lam * (p.v_right - p.v_left)
 
 
-def shift_pieces(pieces, dx: float, grid: Grid | None = None):
-    """Translate pieces by dx; with a grid, keep the datum attached.
+def shift_pieces(pieces, dx: float, grid: Grid):
+    """Translate pieces by dx, keeping the datum attached to the grid.
 
     Pieces protruding past the domain are clipped (ramp values interpolated
     at the cut), and a boundary the original datum touched stays covered by
@@ -118,7 +118,7 @@ def shift_pieces(pieces, dx: float, grid: Grid | None = None):
     """
     shifted = tuple(Piece(p.x_left + dx, p.x_right + dx, p.v_left, p.v_right)
                     for p in pieces)
-    if grid is None or not pieces or dx == 0.0:
+    if not pieces or dx == 0.0:
         return shifted
     eps = 1e-12 * max(1.0, grid.x_max - grid.x_min)
     touched_left = pieces[0].x_left <= grid.x_min + eps

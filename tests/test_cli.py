@@ -100,6 +100,9 @@ def test_validate_model_exit_codes(capsys):
     assert main(["validate-model", "--model", "power", "--gamma", "2"]) == 0
     out = capsys.readouterr().out
     assert "[ok  ]" in out and "jam_velocity_zero" in out
+    # V'' = 0.75 u (1 - rho)^-0.5 is unbounded at rho = 1
+    assert main(["validate-model", "--model", "power", "--gamma", "1.5"]) == 1
+    assert "[FAIL] smooth_c2" in capsys.readouterr().out
 
 
 def test_greenshields_with_gamma_exits_2(tmp_path, capsys):

@@ -411,15 +411,23 @@ def test_margin_error_names_the_wave_bound():
     assert bound == pytest.approx(100.0 * u_max, rel=1e-3)
 
 
-@pytest.mark.parametrize("name", ["smoke", "shock", "vacuum"])
-def test_entropy_tables_match_the_per_level_reference(monkeypatch, name):
-    # the shipped kernel audits only the cells that move, all levels at
-    # once; every slab's table must carry the per-level reference's bits
+@pytest.mark.parametrize("name, gamma", [
+    ("smoke", None), ("shock", None), ("vacuum", None), ("rarefaction", None),
+    ("smoke", 2.5)], ids=["smoke", "shock", "vacuum", "rarefaction",
+                          "smoke-power2.5"])
+def test_entropy_tables_match_the_per_level_reference(monkeypatch, name,
+                                                      gamma):
+    # the shipped kernel audits each step's window of cells, all levels at
+    # once, and raises the maximum to +0.0 when cells lie outside it; every
+    # slab's table must carry the bits of the per-level reference over all
+    # cells.  gamma 2.5 rounds (1 - k)**gamma differently as a 0-d and as
+    # an array power, so it pins the per-level dV/du
     sc = scenario(name)
+    model = sc.model() if gamma is None else PowerLawModel(gamma)
     grid = Grid(sc.grid.x_min, sc.grid.x_max, 128)
 
     def tables():
-        traj = solve_global(sc.data, grid, sc.t_final, sc.model())
+        traj = solve_global(sc.data, grid, sc.t_final, model)
         return [np.array(list(slab.entropy_table().items())).tobytes()
                 for slab in traj.slabs]
 

@@ -85,7 +85,8 @@ def test_power_law_critical_density():
 
 def test_builtin_models_validate():
     assert validate_model(GreenshieldsModel(), u_max=2.0, n_samples=101).passed
-    assert validate_model(PowerLawModel(2.0), u_max=1.0, n_samples=101).passed
+    for gamma in (2.0, 2.5, 3.0):
+        assert validate_model(PowerLawModel(gamma), u_max=1.0).passed
 
 
 def test_increasing_velocity_in_rho_fails_validation():
@@ -107,23 +108,31 @@ def test_custom_model_with_callable_derivatives_validates(hump_model):
 @pytest.mark.parametrize("velocity", [
     lambda rho, u: u * (1.0 - rho),
     lambda rho, u: u * (1.0 - rho) ** 2,
+    lambda rho, u: u * (1.0 - rho) ** 2.5,
     lambda rho, u: u * (1.0 - rho) ** 3,
-], ids=["gamma1", "gamma2", "gamma3"])
+], ids=["gamma1", "gamma2", "gamma2_5", "gamma3"])
 def test_unimodal_custom_closures_validate(velocity):
     # finite-difference slopes must not trip the unimodality check
     assert validate_model(CustomVelocityModel(velocity), u_max=1.5).passed
 
 
-@pytest.mark.parametrize("velocity, edge", [
-    (lambda rho, u: u * np.sqrt(1.0 - rho), "rho = 1"),
-    (lambda rho, u: u * (1.0 - rho) * (1.0 - np.sqrt(rho)), "rho = 0"),
-    (lambda rho, u: np.sqrt(u) * (1.0 - rho), "u = 0"),
-], ids=["sqrt_jam", "sqrt_vacuum", "sqrt_marker"])
-def test_unbounded_edge_slope_fails_smooth_c2(velocity, edge):
+def _steep(velocity):
+    return CustomVelocityModel(velocity, name="steep")
+
+
+@pytest.mark.parametrize("model, edge", [
+    (_steep(lambda rho, u: u * np.sqrt(1.0 - rho)), "rho = 1"),
+    (_steep(lambda rho, u: u * (1.0 - rho) * (1.0 - np.sqrt(rho))), "rho = 0"),
+    (_steep(lambda rho, u: np.sqrt(u) * (1.0 - rho)), "u = 0"),
+    (PowerLawModel(1.5), "rho = 1"),
+    (_steep(lambda rho, u: u * (1.0 - rho) ** 1.5), "rho = 1"),
+], ids=["sqrt_jam", "sqrt_vacuum", "sqrt_marker", "power1.5_jam",
+        "custom1.5_jam"])
+def test_unbounded_edge_slope_fails_smooth_c2(model, edge):
     # the finite difference clamped at the box edge is finite for any
     # continuous closure (for u sqrt(1 - rho) it reads -1000 u at rho = 1),
-    # so only its growth as the step shrinks shows the unbounded slope
-    model = CustomVelocityModel(velocity, name="steep")
+    # so only its growth as the step shrinks shows the unbounded slope; the
+    # second difference of u (1 - rho)^1.5 grows as step^-0.5 at rho = 1
     report = validate_model(model, u_max=1.5)
     assert [c.name for c in report.checks if not c.passed] == ["smooth_c2"]
     check = report.checks[0]
