@@ -35,6 +35,9 @@ kept iterate.
 A converged slab is described by two records: its PicardTrace, the Phi
 value of each iterate after the first, and the SlabRecorder of the march
 it keeps, which carries the trace.  Trajectory.slabs holds those recorders.
+The entropy audit runs on no Picard march: an audited slab replays the
+density steps of the march it keeps, and that replay's recorder, with the
+residual maxima, is its record.
 """
 
 from __future__ import annotations
@@ -200,17 +203,24 @@ class SlabRecorder:
     """What one march measured: its steps, its largest CFL number and, per
     entropy level, its largest entropy residual.
 
-    The kept march's recorder is the slab's record: picard_slab attaches
-    the slab's trace to it, and the slab's span is read from the trace.
+    With log_plan, ``plan`` lists each step's (a, b, s, lam, dt, speed):
+    its window [a, b), the stored row s it marches towards, the weight lam
+    of that row in u_now, its dt and its CFL speed; otherwise it is None.
+
+    The recorder of the kept march, or of its replay, is the slab's record:
+    picard_slab attaches the slab's trace to it, and the slab's span is
+    read from the trace.
     """
 
-    def __init__(self, model: VelocityModel, h: float, k_levels):
+    def __init__(self, model: VelocityModel, h: float, k_levels,
+                 log_plan: bool = False):
         self.model = model
         self.h = h
         self.k_levels = np.asarray(k_levels, dtype=float)
         self.entropy_max = np.full(len(self.k_levels), -math.inf)
         self.n_steps = 0
         self.max_cfl = 0.0
+        self.plan: list | None = [] if log_plan else None
         self.trace: PicardTrace | None = None
 
     @property
@@ -221,10 +231,12 @@ class SlabRecorder:
     def t1(self) -> float:
         return self.trace.t1
 
-    def on_step(self, rho_old, rho_new, u, dt, speed, outside: bool):
+    def on_step(self, rho_old, rho_new, u, dt, speed, outside: bool, parts):
         """Record one step on the cells the march stepped; speed is
-        max_speed(rho_old, u) as set dt, and outside says whether the
-        march has cells beyond these, which the step left in place.
+        max_speed(rho_old, u) as set dt, outside says whether the march
+        has cells beyond these, which the step left in place, and parts
+        are the Godunov parts that ``density_step_arrays`` returned for
+        the step, which the audit reuses.
 
         Such a cell i has a constant stencil (see _march_slab): rho_old
         and u are the same bits at i-1, i and i+1 (the copy ghosts make
@@ -248,7 +260,7 @@ class SlabRecorder:
         if len(self.k_levels) == 0:
             return
         maxima = entropy_residual_maxima(rho_old, rho_new, u, self.k_levels,
-                                         dt, self.h, self.model)
+                                         dt, self.h, self.model, parts)
         if outside:
             np.maximum(maxima, 0.0, out=maxima)
         # np.maximum keeps a NaN residual, which Python's max would drop
@@ -293,6 +305,15 @@ def _row_spans(rows: np.ndarray):
     return lo.tolist(), hi.tolist()
 
 
+def _marker_now(u_rows, s, lam, a, b):
+    """u on cells [a, b) at weight lam of stored row s: rows s-1 and s of
+    the previous iterate's u blended linearly, row s-1 itself at lam = 0."""
+    u_now = u_rows[s - 1, a:b]
+    if lam != 0.0:
+        u_now = (1.0 - lam) * u_now + lam * u_rows[s, a:b]
+    return u_now
+
+
 def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf,
                 recorder: SlabRecorder) -> SlabIterate:
     """March (rho, v, w) through all stored times with the marker field
@@ -328,6 +349,7 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf,
                       influx=np.empty(len(times)))
     state = np.stack((rho, v, w))  # rows rho, v, w; stepped in place
     rho, q = state[0], state[1:]
+    plan = recorder.plan
     u_lo, u_hi = _row_spans(u_rows)
     influx = 0.0
     tlist = times.tolist()
@@ -343,19 +365,20 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf,
             if a >= b:
                 a, b = 0, 1
             lam = (t - tlist[s - 1]) / (t_next - tlist[s - 1])
-            u_now = u_rows[s - 1, a:b]
-            if lam != 0.0:
-                u_now = (1.0 - lam) * u_now + lam * u_rows[s, a:b]
+            u_now = _marker_now(u_rows, s, lam, a, b)
             rho_old = rho[a:b]
             speed = max_speed(rho_old, u_now, model)
             dt_stable = cfl * h / speed
             remaining = t_next - t
             dt = min(dt_stable, remaining)
-            rho_new, flux = density_step_arrays(rho_old, u_now, h, dt, model,
-                                                speed)
+            rho_new, flux, parts = density_step_arrays(rho_old, u_now, h, dt,
+                                                       model, speed)
             q[:, a:b] = marker_step_arrays(q[:, a:b], rho_old, flux, h, dt)
             influx += dt * (flux[0] - flux[-1])
-            recorder.on_step(rho_old, rho_new, u_now, dt, speed, b - a < n)
+            if plan is not None:
+                plan.append((a, b, s, lam, dt, speed))
+            recorder.on_step(rho_old, rho_new, u_now, dt, speed, b - a < n,
+                             parts)
             rho[a:b] = rho_new
             lo, hi = max(a - 1, 0), min(b + 1, n)
             t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt
@@ -372,18 +395,39 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf,
     return out
 
 
+def _replay_density(rho, u_rows, plan, model, h, recorder: SlabRecorder):
+    """Re-run, feeding recorder, the density steps that a march from rho
+    with marker rows u_rows logged in plan.
+
+    The density step reads neither v nor w, so each replayed step gets the
+    march's (rho_old, u_now, dt, speed) bit for bit.  The march has
+    range-checked them, so the replay skips ``max_speed``, the marker
+    transport, the window scans and the stored rows.
+    """
+    rho = rho.copy()
+    n = len(rho)
+    for a, b, s, lam, dt, speed in plan:
+        u_now = _marker_now(u_rows, s, lam, a, b)
+        rho_old = rho[a:b]
+        rho_new, _, parts = density_step_arrays(rho_old, u_now, h, dt, model,
+                                                speed)
+        recorder.on_step(rho_old, rho_new, u_now, dt, speed, b - a < n,
+                         parts)
+        rho[a:b] = rho_new
+
+
 def picard_slab(state: SystemState, t0: float, t1: float,
                 ctx: ProblemContext, cfg: SlabConfig, extra_events=()):
     """Iterate one slab to convergence.
 
-    Returns (kept SlabIterate, PicardTrace, SlabRecorder of the kept
-    march); the recorder carries the trace and is the slab's record.
-    Picard marches record no entropy residuals; once Phi reaches tol_phi
-    the converged iterate is marched once more, from the same start state
-    with the same marker field, with the entropy audit on.  That march
-    reproduces the iterate bit-for-bit.  Raises PicardDivergenceError
-    carrying the trace when tol_phi is not reached within max_picard_iters
-    iterates.
+    Returns (kept SlabIterate, PicardTrace, the slab's SlabRecorder); the
+    recorder carries the trace and is the slab's record.  Picard marches
+    record no entropy residuals.  When cfg.entropy_levels > 0 each march
+    logs its step plan, and once Phi reaches tol_phi the kept march's
+    density steps are replayed with the entropy audit on: no march runs
+    after the one that converged, and the replay's recorder is the record.
+    Raises PicardDivergenceError carrying the trace when tol_phi is not
+    reached within max_picard_iters iterates.
     """
     if not t1 > t0:
         raise InputRangeError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -405,13 +449,10 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     tol = ctx.tol_phi
     trace = PicardTrace(t0=t0, t1=t1, tol_phi=tol, phi=[])
 
-    def march(recorder):
-        return _march_slab(rho0, v0, w0, events, prev.u, model, h, cfg.cfl,
-                           state.u_inf, recorder)
-
     while trace.iterations < cfg.max_picard_iters:
-        recorder = SlabRecorder(model, h, ())
-        curr = march(recorder)
+        recorder = SlabRecorder(model, h, (), log_plan=len(k_levels) > 0)
+        curr = _march_slab(rho0, v0, w0, events, prev.u, model, h, cfg.cfl,
+                           state.u_inf, recorder)
         # Phi at every stored time, then its sup over them
         phi = float((h * abs(prev.rho - curr.rho).sum(axis=1)
                      + h * abs(prev.v - v_prev_prev).sum(axis=1)).max())
@@ -420,9 +461,9 @@ def picard_slab(state: SystemState, t0: float, t1: float,
             trace.converged = True
             trace.stop_reason = f"phi {phi:.3e} <= tol {tol:.3e}"
             if len(k_levels):
-                curr = None  # the re-march rebuilds it; hold one copy only
+                plan = recorder.plan
                 recorder = SlabRecorder(model, h, k_levels)
-                curr = march(recorder)
+                _replay_density(rho0, prev.u, plan, model, h, recorder)
             recorder.trace = trace
             return curr, trace, recorder
         v_prev_prev = prev.v

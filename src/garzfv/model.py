@@ -136,6 +136,14 @@ class VelocityModel:
         """dV/du, centered difference unless overridden."""
         return self._fd_u(self.velocity, rho, u, FD_STEP)
 
+    def d_u_levels(self, levels, u):
+        """dV/du at each level (rows) and marker value (columns), or a column
+        that broadcasts to that; one ``d_u`` call per level here."""
+        out = np.empty((len(levels), len(u)))
+        for j, level in enumerate(levels.tolist()):
+            out[j] = self.d_u(level, u)
+        return out
+
     def d_u_rho(self, rho, u):
         """d2V/du drho (rho-derivative of d_u)."""
         return self._fd_rho(lambda r, w: self._fd_u(self.velocity, r, w,
@@ -240,6 +248,12 @@ class PowerLawModel(VelocityModel):
 
     def d_u(self, rho, u):
         return self._gap(rho) ** self.gamma * np.ones_like(u)
+
+    def d_u_levels(self, levels, u):
+        """The column (1 - k)^gamma, each entry the 0-d power that d_u takes:
+        an array power can round differently (gamma = 2.5 shows it)."""
+        return np.array([self._gap(level) ** self.gamma
+                         for level in levels.tolist()])[:, None]
 
     def d_u_rho(self, rho, u):
         return (-self.gamma * self._gap(rho) ** (self.gamma - 1.0)

@@ -84,7 +84,9 @@ def max_speed(rho: np.ndarray, u: np.ndarray, model: VelocityModel) -> float:
 
 def density_step_arrays(rho: np.ndarray, u: np.ndarray, h: float, dt: float,
                         model: VelocityModel, speed: float):
-    """One Godunov step on raw arrays; returns (rho_new, interface fluxes).
+    """One Godunov step on raw arrays; returns (rho_new, interface fluxes,
+    parts), parts being (padded rho, interface marker, F, crit, f_a, f_b,
+    f_c) for ``entropy_residual_maxima`` to reuse (see _godunov_parts).
 
     speed is max_speed(rho, u, model), which the caller has already taken
     to choose dt and to range-check (rho, u), so f is evaluated unchecked;
@@ -93,10 +95,18 @@ def density_step_arrays(rho: np.ndarray, u: np.ndarray, h: float, dt: float,
     if dt * speed > h * (1.0 + 1e-9):
         raise CflViolationError(
             f"dt={dt:.3e} exceeds stable limit h/s_max={h / speed:.3e}")
-    re = pad2(rho)
-    flux = _godunov_parts(re[1:-2], re[2:-1], interface_marker(u), model)[0]
+    parts = _step_parts(rho, u, model)
+    flux = parts[2]
     rho_new = rho - (dt / h) * (flux[1:] - flux[:-1])
-    return rho_new, flux
+    return rho_new, flux, parts
+
+
+def _step_parts(rho, u, model: VelocityModel):
+    """(padded rho, interface marker, *_godunov_parts) of a step from
+    (rho, u), unchecked."""
+    re = pad2(rho)
+    u_if = interface_marker(u)
+    return (re, u_if, *_godunov_parts(re[1:-2], re[2:-1], u_if, model))
 
 
 def entropy_residual_arrays(rho_old: np.ndarray, rho_new: np.ndarray,
@@ -176,44 +186,42 @@ def _level_sign(d_old, d_new, rho_old, rho_new):
 
 def entropy_residual_maxima(rho_old: np.ndarray, rho_new: np.ndarray,
                             u: np.ndarray, levels, dt: float, h: float,
-                            model: VelocityModel) -> np.ndarray:
+                            model: VelocityModel, parts=None) -> np.ndarray:
     """max_i R_i at every level of ``levels`` for one recorded step.
 
     Equal bit-for-bit to ``entropy_residual_arrays(..., k, ...).max()`` at
     each level, signed zeros and NaN included.  All levels go in one pass
-    over (levels x cells) arrays, except dV/du: it is evaluated level by
-    level with a scalar k, as the reference does, because numpy's array
-    ``**`` and its 0-d ``**`` can differ in the last bit (the power law
-    with gamma = 2.5 shows it).
+    over (levels x cells) arrays, dV/du from ``model.d_u_levels``.  parts
+    are the Godunov parts that ``density_step_arrays`` returned for this
+    (rho_old, u); None recomputes them, to the same bits.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size and not (levels.min() >= 0.0 and levels.max() <= 1.0):
         raise InputRangeError(f"entropy levels must be in [0,1], got {levels}")
-    re = pad2(rho_old)
+    if parts is None:
+        parts = _step_parts(rho_old, u, model)
     ue = pad2(u)
     k = levels[:, None]
-    q = _level_entropy_fluxes(re[1:-2], re[2:-1], interface_marker(u), k,
-                              model)
-    d_u = np.empty((levels.size, len(u)))
-    for j, level in enumerate(levels.tolist()):
-        d_u[j] = model.d_u(level, u)
+    q = _level_entropy_fluxes(parts, k, model)
     du_center = (ue[3:-1] - ue[1:-3]) / (2.0 * h)
-    return _residual(np.diff(q), rho_old, rho_new, k, d_u, du_center, dt,
-                     h).max(axis=1)
+    return _residual(np.diff(q), rho_old, rho_new, k,
+                     model.d_u_levels(levels, u), du_center, dt, h).max(axis=1)
 
 
-def _level_entropy_fluxes(a, b, u_if, k, model):
-    """Godunov entropy flux Q(a, b) at every level of the column k.
+def _level_entropy_fluxes(parts, k, model):
+    """Godunov entropy flux Q(a, b) at every level of the column k, from a
+    step's Godunov parts (a, b its interface states).
 
-    f is evaluated once at the interface states a, b and at the critical
-    density c, and once per level at k (on the column, an array as in the
-    reference); every Godunov value of the entropy flux is a selection
+    The parts hold f at a, b and at the critical density c; f is evaluated
+    once more per level at k (on the column, an array as in the
+    reference), and every Godunov value of the entropy flux is a selection
     among those.  At an interface with k < min(a, b) the entropy flux is
     F - f(k), at one with k > max(a, b) it is f(k) - F (F the step's
     Godunov flux); the others take both Godunov fluxes.  f is evaluated
     unchecked: the march range-checked (rho_old, u) in max_speed.
     """
-    flux, crit, f_a, f_b, f_c = _godunov_parts(a, b, u_if, model)
+    re, u_if, flux, crit, f_a, f_b, f_c = parts
+    a, b = re[1:-2], re[2:-1]
     f_k = k * model.velocity(k, u_if)
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)

@@ -94,9 +94,9 @@ def _smoke_context(n=128):
 
 
 def _traced_smoke_solve(monkeypatch, cfg, n=192):
-    """Solve smoke, recording per slab each march (audited or not, and its
-    iterate), the number of multi-level entropy kernel calls and what
-    picard_slab returned."""
+    """Solve smoke, recording per slab each march (audited or not, its
+    iterate, its arguments), the number of multi-level entropy kernel calls
+    and what picard_slab returned."""
     marches, kernel_calls, slabs = [], [0], []
     real_march = iteration._march_slab
     real_maxima = iteration.entropy_residual_maxima
@@ -104,7 +104,7 @@ def _traced_smoke_solve(monkeypatch, cfg, n=192):
 
     def march(*args):
         out = real_march(*args)
-        marches.append((len(args[-1].k_levels) > 0, out))
+        marches.append((len(args[-1].k_levels) > 0, out, args))
         return out
 
     def maxima(*args):
@@ -137,19 +137,29 @@ def _same_iterate(a, b):
 
 def test_entropy_audit_runs_once_per_step_of_converged_iterate(monkeypatch):
     # every Picard march runs unaudited (auditing each would cost n_steps x
-    # (iterates - 1) kernel calls per slab); the converged iterate is
-    # re-marched once with the audit on, and that march reproduces it
+    # (iterates - 1) kernel calls per slab) and no march runs after the one
+    # that converged: the audit replays the kept march's density steps, one
+    # kernel call per step, and records what an audited march of the same
+    # slab inputs records, bit for bit
+    real_march = iteration._march_slab
     traj, slabs = _traced_smoke_solve(monkeypatch, SlabConfig())
     assert len(slabs) == len(traj.slabs) >= 2
     for slab_marches, kernel_calls, (iterate, trace, recorder) in slabs:
         assert trace.iterations >= 3
+        assert [flag for flag, *_ in slab_marches] \
+            == [False] * (trace.iterations - 1)
+        _, kept, args = slab_marches[-1]
+        assert kept is iterate
         assert kernel_calls == recorder.n_steps > 0
-        audited = [flag for flag, _ in slab_marches]
-        assert audited == [False] * (trace.iterations - 1) + [True]
-        converged, remarch = slab_marches[-2][1], slab_marches[-1][1]
-        assert remarch is iterate
-        assert _same_iterate(converged, remarch)
+        assert len(args[-1].plan) == args[-1].n_steps == recorder.n_steps
         assert len(recorder.entropy_table()) == 11
+        model, h = args[5], args[6]
+        audited = iteration.SlabRecorder(model, h, recorder.k_levels)
+        assert _same_iterate(real_march(*args[:-1], audited), iterate)
+        assert recorder.entropy_max.tobytes() \
+            == audited.entropy_max.tobytes()
+        assert recorder.n_steps == audited.n_steps
+        assert recorder.max_cfl == audited.max_cfl
 
 
 def test_unaudited_solve_marches_once_per_picard_iterate(monkeypatch):
@@ -159,6 +169,8 @@ def test_unaudited_solve_marches_once_per_picard_iterate(monkeypatch):
         assert kernel_calls == 0
         assert len(slab_marches) == trace.iterations - 1
         assert slab_marches[-1][1] is iterate
+        # an unaudited slab has nothing to replay, so it logs no step plan
+        assert all(args[-1].plan is None for *_, args in slab_marches)
         assert recorder.entropy_table() == {}
     assert all(s.entropy_table() == {} for s in traj.slabs)
 
@@ -261,29 +273,38 @@ def test_divergence_error_carries_trace():
 
 @pytest.mark.parametrize("levels", [11, 0])
 def test_picard_slab_returns_the_kept_march_record(monkeypatch, levels):
+    # an audited slab's record is the replay of its kept march, which
+    # steps the density as often as that march did
     sc, grid, _, ctx, st0 = _smoke_context(n=384)
     cfg = SlabConfig(entropy_levels=levels)
     marches = []  # per march: (its recorder, its density steps)
+    steps = [0]
     real_march = iteration._march_slab
     real_step = iteration.density_step_arrays
 
     def step(*args):
-        marches[-1][1] += 1
+        steps[0] += 1
         return real_step(*args)
 
     def march(*args):
-        marches.append([args[-1], 0])
-        return real_march(*args)
+        before = steps[0]
+        out = real_march(*args)
+        marches.append((args[-1], steps[0] - before))
+        return out
 
     monkeypatch.setattr(iteration, "density_step_arrays", step)
     monkeypatch.setattr(iteration, "_march_slab", march)
     iterate, trace, record = picard_slab(st0, 0.0, ctx.tau0, ctx, cfg)
     assert trace.converged
     assert trace.iterations == len(trace.phi) + 1 >= 3
-    assert len(marches) == trace.iterations - 1 + (levels > 0)
+    assert len(marches) == trace.iterations - 1
     kept, kept_steps = marches[-1]
-    assert record is kept and record.trace is trace
-    assert record.n_steps == kept_steps > 0
+    replayed = steps[0] - sum(n for _, n in marches)
+    assert (record is kept) == (levels == 0)
+    assert replayed == (kept_steps if levels else 0)
+    assert record.trace is trace
+    assert record.n_steps == kept.n_steps == kept_steps > 0
+    assert record.max_cfl == kept.max_cfl
     assert (record.t0, record.t1) == (0.0, ctx.tau0)
     assert record.k_levels.tolist() == np.linspace(0.0, 1.0,
                                                    levels).tolist()
@@ -434,7 +455,8 @@ def test_entropy_tables_match_the_per_level_reference(monkeypatch, name,
     shipped = tables()
     assert shipped and all(shipped)
 
-    def reference(rho_old, rho_new, u, levels, dt, h, model):
+    def reference(rho_old, rho_new, u, levels, dt, h, model, parts=None):
+        # the step's Godunov parts are ignored: the reference recomputes
         return np.array([entropy_residual_arrays(rho_old, rho_new, u, k, dt,
                                                  h, model).max()
                          for k in levels.tolist()])
@@ -448,7 +470,9 @@ def test_entropy_tables_match_the_per_level_reference(monkeypatch, name,
 def reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf,
                     recorder):
     """_march_slab stepping every cell: the same kernels through
-    iteration's names, full width, with u interpolated on all cells."""
+    iteration's names, full width, with u interpolated on all cells.  It
+    logs a full-width step plan for a recorder that asks for one, so an
+    audited slab replays this march's steps."""
     shape = (len(times), len(rho))
     out = iteration.SlabIterate(times, *(np.empty(shape) for _ in range(4)),
                                 influx=np.empty(len(times)))
@@ -465,11 +489,13 @@ def reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf,
             speed = iteration.max_speed(rho, u_now, model)
             remaining = t_next - t
             dt = min(cfl * h / speed, remaining)
-            rho_new, flux = iteration.density_step_arrays(rho, u_now, h, dt,
-                                                          model, speed)
+            rho_new, flux, parts = iteration.density_step_arrays(
+                rho, u_now, h, dt, model, speed)
             q = iteration.marker_step_arrays(q, rho, flux, h, dt)
             influx += dt * (flux[0] - flux[-1])
-            recorder.on_step(rho, rho_new, u_now, dt, speed, False)
+            if recorder.plan is not None:
+                recorder.plan.append((0, len(rho), j + 1, lam, dt, speed))
+            recorder.on_step(rho, rho_new, u_now, dt, speed, False, parts)
             rho = rho_new
             t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt
         t = t_next

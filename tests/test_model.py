@@ -249,3 +249,21 @@ def test_speed_hook_on_tolerated_overshoot(gamma):
     assert m.state_speed(rho, u) == 1.5
     base = VelocityModel.state_speed(m, rho, u)
     assert 1.5 < base <= 1.5 * (1.0 + 2.0 * gamma * 1e-9 * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("model", [
+    PowerLawModel(1.0), PowerLawModel(2.0), PowerLawModel(2.5),
+    PowerLawModel(3.0), GreenshieldsModel(),
+    CustomVelocityModel(lambda rho, u: u * (1.0 - rho) ** 2, name="sq")],
+    ids=["power1", "power2", "power2.5", "power3", "greenshields", "custom"])
+def test_batched_d_u_equals_the_per_level_calls(model):
+    # the entropy audit takes dV/du at all levels from this hook; it must
+    # carry the bits of one d_u call per level, levels 0 and 1 included
+    # (gamma 2.5 rounds (1 - k)**gamma differently as an array power)
+    levels = np.linspace(0.0, 1.0, 11)
+    u = np.concatenate((np.linspace(0.0, 2.0, 17), [-0.0, 1e-300]))
+    per_level = np.stack([model.d_u(k, u) for k in levels])
+    got = model.d_u_levels(levels, u)
+    assert got.shape in (per_level.shape, (levels.size, 1))
+    assert np.broadcast_to(got, per_level.shape).tobytes() \
+        == per_level.tobytes()

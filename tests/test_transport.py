@@ -25,7 +25,7 @@ def _setup(rho, grid):
     u = np.ones(rho.size)
     speed = max_speed(rho, u, GSH)
     dt = 0.5 * grid.h / speed
-    rho_new, flux = density_step_arrays(rho, u, grid.h, dt, GSH, speed)
+    rho_new, flux, _ = density_step_arrays(rho, u, grid.h, dt, GSH, speed)
     return rho_new, flux, dt
 
 
