@@ -379,6 +379,9 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf,
                 plan.append((a, b, s, lam, dt, speed))
             recorder.on_step(rho_old, rho_new, u_now, dt, speed, b - a < n,
                              parts)
+            # free the parts before the next step allocates its own: held
+            # over, they raised the unaudited march's peak RSS
+            del parts
             rho[a:b] = rho_new
             lo, hi = max(a - 1, 0), min(b + 1, n)
             t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt
