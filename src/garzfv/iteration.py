@@ -236,7 +236,7 @@ class SlabRecorder:
         max_speed(rho_old, u) as set dt, outside says whether the march
         has cells beyond these, which the step left in place, and parts
         are the Godunov parts that ``density_step_arrays`` returned for
-        the step, which the audit reuses.
+        the step, which the audit reuses (None when it did not keep them).
 
         Such a cell i has a constant stencil (see _march_slab): rho_old
         and u are the same bits at i-1, i and i+1 (the copy ghosts make
@@ -350,6 +350,7 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf,
     state = np.stack((rho, v, w))  # rows rho, v, w; stepped in place
     rho, q = state[0], state[1:]
     plan = recorder.plan
+    audited = len(recorder.k_levels) > 0
     u_lo, u_hi = _row_spans(u_rows)
     influx = 0.0
     tlist = times.tolist()
@@ -371,17 +372,14 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf,
             dt_stable = cfl * h / speed
             remaining = t_next - t
             dt = min(dt_stable, remaining)
-            rho_new, flux, parts = density_step_arrays(rho_old, u_now, h, dt,
-                                                       model, speed)
+            rho_new, flux, parts = density_step_arrays(
+                rho_old, u_now, h, dt, model, speed, with_parts=audited)
             q[:, a:b] = marker_step_arrays(q[:, a:b], rho_old, flux, h, dt)
             influx += dt * (flux[0] - flux[-1])
             if plan is not None:
                 plan.append((a, b, s, lam, dt, speed))
             recorder.on_step(rho_old, rho_new, u_now, dt, speed, b - a < n,
                              parts)
-            # free the parts before the next step allocates its own: held
-            # over, they raised the unaudited march's peak RSS
-            del parts
             rho[a:b] = rho_new
             lo, hi = max(a - 1, 0), min(b + 1, n)
             t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt
@@ -413,7 +411,7 @@ def _replay_density(rho, u_rows, plan, model, h, recorder: SlabRecorder):
         u_now = _marker_now(u_rows, s, lam, a, b)
         rho_old = rho[a:b]
         rho_new, _, parts = density_step_arrays(rho_old, u_now, h, dt, model,
-                                                speed)
+                                                speed, with_parts=True)
         recorder.on_step(rho_old, rho_new, u_now, dt, speed, b - a < n,
                          parts)
         rho[a:b] = rho_new

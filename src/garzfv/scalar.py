@@ -83,10 +83,12 @@ def max_speed(rho: np.ndarray, u: np.ndarray, model: VelocityModel) -> float:
 
 
 def density_step_arrays(rho: np.ndarray, u: np.ndarray, h: float, dt: float,
-                        model: VelocityModel, speed: float):
+                        model: VelocityModel, speed: float,
+                        with_parts: bool = False):
     """One Godunov step on raw arrays; returns (rho_new, interface fluxes,
-    parts), parts being (padded rho, interface marker, F, crit, f_a, f_b,
-    f_c) for ``entropy_residual_maxima`` to reuse (see _godunov_parts).
+    parts).  With with_parts, parts are (padded rho, interface marker, F,
+    crit, f_a, f_b, f_c) for ``entropy_residual_maxima`` to reuse (see
+    _godunov_parts); otherwise None, so that they are freed on return.
 
     speed is max_speed(rho, u, model), which the caller has already taken
     to choose dt and to range-check (rho, u), so f is evaluated unchecked;
@@ -98,7 +100,7 @@ def density_step_arrays(rho: np.ndarray, u: np.ndarray, h: float, dt: float,
     parts = _step_parts(rho, u, model)
     flux = parts[2]
     rho_new = rho - (dt / h) * (flux[1:] - flux[:-1])
-    return rho_new, flux, parts
+    return rho_new, flux, parts if with_parts else None
 
 
 def _step_parts(rho, u, model: VelocityModel):

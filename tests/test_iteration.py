@@ -282,9 +282,9 @@ def test_picard_slab_returns_the_kept_march_record(monkeypatch, levels):
     real_march = iteration._march_slab
     real_step = iteration.density_step_arrays
 
-    def step(*args):
+    def step(*args, **kwargs):
         steps[0] += 1
-        return real_step(*args)
+        return real_step(*args, **kwargs)
 
     def march(*args):
         before = steps[0]
@@ -490,7 +490,8 @@ def reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf,
             remaining = t_next - t
             dt = min(cfl * h / speed, remaining)
             rho_new, flux, parts = iteration.density_step_arrays(
-                rho, u_now, h, dt, model, speed)
+                rho, u_now, h, dt, model, speed,
+                with_parts=len(recorder.k_levels) > 0)
             q = iteration.marker_step_arrays(q, rho, flux, h, dt)
             influx += dt * (flux[0] - flux[-1])
             if recorder.plan is not None:

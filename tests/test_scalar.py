@@ -234,7 +234,7 @@ def _assert_kernel_matches(rho, rho_new, u, dt, h, model,
     # handed the Godunov parts of the step from (rho, u), as the march
     # hands them over, the kernel returns the bytes it recomputes
     parts = density_step_arrays(rho, u, h, dt, model,
-                                max_speed(rho, u, model))[2]
+                                max_speed(rho, u, model), with_parts=True)[2]
     reused = entropy_residual_maxima(rho, rho_new, u, levels, dt, h, model,
                                      parts)
     assert reused.tobytes() == got.tobytes()
