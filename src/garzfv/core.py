@@ -264,12 +264,13 @@ def build_initial_state(data: InitialData, grid: Grid) -> SystemState:
     w = rho * psi
     z = data.z_inf + grid.h * np.cumsum(w)
     v = rho * z
-    u = data.u_inf + grid.h * np.cumsum(v)
-    if u.min() < -1e-12:
+    state = state_from_arrays(0.0, rho, v, w, data.z_inf, data.u_inf, grid)
+    u_min = state.u.values.min()
+    if u_min < -1e-12:
         raise InvalidDataError(
-            f"constructed u0 is negative (min {u.min():.3e}); "
+            f"constructed u0 is negative (min {u_min:.3e}); "
             "choose compatible z_inf/u_inf/psi0")
-    return state_from_arrays(0.0, rho, v, w, data.z_inf, data.u_inf, grid)
+    return state
 
 
 def recommended_domain(data: InitialData, t_final: float,

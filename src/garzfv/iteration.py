@@ -16,9 +16,8 @@ A march steps only a window of cells.  A cell whose three-cell stencil is
 constant in rho, u, v and w cannot change in a step (the transport has
 finite speed), so each step runs the step kernels on the one range of cells
 that holds every bitwise jump of those arrays; outside it the full-width
-step would return each cell's own bits, the influx and the CFL speed are
-the same, and so are the entropy residual maxima of an audited march.
-``_march_slab`` states the proof and how the window is kept.
+step would return each cell's own bits, and the influx and the CFL speed
+are the same.  ``_march_slab`` states the proof and how the window is kept.
 
 Convergence is declared when the contraction functional
 
@@ -32,12 +31,14 @@ and retries, up to five times, if a slab fails to converge.  The mass and
 total-variation series are computed once per slab, from the rows of the
 kept iterate.
 
-A converged slab is described by two records: its PicardTrace, the Phi
-value of each iterate after the first, and the SlabRecorder of the march
-it keeps, which carries the trace.  Trajectory.slabs holds those recorders.
-The entropy audit runs on no Picard march: an audited slab replays the
-density steps of the march it keeps, and that replay's recorder, with the
-residual maxima, is its record.
+Every march returns its step plan: per step its window, dt and CFL
+speed.  A converged slab is described by two records: its PicardTrace,
+the Phi value of each iterate after the first, and its SlabRecorder,
+built from the plan of the march it keeps, which carries the trace.
+Trajectory.slabs holds those records.  The entropy audit runs on no
+Picard march: an audited slab replays the density steps of the plan it
+keeps, and the replay raises the record's residual maxima, the step
+window's maxima raised to +0.0 when cells lie outside it.
 """
 
 from __future__ import annotations
@@ -200,28 +201,23 @@ class PicardTrace:
 
 
 class SlabRecorder:
-    """What one march measured: its steps, its largest CFL number and, per
-    entropy level, its largest entropy residual.
+    """A converged slab's record: the step count and the largest CFL number
+    of the march it keeps, taken from that march's step plan, its
+    PicardTrace and, per entropy level, the largest entropy residual of
+    the march's steps.
 
-    With log_plan, ``plan`` lists each step's (a, b, s, lam, dt, speed):
-    its window [a, b), the stored row s it marches towards, the weight lam
-    of that row in u_now, its dt and its CFL speed; otherwise it is None.
-
-    The recorder of the kept march, or of its replay, is the slab's record:
-    picard_slab attaches the slab's trace to it, and the slab's span is
-    read from the trace.
+    picard_slab builds it once, after Phi has converged, and for an
+    audited slab then has ``_replay_density`` raise entropy_max from -inf.
+    The slab's span is read from the trace.
     """
 
-    def __init__(self, model: VelocityModel, h: float, k_levels,
-                 log_plan: bool = False):
-        self.model = model
-        self.h = h
+    def __init__(self, plan, h: float, k_levels, trace: PicardTrace):
         self.k_levels = np.asarray(k_levels, dtype=float)
         self.entropy_max = np.full(len(self.k_levels), -math.inf)
-        self.n_steps = 0
-        self.max_cfl = 0.0
-        self.plan: list | None = [] if log_plan else None
-        self.trace: PicardTrace | None = None
+        self.n_steps = len(plan)
+        self.max_cfl = max((dt * speed / h for *_, dt, speed in plan),
+                           default=0.0)
+        self.trace = trace
 
     @property
     def t0(self) -> float:
@@ -230,41 +226,6 @@ class SlabRecorder:
     @property
     def t1(self) -> float:
         return self.trace.t1
-
-    def on_step(self, rho_old, rho_new, u, dt, speed, outside: bool, parts):
-        """Record one step on the cells the march stepped; speed is
-        max_speed(rho_old, u) as set dt, outside says whether the march
-        has cells beyond these, which the step left in place, and parts
-        are the Godunov parts that ``density_step_arrays`` returned for
-        the step, which the audit reuses (None when it did not keep them).
-
-        Such a cell i has a constant stencil (see _march_slab): rho_old
-        and u are the same bits at i-1, i and i+1 (the copy ghosts make
-        each edge cell its own outer neighbour), and so are rho_new[i] and
-        rho_old[i].  Its residual is +0.0 at every level.  Its two
-        interface entropy fluxes are computed from the same bits, so they
-        are the same bits and their difference is +0.0; |d_new| - |d_old|
-        is x - x = +0.0; u[i+1] - u[i-1] is +0.0, so the source term is
-        +-0.0; and +0.0 + +-0.0 = +0.0.  This needs finite values, which
-        the range check and an admissible closure (pointwise, finite on
-        the box) give.  So the full row's maximum is this window's maximum
-        raised to +0.0.
-
-        No residual is -0.0: |d_new| - |d_old| is never -0.0, dividing a
-        nonzero by dt <= 1 cannot round to zero (solve_global's slabs are
-        at most 1/4 long), and x + y is -0.0 only when both are.  So the
-        maximum is one number whatever the order, and NaN propagates.
-        """
-        self.n_steps += 1
-        self.max_cfl = max(self.max_cfl, dt * speed / self.h)
-        if len(self.k_levels) == 0:
-            return
-        maxima = entropy_residual_maxima(rho_old, rho_new, u, self.k_levels,
-                                         dt, self.h, self.model, parts)
-        if outside:
-            np.maximum(maxima, 0.0, out=maxima)
-        # np.maximum keeps a NaN residual, which Python's max would drop
-        np.maximum(maxima, self.entropy_max, out=self.entropy_max)
 
     def entropy_table(self) -> dict:
         if self.n_steps == 0 or len(self.k_levels) == 0:
@@ -314,10 +275,15 @@ def _marker_now(u_rows, s, lam, a, b):
     return u_now
 
 
-def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf,
-                recorder: SlabRecorder) -> SlabIterate:
+def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf):
     """March (rho, v, w) through all stored times with the marker field
     frozen at u_rows, the previous iterate's u, linear in t between rows.
+
+    Returns (SlabIterate, plan), plan listing each step's (a, b, s, lam,
+    dt, speed): its window [a, b), the stored row s it marches towards,
+    the weight lam of that row in u_now, its dt and its CFL speed.  The
+    march audits nothing; ``_replay_density`` audits a kept march from its
+    plan.
 
     Each step runs the kernels on one window [a, b) of cells and writes it
     back.  The window holds every cell whose rho, v, w or u_now differs,
@@ -349,8 +315,7 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf,
                       influx=np.empty(len(times)))
     state = np.stack((rho, v, w))  # rows rho, v, w; stepped in place
     rho, q = state[0], state[1:]
-    plan = recorder.plan
-    audited = len(recorder.k_levels) > 0
+    plan = []
     u_lo, u_hi = _row_spans(u_rows)
     influx = 0.0
     tlist = times.tolist()
@@ -372,14 +337,12 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf,
             dt_stable = cfl * h / speed
             remaining = t_next - t
             dt = min(dt_stable, remaining)
-            rho_new, flux, parts = density_step_arrays(
-                rho_old, u_now, h, dt, model, speed, with_parts=audited)
+            # the Godunov parts are dropped here, before the marker step
+            rho_new, flux = density_step_arrays(rho_old, u_now, h, dt, model,
+                                                speed)[:2]
             q[:, a:b] = marker_step_arrays(q[:, a:b], rho_old, flux, h, dt)
             influx += dt * (flux[0] - flux[-1])
-            if plan is not None:
-                plan.append((a, b, s, lam, dt, speed))
-            recorder.on_step(rho_old, rho_new, u_now, dt, speed, b - a < n,
-                             parts)
+            plan.append((a, b, s, lam, dt, speed))
             rho[a:b] = rho_new
             lo, hi = max(a - 1, 0), min(b + 1, n)
             t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt
@@ -393,27 +356,50 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf,
     np.cumsum(out.v, axis=1, out=out.u)
     out.u *= h
     out.u += u_inf
-    return out
+    return out, plan
 
 
-def _replay_density(rho, u_rows, plan, model, h, recorder: SlabRecorder):
-    """Re-run, feeding recorder, the density steps that a march from rho
-    with marker rows u_rows logged in plan.
+def _replay_density(rho, u_rows, plan, model, h, record: SlabRecorder):
+    """Audit the density steps that a march from rho with marker rows
+    u_rows logged in plan: re-run each and raise record.entropy_max to its
+    entropy residual maxima at record.k_levels.
 
     The density step reads neither v nor w, so each replayed step gets the
     march's (rho_old, u_now, dt, speed) bit for bit.  The march has
     range-checked them, so the replay skips ``max_speed``, the marker
     transport, the window scans and the stored rows.
+
+    A step audits the cells of its window.  A cell i outside it has a
+    constant stencil (see _march_slab): rho_old and u are the same bits at
+    i-1, i and i+1 (the copy ghosts make each edge cell its own outer
+    neighbour), and so are rho_new[i] and rho_old[i].  Its residual is
+    +0.0 at every level.  Its two interface entropy fluxes are computed
+    from the same bits, so they are the same bits and their difference is
+    +0.0; |d_new| - |d_old| is x - x = +0.0; u[i+1] - u[i-1] is +0.0, so
+    the source term is +-0.0; and +0.0 + +-0.0 = +0.0.  This needs finite
+    values, which the range check and an admissible closure (pointwise,
+    finite on the box) give.  So the full row's maximum is the window's
+    maximum raised to +0.0.
+
+    No residual is -0.0: |d_new| - |d_old| is never -0.0, dividing a
+    nonzero by dt <= 1 cannot round to zero (solve_global's slabs are at
+    most 1/4 long), and x + y is -0.0 only when both are.  So the maximum
+    is one number whatever the order, and NaN propagates.
     """
     rho = rho.copy()
     n = len(rho)
+    levels = record.k_levels
     for a, b, s, lam, dt, speed in plan:
         u_now = _marker_now(u_rows, s, lam, a, b)
         rho_old = rho[a:b]
         rho_new, _, parts = density_step_arrays(rho_old, u_now, h, dt, model,
-                                                speed, with_parts=True)
-        recorder.on_step(rho_old, rho_new, u_now, dt, speed, b - a < n,
-                         parts)
+                                                speed)
+        maxima = entropy_residual_maxima(rho_old, rho_new, u_now, levels, dt,
+                                         h, model, parts)
+        if b - a < n:
+            np.maximum(maxima, 0.0, out=maxima)
+        # np.maximum keeps a NaN residual, which Python's max would drop
+        np.maximum(maxima, record.entropy_max, out=record.entropy_max)
         rho[a:b] = rho_new
 
 
@@ -422,13 +408,12 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     """Iterate one slab to convergence.
 
     Returns (kept SlabIterate, PicardTrace, the slab's SlabRecorder); the
-    recorder carries the trace and is the slab's record.  Picard marches
-    record no entropy residuals.  When cfg.entropy_levels > 0 each march
-    logs its step plan, and once Phi reaches tol_phi the kept march's
-    density steps are replayed with the entropy audit on: no march runs
-    after the one that converged, and the replay's recorder is the record.
-    Raises PicardDivergenceError carrying the trace when tol_phi is not
-    reached within max_picard_iters iterates.
+    record carries the trace.  The Picard marches audit nothing.  Once Phi
+    reaches tol_phi the record is built from the kept march's step plan,
+    and when cfg.entropy_levels > 0 that march's density steps are
+    replayed with the entropy audit on: no march runs after the one that
+    converged.  Raises PicardDivergenceError carrying the trace when
+    tol_phi is not reached within max_picard_iters iterates.
     """
     if not t1 > t0:
         raise InputRangeError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -451,9 +436,8 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     trace = PicardTrace(t0=t0, t1=t1, tol_phi=tol, phi=[])
 
     while trace.iterations < cfg.max_picard_iters:
-        recorder = SlabRecorder(model, h, (), log_plan=len(k_levels) > 0)
-        curr = _march_slab(rho0, v0, w0, events, prev.u, model, h, cfg.cfl,
-                           state.u_inf, recorder)
+        curr, plan = _march_slab(rho0, v0, w0, events, prev.u, model, h,
+                                 cfg.cfl, state.u_inf)
         # Phi at every stored time, then its sup over them
         phi = float((h * abs(prev.rho - curr.rho).sum(axis=1)
                      + h * abs(prev.v - v_prev_prev).sum(axis=1)).max())
@@ -461,12 +445,10 @@ def picard_slab(state: SystemState, t0: float, t1: float,
         if phi <= tol:
             trace.converged = True
             trace.stop_reason = f"phi {phi:.3e} <= tol {tol:.3e}"
+            record = SlabRecorder(plan, h, k_levels, trace)
             if len(k_levels):
-                plan = recorder.plan
-                recorder = SlabRecorder(model, h, k_levels)
-                _replay_density(rho0, prev.u, plan, model, h, recorder)
-            recorder.trace = trace
-            return curr, trace, recorder
+                _replay_density(rho0, prev.u, plan, model, h, record)
+            return curr, trace, record
         v_prev_prev = prev.v
         prev = curr
     trace.stop_reason = (f"phi still {trace.phi[-1]:.3e} after "

@@ -83,12 +83,11 @@ def max_speed(rho: np.ndarray, u: np.ndarray, model: VelocityModel) -> float:
 
 
 def density_step_arrays(rho: np.ndarray, u: np.ndarray, h: float, dt: float,
-                        model: VelocityModel, speed: float,
-                        with_parts: bool = False):
+                        model: VelocityModel, speed: float):
     """One Godunov step on raw arrays; returns (rho_new, interface fluxes,
-    parts).  With with_parts, parts are (padded rho, interface marker, F,
-    crit, f_a, f_b, f_c) for ``entropy_residual_maxima`` to reuse (see
-    _godunov_parts); otherwise None, so that they are freed on return.
+    parts), parts being (padded rho, interface marker, F, crit, f_a, f_b,
+    f_c) for ``entropy_residual_maxima`` to reuse (see _godunov_parts).  A
+    caller that does not audit the step drops them on return.
 
     speed is max_speed(rho, u, model), which the caller has already taken
     to choose dt and to range-check (rho, u), so f is evaluated unchecked;
@@ -100,7 +99,7 @@ def density_step_arrays(rho: np.ndarray, u: np.ndarray, h: float, dt: float,
     parts = _step_parts(rho, u, model)
     flux = parts[2]
     rho_new = rho - (dt / h) * (flux[1:] - flux[:-1])
-    return rho_new, flux, parts if with_parts else None
+    return rho_new, flux, parts
 
 
 def _step_parts(rho, u, model: VelocityModel):
@@ -188,20 +187,18 @@ def _level_sign(d_old, d_new, rho_old, rho_new):
 
 def entropy_residual_maxima(rho_old: np.ndarray, rho_new: np.ndarray,
                             u: np.ndarray, levels, dt: float, h: float,
-                            model: VelocityModel, parts=None) -> np.ndarray:
+                            model: VelocityModel, parts) -> np.ndarray:
     """max_i R_i at every level of ``levels`` for one recorded step.
 
     Equal bit-for-bit to ``entropy_residual_arrays(..., k, ...).max()`` at
     each level, signed zeros and NaN included.  All levels go in one pass
     over (levels x cells) arrays, dV/du from ``model.d_u_levels``.  parts
-    are the Godunov parts that ``density_step_arrays`` returned for this
-    (rho_old, u); None recomputes them, to the same bits.
+    are the Godunov parts of the step from (rho_old, u), as
+    ``density_step_arrays`` returns them (``_step_parts``).
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size and not (levels.min() >= 0.0 and levels.max() <= 1.0):
         raise InputRangeError(f"entropy levels must be in [0,1], got {levels}")
-    if parts is None:
-        parts = _step_parts(rho_old, u, model)
     ue = pad2(u)
     k = levels[:, None]
     q = _level_entropy_fluxes(parts, k, model)

@@ -94,36 +94,47 @@ def _smoke_context(n=128):
 
 
 def _traced_smoke_solve(monkeypatch, cfg, n=192):
-    """Solve smoke, recording per slab each march (audited or not, its
-    iterate, its arguments), the number of multi-level entropy kernel calls
-    and what picard_slab returned."""
-    marches, kernel_calls, slabs = [], [0], []
+    """Solve smoke, recording per slab each march (its iterate, its step
+    plan, its arguments), the calls through iteration's names of the
+    density step and of the multi-level entropy kernel, and what
+    picard_slab returned."""
+    marches, calls, slabs = [], {"step": 0, "maxima": 0}, []
     real_march = iteration._march_slab
-    real_maxima = iteration.entropy_residual_maxima
     real_slab = iteration.picard_slab
 
     def march(*args):
-        out = real_march(*args)
-        marches.append((len(args[-1].k_levels) > 0, out, args))
-        return out
+        iterate, plan = real_march(*args)
+        marches.append((iterate, plan, args))
+        return iterate, plan
 
-    def maxima(*args):
-        kernel_calls[0] += 1
-        return real_maxima(*args)
+    def counted(key, real):
+        def call(*args):
+            calls[key] += 1
+            return real(*args)
+        return call
 
     def slab(*args, **kwargs):
-        first, calls = len(marches), kernel_calls[0]
+        first, before = len(marches), dict(calls)
         result = real_slab(*args, **kwargs)
-        slabs.append((marches[first:], kernel_calls[0] - calls, result))
+        slabs.append((marches[first:],
+                      {key: calls[key] - before[key] for key in calls},
+                      result))
         return result
 
     monkeypatch.setattr(iteration, "_march_slab", march)
-    monkeypatch.setattr(iteration, "entropy_residual_maxima", maxima)
+    monkeypatch.setattr(iteration, "density_step_arrays",
+                        counted("step", iteration.density_step_arrays))
+    monkeypatch.setattr(iteration, "entropy_residual_maxima",
+                        counted("maxima", iteration.entropy_residual_maxima))
     monkeypatch.setattr(iteration, "picard_slab", slab)
     sc = scenario("smoke")
     grid = Grid(sc.grid.x_min, sc.grid.x_max, n)
     traj = solve_global(sc.data, grid, sc.t_final, sc.model(), cfg)
     return traj, slabs
+
+
+def _plan_steps(slab_marches) -> int:
+    return sum(len(plan) for _, plan, _ in slab_marches)
 
 
 def _same_iterate(a, b):
@@ -139,39 +150,41 @@ def test_entropy_audit_runs_once_per_step_of_converged_iterate(monkeypatch):
     # every Picard march runs unaudited (auditing each would cost n_steps x
     # (iterates - 1) kernel calls per slab) and no march runs after the one
     # that converged: the audit replays the kept march's density steps, one
-    # kernel call per step, and records what an audited march of the same
-    # slab inputs records, bit for bit
-    real_march = iteration._march_slab
+    # step and one kernel call per step of its plan, and records what an
+    # audit done inline during the full-width march of the same slab
+    # inputs records, bit for bit.  The call counts are the ones the span
+    # tracer in perfbench/spans.py reads.
     traj, slabs = _traced_smoke_solve(monkeypatch, SlabConfig())
     assert len(slabs) == len(traj.slabs) >= 2
-    for slab_marches, kernel_calls, (iterate, trace, recorder) in slabs:
+    for slab_marches, calls, (iterate, trace, record) in slabs:
         assert trace.iterations >= 3
-        assert [flag for flag, *_ in slab_marches] \
-            == [False] * (trace.iterations - 1)
-        _, kept, args = slab_marches[-1]
+        assert len(slab_marches) == trace.iterations - 1
+        kept, plan, args = slab_marches[-1]
         assert kept is iterate
-        assert kernel_calls == recorder.n_steps > 0
-        assert len(args[-1].plan) == args[-1].n_steps == recorder.n_steps
-        assert len(recorder.entropy_table()) == 11
-        model, h = args[5], args[6]
-        audited = iteration.SlabRecorder(model, h, recorder.k_levels)
-        assert _same_iterate(real_march(*args[:-1], audited), iterate)
-        assert recorder.entropy_max.tobytes() \
-            == audited.entropy_max.tobytes()
-        assert recorder.n_steps == audited.n_steps
-        assert recorder.max_cfl == audited.max_cfl
+        assert calls["step"] == _plan_steps(slab_marches) + len(plan)
+        assert calls["maxima"] == len(plan) == record.n_steps > 0
+        assert len(record.entropy_table()) == 11
+        h = args[6]
+        ref, ref_plan, maxima = audited_reference_march(*args,
+                                                        record.k_levels)
+        assert _same_iterate(ref, iterate)
+        assert record.entropy_max.tobytes() == maxima.tobytes()
+        assert record.n_steps == len(ref_plan)
+        assert record.max_cfl == max(dt * speed / h
+                                     for *_, dt, speed in ref_plan)
 
 
 def test_unaudited_solve_marches_once_per_picard_iterate(monkeypatch):
     traj, slabs = _traced_smoke_solve(monkeypatch,
                                       SlabConfig(entropy_levels=0))
-    for slab_marches, kernel_calls, (iterate, trace, recorder) in slabs:
-        assert kernel_calls == 0
+    for slab_marches, calls, (iterate, trace, record) in slabs:
         assert len(slab_marches) == trace.iterations - 1
-        assert slab_marches[-1][1] is iterate
-        # an unaudited slab has nothing to replay, so it logs no step plan
-        assert all(args[-1].plan is None for *_, args in slab_marches)
-        assert recorder.entropy_table() == {}
+        kept, plan, _ = slab_marches[-1]
+        assert kept is iterate
+        # the marches take every density step: no replay runs
+        assert calls == {"step": _plan_steps(slab_marches), "maxima": 0}
+        assert record.n_steps == len(plan) > 0
+        assert record.entropy_table() == {}
     assert all(s.entropy_table() == {} for s in traj.slabs)
 
 
@@ -277,7 +290,7 @@ def test_picard_slab_returns_the_kept_march_record(monkeypatch, levels):
     # steps the density as often as that march did
     sc, grid, _, ctx, st0 = _smoke_context(n=384)
     cfg = SlabConfig(entropy_levels=levels)
-    marches = []  # per march: (its recorder, its density steps)
+    marches = []  # per march: (its step plan, its density steps)
     steps = [0]
     real_march = iteration._march_slab
     real_step = iteration.density_step_arrays
@@ -288,9 +301,9 @@ def test_picard_slab_returns_the_kept_march_record(monkeypatch, levels):
 
     def march(*args):
         before = steps[0]
-        out = real_march(*args)
-        marches.append((args[-1], steps[0] - before))
-        return out
+        iterate, plan = real_march(*args)
+        marches.append((plan, steps[0] - before))
+        return iterate, plan
 
     monkeypatch.setattr(iteration, "density_step_arrays", step)
     monkeypatch.setattr(iteration, "_march_slab", march)
@@ -300,11 +313,11 @@ def test_picard_slab_returns_the_kept_march_record(monkeypatch, levels):
     assert len(marches) == trace.iterations - 1
     kept, kept_steps = marches[-1]
     replayed = steps[0] - sum(n for _, n in marches)
-    assert (record is kept) == (levels == 0)
     assert replayed == (kept_steps if levels else 0)
     assert record.trace is trace
-    assert record.n_steps == kept.n_steps == kept_steps > 0
-    assert record.max_cfl == kept.max_cfl
+    assert record.n_steps == len(kept) == kept_steps > 0
+    assert record.max_cfl == max(dt * speed / grid.h
+                                 for *_, dt, speed in kept)
     assert (record.t0, record.t1) == (0.0, ctx.tau0)
     assert record.k_levels.tolist() == np.linspace(0.0, 1.0,
                                                    levels).tolist()
@@ -455,7 +468,7 @@ def test_entropy_tables_match_the_per_level_reference(monkeypatch, name,
     shipped = tables()
     assert shipped and all(shipped)
 
-    def reference(rho_old, rho_new, u, levels, dt, h, model, parts=None):
+    def reference(rho_old, rho_new, u, levels, dt, h, model, parts):
         # the step's Godunov parts are ignored: the reference recomputes
         return np.array([entropy_residual_arrays(rho_old, rho_new, u, k, dt,
                                                  h, model).max()
@@ -467,15 +480,18 @@ def test_entropy_tables_match_the_per_level_reference(monkeypatch, name,
 
 # The windowed march against the march over all n cells.
 
-def reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf,
-                    recorder):
+def audited_reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf,
+                            k_levels):
     """_march_slab stepping every cell: the same kernels through
-    iteration's names, full width, with u interpolated on all cells.  It
-    logs a full-width step plan for a recorder that asks for one, so an
-    audited slab replays this march's steps."""
+    iteration's names, full width, with u interpolated on all cells.
+    Returns (iterate, full-width step plan, entropy maxima), the maxima
+    audited inline at each level of k_levels as the steps are taken, on
+    all cells, so with no plan and no still-cell rule."""
     shape = (len(times), len(rho))
     out = iteration.SlabIterate(times, *(np.empty(shape) for _ in range(4)),
                                 influx=np.empty(len(times)))
+    plan = []
+    maxima = np.full(len(k_levels), -np.inf)
     q = np.stack((v, w))
     influx = 0.0
     t = float(times[0])
@@ -490,13 +506,14 @@ def reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf,
             remaining = t_next - t
             dt = min(cfl * h / speed, remaining)
             rho_new, flux, parts = iteration.density_step_arrays(
-                rho, u_now, h, dt, model, speed,
-                with_parts=len(recorder.k_levels) > 0)
+                rho, u_now, h, dt, model, speed)
+            if len(k_levels):
+                np.maximum(iteration.entropy_residual_maxima(
+                    rho, rho_new, u_now, k_levels, dt, h, model, parts),
+                    maxima, out=maxima)
             q = iteration.marker_step_arrays(q, rho, flux, h, dt)
             influx += dt * (flux[0] - flux[-1])
-            if recorder.plan is not None:
-                recorder.plan.append((0, len(rho), j + 1, lam, dt, speed))
-            recorder.on_step(rho, rho_new, u_now, dt, speed, False, parts)
+            plan.append((0, len(rho), j + 1, lam, dt, speed))
             rho = rho_new
             t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt
         t = t_next
@@ -506,7 +523,14 @@ def reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf,
     np.cumsum(out.v, axis=1, out=out.u)
     out.u *= h
     out.u += u_inf
-    return out
+    return out, plan, maxima
+
+
+def reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf):
+    """The full-width march in _march_slab's form: (iterate, step plan),
+    so an audited slab replays its full-width steps."""
+    return audited_reference_march(rho, v, w, times, u_rows, model, h, cfl,
+                                   u_inf, np.empty(0))[:2]
 
 
 @st.composite
@@ -561,16 +585,22 @@ def test_windowed_march_matches_the_full_width_march(data, model, cfl,
                                                      levels):
     rho, v, w, times, u_rows = data
     h = 0.05
-    results = []
-    for march in (iteration._march_slab, reference_march):
-        rec = iteration.SlabRecorder(model, h, np.linspace(0.0, 1.0, levels))
-        results.append((march(rho, v, w, times, u_rows, model, h, cfl, 0.25,
-                              rec), rec))
-    (got, got_rec), (ref, ref_rec) = results
+    k_levels = np.linspace(0.0, 1.0, levels)
+    got, plan = iteration._march_slab(rho, v, w, times, u_rows, model, h,
+                                      cfl, 0.25)
+    ref, ref_plan, ref_maxima = audited_reference_march(
+        rho, v, w, times, u_rows, model, h, cfl, 0.25, k_levels)
     assert _same_iterate(got, ref)
-    assert got_rec.n_steps == ref_rec.n_steps
-    assert got_rec.max_cfl == ref_rec.max_cfl
-    assert got_rec.entropy_max.tobytes() == ref_rec.entropy_max.tobytes()
+    # the window proof: neither dt nor the CFL speed depends on the window
+    assert np.array([p[2:] for p in plan]).tobytes() \
+        == np.array([p[2:] for p in ref_plan]).tobytes()
+    record = iteration.SlabRecorder(plan, h, k_levels, None)
+    if levels:
+        iteration._replay_density(rho, u_rows, plan, model, h, record)
+    assert record.entropy_max.tobytes() == ref_maxima.tobytes()
+    assert record.n_steps == len(ref_plan)
+    assert record.max_cfl \
+        == iteration.SlabRecorder(ref_plan, h, k_levels, None).max_cfl
 
 
 @pytest.mark.parametrize("tail", ["rho", "u"])
@@ -589,10 +619,9 @@ def test_windowed_march_range_check_sees_a_constant_tail(tail):
         u_rows[:, 40:] = -1e-3
     messages = []
     for march in (iteration._march_slab, reference_march):
-        rec = iteration.SlabRecorder(GSH, 0.05, ())
         with pytest.raises(InputRangeError) as err:
             march(rho, 0.1 * rho, 0.2 * rho, times, u_rows, GSH, 0.05, 0.5,
-                  1.0, rec)
+                  1.0)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert ("density outside" if tail == "rho" else "nonnegative") \

@@ -17,8 +17,8 @@ from garzfv import (
     max_speed,
     total_variation,
 )
-from garzfv.scalar import (density_step_arrays, entropy_residual_arrays,
-                           entropy_residual_maxima)
+from garzfv.scalar import (_step_parts, density_step_arrays,
+                           entropy_residual_arrays, entropy_residual_maxima)
 
 GSH = GreenshieldsModel()
 
@@ -228,13 +228,14 @@ def _reference_maxima(rho, rho_new, u, levels, dt, h, model):
 
 def _assert_kernel_matches(rho, rho_new, u, dt, h, model,
                            levels=AUDIT_LEVELS):
-    got = entropy_residual_maxima(rho, rho_new, u, levels, dt, h, model)
+    got = entropy_residual_maxima(rho, rho_new, u, levels, dt, h, model,
+                                  _step_parts(rho, u, model))
     ref = _reference_maxima(rho, rho_new, u, levels, dt, h, model)
     assert got.tobytes() == ref.tobytes()
-    # handed the Godunov parts of the step from (rho, u), as the march
-    # hands them over, the kernel returns the bytes it recomputes
+    # handed the Godunov parts that the step from (rho, u) returns, as the
+    # audit replay hands them over, the kernel returns the same bytes
     parts = density_step_arrays(rho, u, h, dt, model,
-                                max_speed(rho, u, model), with_parts=True)[2]
+                                max_speed(rho, u, model))[2]
     reused = entropy_residual_maxima(rho, rho_new, u, levels, dt, h, model,
                                      parts)
     assert reused.tobytes() == got.tobytes()
@@ -357,9 +358,10 @@ def test_multilevel_kernel_matches_per_level_residual_for_custom_closure(
 
 def test_multilevel_kernel_rejects_levels_outside_unit_interval():
     rho = np.full(8, 0.5)
+    u = np.ones(8)
     with pytest.raises(InputRangeError):
-        entropy_residual_maxima(rho, rho, np.ones(8), [0.5, 1.5], 0.01, 0.1,
-                                GSH)
+        entropy_residual_maxima(rho, rho, u, [0.5, 1.5], 0.01, 0.1, GSH,
+                                _step_parts(rho, u, GSH))
 
 
 STEP_MODELS = [PowerLawModel(g) for g in (1.0, 2.0, 2.5, 3.0)] + [
