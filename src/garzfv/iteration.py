@@ -427,8 +427,7 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     v0 = state.v.values
     w0 = state.w.values
     u0 = state.u.values
-    k_levels = (np.linspace(0.0, 1.0, cfg.entropy_levels)
-                if cfg.entropy_levels > 0 else np.empty(0))
+    k_levels = np.linspace(0.0, 1.0, cfg.entropy_levels)
 
     prev = _frozen_iterate(rho0, v0, w0, u0, events)
     v_prev_prev = prev.v  # of iterate m-2 Phi needs only v
@@ -460,7 +459,7 @@ def picard_slab(state: SystemState, t0: float, t1: float,
 @dataclass
 class Trajectory:
     """Solver output: states at the output times plus per-slab records
-    (the kept march's SlabRecorder of each slab, carrying its trace)."""
+    (each slab's SlabRecorder, carrying its trace)."""
 
     states: list
     output_times: np.ndarray
