@@ -25,7 +25,9 @@ Convergence is declared when the contraction functional
         ||rho_{m-1} - rho_m||_L1 + ||v_{m-1} - v_{m-2}||_L1
 
 falls below tol_phi.  (The two terms deliberately carry different iterate
-offsets.)  The slab length tau0 and the growth constant C_tilde are
+offsets.)  The slab length is one closed form in the growth constant,
+tau0 = min(1/4, ln(3/2)/C_tilde) (1/4 for C_tilde = 0), which is never
+shorter than the paper's slab length (see compute_tau0).  Both are
 advisory: convergence is decided by Phi, and the global driver halves tau0
 and retries, up to five times, if a slab fails to converge.  The mass and
 total-variation series are computed once per slab, from the rows of the
@@ -109,33 +111,22 @@ def compute_tilde_C(model: VelocityModel, z0_sup: float, psi0_sup: float,
 
 
 def compute_tau0(tilde_c: float) -> float:
-    """Largest tau0 <= 1/4 with exp(C tau0) - 1 <= 2 tau0 (bisected to 1e-10).
+    """Slab length: the largest tau0 <= 1/4 with exp(C tau0) - 1 <= 1/2,
+    that is min(1/4, ln(3/2)/C), and 1/4 for C = 0.
 
-    For C >= 2 the inequality has no positive solution (e^{Ct}-1 >= Ct >= 2t),
-    so the slab length falls back to the largest tau0 <= 1/4 with
-    exp(C tau0) - 1 <= 1/2, i.e. min(1/4, ln(3/2)/C) -- the weakest condition
-    under which the variation budget M0 still closes.  tau0 is advisory
-    either way; convergence is decided by the contraction functional.
+    exp(C tau0) - 1 <= 1/2 is the weakest condition under which the
+    variation budget M0 still closes.  The paper's slab condition
+    exp(C tau0) - 1 <= 2 tau0 implies it, since 2 tau0 <= 1/2: the paper's
+    largest root is never longer than this tau0, equals it (1/4) for
+    C <= 4 ln(3/2), and shrinks to 0 as C rises to 2, above which it does
+    not exist (e^{Ct} - 1 >= Ct >= 2t).  This rule is continuous in C.
+    tau0 is advisory; convergence is decided by the contraction functional.
     """
-    if tilde_c < 0.0:
-        raise InputRangeError(f"tilde_c must be >= 0, got {tilde_c}")
+    if not 0.0 <= tilde_c < math.inf:
+        raise InputRangeError(
+            f"tilde_c must be finite and >= 0, got {tilde_c}")
     if tilde_c == 0.0:
         return 0.25
-
-    def feasible(t):
-        return math.expm1(tilde_c * t) - 2.0 * t <= 0.0
-
-    if feasible(0.25):
-        return 0.25
-    lo, hi = 0.0, 0.25
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if mid > 0.0 and feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    if lo > 1e-9:
-        return lo
     return min(0.25, math.log(1.5) / tilde_c)
 
 

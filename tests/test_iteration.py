@@ -20,6 +20,7 @@ from garzfv import (
     PowerLawModel,
     SlabConfig,
     VelocityModel,
+    audit_trajectory,
     build_initial_state,
     compute_M0,
     compute_tau0,
@@ -66,23 +67,48 @@ def test_growth_constant_examples():
 
 def test_slab_length_rule():
     assert compute_tau0(0.0) == 0.25
-    # independent scan: largest tau <= 1/4 with exp(c tau) - 1 <= 2 tau
-    for c in (0.5, 1.0, 1.5, 1.9):
+    # independent scans of tau in (0, 1/4]: the rule's condition
+    # exp(c tau) - 1 <= 1/2 and the paper's exp(c tau) - 1 <= 2 tau
+    grid_tau = np.linspace(1e-6, 0.25, 20001)
+    for c in (0.5, 1.0, 1.5, 1.9, 1.99996, 2.0, 4.0, 10.0):
         tau = compute_tau0(c)
-        grid_tau = np.linspace(1e-6, 0.25, 20001)
-        ok = np.expm1(c * grid_tau) <= 2 * grid_tau
-        best = grid_tau[ok].max()
+        growth = np.expm1(c * grid_tau)
+        best = grid_tau[growth <= 0.5].max()
         assert tau == pytest.approx(best, abs=1e-4)
-        assert math.expm1(c * tau) <= 2 * tau + 1e-9
-    # super-critical growth: fall back to a half-budget exponential window
-    for c in (2.0, 4.0, 10.0):
-        tau = compute_tau0(c)
         assert 0.0 < tau <= 0.25
         assert math.expm1(c * tau) <= 0.5 + 1e-9
+        # the paper's root (none for c >= 2) is never longer, and both are
+        # 1/4 while exp(c / 4) - 1 <= 1/2
+        paper = grid_tau[growth <= 2 * grid_tau]
+        paper_best = paper.max() if len(paper) else 0.0
+        assert paper_best <= tau
+        if c <= 4 * math.log(1.5):
+            assert paper_best == tau == 0.25
     assert compute_tau0(4.0) == pytest.approx(min(0.25, math.log(1.5) / 4.0),
                                               abs=1e-10)
-    with pytest.raises(InputRangeError):
-        compute_tau0(-1.0)
+    # continuous across c = 2: Lipschitz with constant ln(3/2) / c^2 < 0.12
+    cs = np.linspace(1.9, 2.1, 2001)
+    taus = np.array([compute_tau0(c) for c in cs])
+    assert np.abs(np.diff(taus)).max() <= 0.12 * (cs[1] - cs[0])
+    assert compute_tau0(1.99996) == pytest.approx(compute_tau0(2.0),
+                                                  abs=1e-5)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(InputRangeError):
+            compute_tau0(bad)
+
+
+def test_growth_constant_just_below_two_keeps_long_slabs():
+    # V = u (1 - rho)^2 on vacuum: the finite-difference sup bounds put
+    # C_tilde just below 2, where the paper's root would be about 2e-5
+    sc = scenario("vacuum")
+    grid = Grid(sc.grid.x_min, sc.grid.x_max, 96)
+    model = CustomVelocityModel(lambda r, u: u * (1 - r) ** 2)
+    ctx, _ = make_context(sc.data, grid, sc.t_final, model, SlabConfig())
+    assert ctx.c_tilde < 2.0
+    assert ctx.tau0 == pytest.approx(compute_tau0(2.0), abs=1e-3)
+    traj = solve_global(sc.data, grid, sc.t_final, model)
+    assert len(traj.slabs) <= 6
+    assert audit_trajectory(traj).passed
 
 
 def _smoke_context(n=128):

@@ -99,6 +99,15 @@ def test_uniqueness_gap_small_on_constant():
     assert res.gap < 1e-10
 
 
+def test_uniqueness_holds_at_growth_just_below_two():
+    # PowerLawModel(2.5) on smoke has C_tilde = 1.95, where tau0 is
+    # ln(3/2)/C_tilde, not the paper's much shorter root
+    sc = scenario("smoke")
+    grid = Grid(sc.grid.x_min, sc.grid.x_max, 192)
+    res = uniqueness_check(sc.data, grid, sc.t_final, PowerLawModel(2.5))
+    assert res.passed
+
+
 def test_uniqueness_needs_two_seeds():
     sc = scenario("constant")
     with pytest.raises(InputRangeError):
