@@ -98,16 +98,16 @@ def compute_M0(rho0: CellField) -> float:
     return 4.0 * total_variation(rho0) + 4.0
 
 
-def compute_tilde_C(model: VelocityModel, z0_sup: float, psi0_sup: float,
-                    rho0_l1: float, u_max: float) -> float:
-    """Growth constant assembled from closure sup norms on the working box."""
-    if min(z0_sup, psi0_sup, rho0_l1) < 0.0 or u_max < 0.0:
+def compute_tilde_C(bounds: ModelBounds, z0_sup: float, psi0_sup: float,
+                    rho0_l1: float) -> float:
+    """Growth constant assembled from the closure's sup norms on the
+    working box (``VelocityModel.sup_bounds``) and the datum's."""
+    if min(z0_sup, psi0_sup, rho0_l1) < 0.0:
         raise InputRangeError("sup norms must be nonnegative")
-    b = model.sup_bounds(u_max)
-    return (b.d_u_rho_sup * z0_sup
-            + b.d_u_sup * z0_sup
-            + b.d_uu_sup * z0_sup ** 2 * rho0_l1
-            + b.d_u_sup * (psi0_sup * rho0_l1 + z0_sup))
+    return (bounds.d_u_rho_sup * z0_sup
+            + bounds.d_u_sup * z0_sup
+            + bounds.d_uu_sup * z0_sup ** 2 * rho0_l1
+            + bounds.d_u_sup * (psi0_sup * rho0_l1 + z0_sup))
 
 
 def compute_tau0(tilde_c: float) -> float:
@@ -491,7 +491,7 @@ def make_context(data: InitialData, grid: Grid, t_final: float,
     rho0_l1 = l1_norm(state0.rho)
     z0_sup = float(np.abs(state0.z.values).max())
     psi0_sup = float(np.abs(state0.psi.values).max())
-    c_tilde = compute_tilde_C(model, z0_sup, psi0_sup, rho0_l1, u_max)
+    c_tilde = compute_tilde_C(bounds, z0_sup, psi0_sup, rho0_l1)
     tol_phi = cfg.tol_phi if cfg.tol_phi is not None \
         else max(grid.h * rho0_l1, 1e-14)
     constant_u = bool(np.abs(state0.v.values).max() <= 1e-14)

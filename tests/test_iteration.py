@@ -52,16 +52,16 @@ def test_tv_budget_formula():
 
 
 def test_growth_constant_examples():
-    assert compute_tilde_C(GSH, 0.0, 0.0, 1.0, u_max=1.0) == 0.0
+    b = GSH.sup_bounds(1.0)
+    assert compute_tilde_C(b, 0.0, 0.0, 1.0) == 0.0
     # unit sups, unit mass: 1 + 1 + 0 + 1 * (1 + 1)
-    assert compute_tilde_C(GSH, 1.0, 1.0, 1.0, u_max=1.0) == pytest.approx(
-        4.0, abs=1e-12)
+    assert compute_tilde_C(b, 1.0, 1.0, 1.0) == pytest.approx(4.0, abs=1e-12)
     # with psi = 0 the z-linear terms double when z doubles
-    c1 = compute_tilde_C(GSH, 1.0, 0.0, 1.0, u_max=1.0)
-    c2 = compute_tilde_C(GSH, 2.0, 0.0, 1.0, u_max=1.0)
+    c1 = compute_tilde_C(b, 1.0, 0.0, 1.0)
+    c2 = compute_tilde_C(b, 2.0, 0.0, 1.0)
     assert c2 > c1
-    lin1 = c1 - compute_tilde_C(GSH, 0.0, 0.0, 1.0, u_max=1.0)
-    lin2 = c2 - compute_tilde_C(GSH, 0.0, 0.0, 1.0, u_max=1.0)
+    lin1 = c1 - compute_tilde_C(b, 0.0, 0.0, 1.0)
+    lin2 = c2 - compute_tilde_C(b, 0.0, 0.0, 1.0)
     assert lin2 == pytest.approx(2 * lin1, rel=1e-12)
 
 
@@ -452,7 +452,7 @@ def test_context_constants_on_smoke():
     # |psi0| sup 0.5, |rho0|_L1 = 1.2
     assert ctx.m0 == pytest.approx(4 * 1.2 + 4, abs=1e-12)
     assert ctx.c_tilde == pytest.approx(
-        compute_tilde_C(sc.model(), 0.3, 0.5, 1.2, u_max=ctx.u0_sup),
+        compute_tilde_C(sc.model().sup_bounds(ctx.u0_sup), 0.3, 0.5, 1.2),
         rel=1e-12)
     assert ctx.tau0 == pytest.approx(0.25)
     assert not ctx.constant_u
