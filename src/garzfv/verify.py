@@ -383,15 +383,14 @@ def check_ladder(grids: list) -> None:
                 f"ladder must halve h between rungs, got ratio {ratio:g}")
 
 
-def convergence_study(data_of_grid, t_final: float, grids,
+def convergence_study(data: InitialData, t_final: float, grids,
                       model: VelocityModel, exact,
                       cfg: SlabConfig | None = None,
                       window: tuple | None = None,
                       n_output: int = 4) -> ConvergenceTable:
     """L1 errors against a reference on a grid ladder, with observed orders.
 
-    data_of_grid is either one InitialData reused on every grid or a
-    callable grid -> InitialData.  exact is a callable (t, x) -> density
+    data is solved on every grid.  exact is a callable (t, x) -> density
     evaluated at cell centers.  window = (x_lo, x_hi) restricts the error
     integral.  Orders are log2(e_coarse / e_fine) between consecutive rungs.
     """
@@ -402,7 +401,6 @@ def convergence_study(data_of_grid, t_final: float, grids,
     rows = []
     prev_err = None
     for grid in grids:
-        data = data_of_grid(grid) if callable(data_of_grid) else data_of_grid
         final = solve_global(data, grid, t_final, model, cfg,
                              n_output).final_state()
         x = grid.centers()
