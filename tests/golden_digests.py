@@ -5,7 +5,9 @@ unchanged; ``test_golden_digests.py`` checks that.  Per case the file holds
 digests of the stored states (t, rho, v, w, z, u and psi of each), of the
 mass, total-variation and influx series with their times, and, per slab,
 of its Phi trace and of its entropy table, with its step count and its
-largest CFL number (as ``float.hex``).  Next to the cases it holds the
+largest CFL number (as ``float.hex``).  The cases are the five scenarios,
+``smoke`` with two other closures, and three fixed data drawn by a seeded
+generator like the one of ``test_generated_admissible_data_pass_the_audit``.  Next to the cases it holds the
 digest of every file of a default ``garzfv solve`` run directory per
 scenario, and of one unaudited stability measurement and one unaudited
 uniqueness check on ``smoke``.  The numpy version and the platform the
@@ -31,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from garzfv import CustomVelocityModel, Grid, PowerLawModel, scenario
+from garzfv import (CustomVelocityModel, Grid, InitialData, Piece,
+                    PowerLawModel, recommended_domain, scenario)
 from garzfv import cli, perturb_data, solve_global
 from garzfv.verify import measure_stability, uniqueness_check
 from garzfv.scenarios import SCENARIO_NAMES
@@ -45,10 +48,58 @@ def _custom_greenshields():
                                name="u(1-rho)")
 
 
-# case -> (scenario, closure factory; None for the scenario's own)
-CASES = {name: (name, None) for name in SCENARIO_NAMES}
-CASES["smoke-power2.5"] = ("smoke", lambda: PowerLawModel(2.5))
-CASES["smoke-custom"] = ("smoke", _custom_greenshields)
+def _scenario_case(name, make_model=None):
+    """The scenario at N_CELLS, with its own closure unless make_model
+    gives another."""
+    def build():
+        sc = scenario(name)
+        model = sc.model() if make_model is None else make_model()
+        grid = Grid(sc.grid.x_min, sc.grid.x_max, N_CELLS)
+        return sc.data, grid, sc.t_final, model
+    return build
+
+
+SUPPORT = (-1.5, 1.5)
+
+
+def _pieces(rng, lo, hi):
+    """1-3 pieces tiling SUPPORT, each constant or linear, values in
+    [lo, hi]."""
+    cuts = np.sort(rng.uniform(-1.4, 1.4, rng.integers(0, 3))).tolist()
+    edges = [SUPPORT[0], *cuts, SUPPORT[1]]
+    pieces = []
+    for a, b in zip(edges, edges[1:]):
+        left = float(rng.uniform(lo, hi))
+        right = left if rng.integers(2) else float(rng.uniform(lo, hi))
+        pieces.append(Piece(a, b, left, right))
+    return tuple(pieces)
+
+
+def _generated_case(seed, gamma):
+    """Admissible data drawn from seed: piecewise rho in [0, 1] and psi in
+    [-0.5, 0.5] on SUPPORT, u_inf in [0.5, 1.5], PowerLawModel(gamma), up
+    to t = 0.5 on the domain recommended_domain gives."""
+    def build():
+        rng = np.random.default_rng(seed)
+        rho, psi = _pieces(rng, 0.0, 1.0), _pieces(rng, -0.5, 0.5)
+        data = InitialData(rho_pieces=rho, psi_pieces=psi,
+                           u_inf=float(rng.uniform(0.5, 1.5)))
+        # |z| <= L sup|psi| and |u - u_inf| <= L |z|, L the support length
+        length = SUPPORT[1] - SUPPORT[0]
+        psi_sup = max(abs(v) for p in psi for v in (p.v_left, p.v_right))
+        t_final = 0.5
+        wave = data.u_inf + length ** 2 * psi_sup
+        grid = Grid(*recommended_domain(data, t_final, wave), N_CELLS)
+        return data, grid, t_final, PowerLawModel(gamma)
+    return build
+
+
+# case -> builder of its (data, grid, t_final, closure)
+CASES = {name: _scenario_case(name) for name in SCENARIO_NAMES}
+CASES["smoke-power2.5"] = _scenario_case("smoke", lambda: PowerLawModel(2.5))
+CASES["smoke-custom"] = _scenario_case("smoke", _custom_greenshields)
+for _seed, _gamma in enumerate((1.0, 2.0, 3.0)):
+    CASES[f"generated-{_seed}"] = _generated_case(_seed, _gamma)
 
 
 def environment() -> dict:
@@ -66,11 +117,8 @@ def _sha(arrays) -> str:
 def case_digests(case: str) -> dict:
     """Digests of one case, solved at N_CELLS with the default SlabConfig
     (the 11-level entropy audit on)."""
-    name, make_model = CASES[case]
-    sc = scenario(name)
-    model = sc.model() if make_model is None else make_model()
-    grid = Grid(sc.grid.x_min, sc.grid.x_max, N_CELLS)
-    traj = solve_global(sc.data, grid, sc.t_final, model)
+    data, grid, t_final, model = CASES[case]()
+    traj = solve_global(data, grid, t_final, model)
     return {
         "states": _sha(a for st in traj.states
                        for a in ([st.t], st.rho.values, st.v.values,
