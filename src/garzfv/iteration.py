@@ -34,13 +34,14 @@ total-variation series are computed once per slab, from the rows of the
 kept iterate.
 
 Every march returns its step plan: per step its window, dt and CFL
-speed.  A converged slab is described by two records: its PicardTrace,
-the Phi value of each iterate after the first, and its SlabRecorder,
-built from the plan of the march it keeps, which carries the trace.
+speed.  A converged slab is described by one frozen SlabRecord, built
+once after Phi converges: its PicardTrace (the slab's span and the Phi
+value of each iterate after the first), the step count and largest CFL
+number of the plan it keeps, and its entropy residual maxima.
 Trajectory.slabs holds those records.  The entropy audit runs on no
 Picard march: an audited slab replays the density steps of the plan it
-keeps, and the replay raises the record's residual maxima, the step
-window's maxima raised to +0.0 when cells lie outside it.
+keeps, and the replay returns the residual maxima, the step window's
+maxima raised to +0.0 when cells lie outside it.
 """
 
 from __future__ import annotations
@@ -174,49 +175,36 @@ class SlabIterate:
     influx: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class PicardTrace:
-    """Phi of one slab's iterates: phi[i] is Phi of iterate i + 2, the
-    first iterate having none."""
+    """Phi of one slab [t0, t1]'s iterates: phi[i] is Phi of iterate
+    i + 2, the first iterate having none.  Built once, when the slab
+    converges or gives up."""
 
     t0: float
     t1: float
     tol_phi: float
     phi: list
-    converged: bool = False
-    stop_reason: str = ""
+    converged: bool
+    stop_reason: str
 
     @property
     def iterations(self) -> int:
         return len(self.phi) + 1
 
 
-class SlabRecorder:
-    """A converged slab's record: the step count and the largest CFL number
-    of the march it keeps, taken from that march's step plan, its
-    PicardTrace and, per entropy level, the largest entropy residual of
-    the march's steps.
+@dataclass(frozen=True, eq=False)
+class SlabRecord:
+    """A converged slab's record: its PicardTrace, which holds its span,
+    the step count and the largest CFL number of the march it keeps, and
+    per entropy level in k_levels the largest entropy residual of that
+    march's steps (empty when the slab is not audited)."""
 
-    picard_slab builds it once, after Phi has converged, and for an
-    audited slab then has ``_replay_density`` raise entropy_max from -inf.
-    The slab's span is read from the trace.
-    """
-
-    def __init__(self, plan, h: float, k_levels, trace: PicardTrace):
-        self.k_levels = np.asarray(k_levels, dtype=float)
-        self.entropy_max = np.full(len(self.k_levels), -math.inf)
-        self.n_steps = len(plan)
-        self.max_cfl = max((dt * speed / h for *_, dt, speed in plan),
-                           default=0.0)
-        self.trace = trace
-
-    @property
-    def t0(self) -> float:
-        return self.trace.t0
-
-    @property
-    def t1(self) -> float:
-        return self.trace.t1
+    trace: PicardTrace
+    n_steps: int
+    max_cfl: float
+    k_levels: np.ndarray
+    entropy_max: np.ndarray
 
     def entropy_table(self) -> dict:
         if self.n_steps == 0 or len(self.k_levels) == 0:
@@ -350,10 +338,10 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf):
     return out, plan
 
 
-def _replay_density(rho, u_rows, plan, model, h, record: SlabRecorder):
+def _replay_density(rho, u_rows, plan, model, h, levels) -> np.ndarray:
     """Audit the density steps that a march from rho with marker rows
-    u_rows logged in plan: re-run each and raise record.entropy_max to its
-    entropy residual maxima at record.k_levels.
+    u_rows logged in plan: re-run each and return, per entropy level in
+    levels, the largest residual over the steps (-inf with no step).
 
     The density step reads neither v nor w, so each replayed step gets the
     march's (rho_old, u_now, dt, speed) bit for bit.  The march has
@@ -379,7 +367,7 @@ def _replay_density(rho, u_rows, plan, model, h, record: SlabRecorder):
     """
     rho = rho.copy()
     n = len(rho)
-    levels = record.k_levels
+    entropy_max = np.full(len(levels), -math.inf)
     for a, b, s, lam, dt, speed in plan:
         u_now = _marker_now(u_rows, s, lam, a, b)
         rho_old = rho[a:b]
@@ -390,15 +378,16 @@ def _replay_density(rho, u_rows, plan, model, h, record: SlabRecorder):
         if b - a < n:
             np.maximum(maxima, 0.0, out=maxima)
         # np.maximum keeps a NaN residual, which Python's max would drop
-        np.maximum(maxima, record.entropy_max, out=record.entropy_max)
+        np.maximum(maxima, entropy_max, out=entropy_max)
         rho[a:b] = rho_new
+    return entropy_max
 
 
 def picard_slab(state: SystemState, t0: float, t1: float,
                 ctx: ProblemContext, cfg: SlabConfig, extra_events=()):
     """Iterate one slab to convergence.
 
-    Returns (kept SlabIterate, PicardTrace, the slab's SlabRecorder); the
+    Returns (kept SlabIterate, PicardTrace, the slab's SlabRecord); the
     record carries the trace.  The Picard marches audit nothing.  Once Phi
     reaches tol_phi the record is built from the kept march's step plan,
     and when cfg.entropy_levels > 0 that march's density steps are
@@ -423,34 +412,38 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     prev = _frozen_iterate(rho0, v0, w0, u0, events)
     v_prev_prev = prev.v  # of iterate m-2 Phi needs only v
     tol = ctx.tol_phi
-    trace = PicardTrace(t0=t0, t1=t1, tol_phi=tol, phi=[])
+    phis = []
 
-    while trace.iterations < cfg.max_picard_iters:
+    while len(phis) + 1 < cfg.max_picard_iters:
         curr, plan = _march_slab(rho0, v0, w0, events, prev.u, model, h,
                                  cfg.cfl, state.u_inf)
         # Phi at every stored time, then its sup over them
         phi = float((h * abs(prev.rho - curr.rho).sum(axis=1)
                      + h * abs(prev.v - v_prev_prev).sum(axis=1)).max())
-        trace.phi.append(phi)
+        phis.append(phi)
         if phi <= tol:
-            trace.converged = True
-            trace.stop_reason = f"phi {phi:.3e} <= tol {tol:.3e}"
-            record = SlabRecorder(plan, h, k_levels, trace)
-            if len(k_levels):
-                _replay_density(rho0, prev.u, plan, model, h, record)
-            return curr, trace, record
+            trace = PicardTrace(t0, t1, tol, phis, True,
+                                f"phi {phi:.3e} <= tol {tol:.3e}")
+            entropy_max = (_replay_density(rho0, prev.u, plan, model, h,
+                                           k_levels)
+                           if len(k_levels) else np.empty(0))
+            max_cfl = max((dt * speed / h for *_, dt, speed in plan),
+                          default=0.0)
+            return curr, trace, SlabRecord(trace, len(plan), max_cfl,
+                                           k_levels, entropy_max)
         v_prev_prev = prev.v
         prev = curr
-    trace.stop_reason = (f"phi still {trace.phi[-1]:.3e} after "
-                         f"{cfg.max_picard_iters} iterates (tol {tol:.3e})")
+    stop = (f"phi still {phis[-1]:.3e} after {cfg.max_picard_iters} "
+            f"iterates (tol {tol:.3e})")
     raise PicardDivergenceError(
-        f"slab [{t0:g}, {t1:g}] did not converge: {trace.stop_reason}", trace)
+        f"slab [{t0:g}, {t1:g}] did not converge: {stop}",
+        PicardTrace(t0, t1, tol, phis, False, stop))
 
 
 @dataclass
 class Trajectory:
     """Solver output: states at the output times plus per-slab records
-    (each slab's SlabRecorder, carrying its trace)."""
+    (each slab's SlabRecord, carrying its trace)."""
 
     states: list
     output_times: np.ndarray

@@ -80,7 +80,7 @@ def trajectory_manifest(traj: Trajectory, cfg: RunConfig | None = None,
     slabs = []
     for s in traj.slabs:
         slabs.append({
-            "t0": s.t0, "t1": s.t1, "n_steps": s.n_steps,
+            "t0": s.trace.t0, "t1": s.trace.t1, "n_steps": s.n_steps,
             "max_cfl": s.max_cfl,
             "iterations": s.trace.iterations,
             "converged": s.trace.converged,
@@ -165,7 +165,7 @@ def emit_plotdata(out_dir: str, traj: Trajectory) -> None:
                 (t, format_column(traj.tv_series)), " ")
     write_table(os.path.join(plot, "mass.dat"),
                 (t, format_column(traj.mass_series)), " ")
-    phi_t = [s.t1 for s in traj.slabs for _ in s.trace.phi]
+    phi_t = [s.trace.t1 for s in traj.slabs for _ in s.trace.phi]
     phi_v = [phi for s in traj.slabs for phi in s.trace.phi]
     write_table(os.path.join(plot, "phi.dat"),
                 (format_column(phi_t), format_column(phi_v)), " ")

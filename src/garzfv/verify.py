@@ -171,7 +171,7 @@ def _tv_checks(traj: Trajectory, ctx: ProblemContext) -> list:
             f"D(t) = M0 e^(Ct) + (e^(Ct) - 1), M0={ctx.m0:.6g}, "
             f"C={ctx.c_tilde:.6g}"))
     if traj.slabs:
-        t1 = traj.slabs[0].t1
+        t1 = traj.slabs[0].trace.t1
         in_first = times <= t1 + 1e-12 * max(1.0, t1)
         worst_first = float((tv[in_first] - ctx.m0).max())
         checks.append(CheckResult(

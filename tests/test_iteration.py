@@ -1,4 +1,5 @@
 """Slab-chained fixed-point construction: constants, traces, global solves."""
+import dataclasses
 import importlib
 import math
 import re
@@ -163,6 +164,12 @@ def _plan_steps(slab_marches) -> int:
     return sum(len(plan) for _, plan, _ in slab_marches)
 
 
+def _max_cfl(plan, h) -> float:
+    """The largest CFL number dt * speed / h of a step plan, 0.0 when it
+    has no step."""
+    return max((dt * speed / h for *_, dt, speed in plan), default=0.0)
+
+
 def _same_iterate(a, b):
     for name in ("rho", "v", "w", "u"):
         for x, y in zip(getattr(a, name), getattr(b, name), strict=True):
@@ -241,7 +248,7 @@ def test_single_slab_when_horizon_is_short():
     data = InitialData((Piece(-1.0, 1.0, 0.5, 0.5),), (), u_inf=1.0)
     traj = solve_global(data, g, 0.2, GSH)
     assert len(traj.slabs) == 1
-    assert traj.slabs[0].t1 == pytest.approx(0.2)
+    assert traj.slabs[0].trace.t1 == pytest.approx(0.2)
 
 
 def test_constant_datum_long_horizon_stays_constant():
@@ -341,13 +348,27 @@ def test_picard_slab_returns_the_kept_march_record(monkeypatch, levels):
     replayed = steps[0] - sum(n for _, n in marches)
     assert replayed == (kept_steps if levels else 0)
     assert record.trace is trace
+    # built once: neither the record nor its trace is filled in later
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.n_steps = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.converged = False
     assert record.n_steps == len(kept) == kept_steps > 0
     assert record.max_cfl == max(dt * speed / grid.h
                                  for *_, dt, speed in kept)
-    assert (record.t0, record.t1) == (0.0, ctx.tau0)
+    assert (trace.t0, trace.t1) == (0.0, ctx.tau0)
     assert record.k_levels.tolist() == np.linspace(0.0, 1.0,
                                                    levels).tolist()
     assert len(record.entropy_table()) == levels
+
+
+def test_slab_below_the_time_tolerance_takes_no_step():
+    sc, grid, cfg, ctx, st0 = _smoke_context()
+    iterate, trace, record = picard_slab(st0, 0.0, 1e-14, ctx, cfg)
+    assert trace.converged and record.trace is trace
+    assert record.n_steps == 0 and record.max_cfl == 0.0
+    assert record.entropy_table() == {}
+    assert iterate.rho[-1].tobytes() == st0.rho.values.tobytes()
 
 
 def test_divergence_trace_counts_its_iterates():
@@ -368,11 +389,11 @@ def test_trajectory_slabs_are_the_slab_records(levels):
     cfg = SlabConfig(entropy_levels=levels)
     traj = solve_global(sc.data, grid, sc.t_final, sc.model(), cfg)
     assert len(traj.slabs) >= 2
-    assert traj.slabs[0].t0 == 0.0 and traj.slabs[-1].t1 == sc.t_final
-    for a, b in zip(traj.slabs, traj.slabs[1:]):
+    traces = [s.trace for s in traj.slabs]
+    assert traces[0].t0 == 0.0 and traces[-1].t1 == sc.t_final
+    for a, b in zip(traces, traces[1:]):
         assert a.t1 == b.t0
     for s in traj.slabs:
-        assert (s.t0, s.t1) == (s.trace.t0, s.trace.t1)
         assert s.trace.converged
         assert s.trace.iterations == len(s.trace.phi) + 1
         assert s.n_steps > 0 and 0.0 < s.max_cfl <= cfg.cfl
@@ -620,13 +641,12 @@ def test_windowed_march_matches_the_full_width_march(data, model, cfl,
     # the window proof: neither dt nor the CFL speed depends on the window
     assert np.array([p[2:] for p in plan]).tobytes() \
         == np.array([p[2:] for p in ref_plan]).tobytes()
-    record = iteration.SlabRecorder(plan, h, k_levels, None)
-    if levels:
-        iteration._replay_density(rho, u_rows, plan, model, h, record)
-    assert record.entropy_max.tobytes() == ref_maxima.tobytes()
-    assert record.n_steps == len(ref_plan)
-    assert record.max_cfl \
-        == iteration.SlabRecorder(ref_plan, h, k_levels, None).max_cfl
+    maxima = (iteration._replay_density(rho, u_rows, plan, model, h,
+                                        k_levels)
+              if levels else np.full(0, -np.inf))
+    assert maxima.tobytes() == ref_maxima.tobytes()
+    assert len(plan) == len(ref_plan)
+    assert _max_cfl(plan, h) == _max_cfl(ref_plan, h)
 
 
 @pytest.mark.parametrize("tail", ["rho", "u"])
