@@ -15,6 +15,7 @@ such pieces) and buys exact cell averaging via the primitive.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,15 @@ import numpy as np
 from .errors import GridMismatchError, InputRangeError, InvalidDataError
 
 RHO_FLOOR = 1e-12
+
+
+def require_count(name: str, value, minimum: int) -> None:
+    """Raise InputRangeError unless value is an integer (a numpy integer
+    included) of at least minimum."""
+    if not isinstance(value, numbers.Integral):
+        raise InputRangeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InputRangeError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -33,8 +43,7 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
-        if self.n_cells < 2:
-            raise InputRangeError(f"n_cells must be >= 2, got {self.n_cells}")
+        require_count("n_cells", self.n_cells, 2)
         if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)
                 and self.x_max > self.x_min):
             raise InputRangeError(

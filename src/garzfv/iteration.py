@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import (CellField, Grid, InitialData, SystemState,
                    build_initial_state, check_margins, l1_norm,
-                   state_from_arrays, total_variation)
+                   require_count, state_from_arrays, total_variation)
 from .errors import InputRangeError, PicardDivergenceError
 from .model import ModelBounds, VelocityModel, require_valid_model
 from .scalar import (SPEED_FLOOR, density_step_arrays, entropy_residual_maxima,
@@ -84,14 +84,11 @@ class SlabConfig:
         if self.tol_phi is not None and not self.tol_phi > 0.0:
             raise InputRangeError(
                 f"tol_phi must be positive, got {self.tol_phi}")
-        if self.max_picard_iters < 2:
-            raise InputRangeError("max_picard_iters must be >= 2")
+        require_count("max_picard_iters", self.max_picard_iters, 2)
         if not 0.0 < self.cfl <= 1.0:
             raise InputRangeError(f"cfl must be in (0, 1], got {self.cfl}")
-        if self.snapshots_per_slab < 1:
-            raise InputRangeError("snapshots_per_slab must be >= 1")
-        if self.entropy_levels < 0:
-            raise InputRangeError("entropy_levels must be >= 0")
+        require_count("snapshots_per_slab", self.snapshots_per_slab, 1)
+        require_count("entropy_levels", self.entropy_levels, 0)
 
 
 def compute_M0(rho0: CellField) -> float:
@@ -472,8 +469,7 @@ def make_context(data: InitialData, grid: Grid, t_final: float,
                  model: VelocityModel, cfg: SlabConfig
                  ) -> tuple[ProblemContext, SystemState]:
     """Validate everything and assemble the run constants."""
-    if not t_final > 0.0:
-        raise InputRangeError(f"t_final must be positive, got {t_final}")
+    check_run_span(t_final)
     state0 = build_initial_state(data, grid)
     u_max = float(state0.u.values.max())
     require_valid_model(model, u_max)
@@ -497,13 +493,13 @@ def make_context(data: InitialData, grid: Grid, t_final: float,
     return ctx, state0
 
 
-def check_run_span(t_final: float, n_output: int) -> None:
+def check_run_span(t_final: float, n_output: int = 1) -> None:
     """Range checks of a run's end time and its number of output
     intervals."""
-    if not t_final > 0.0:
-        raise InputRangeError(f"t_final must be positive, got {t_final}")
-    if n_output < 1:
-        raise InputRangeError("n_output must be >= 1")
+    if not 0.0 < t_final < math.inf:
+        raise InputRangeError(
+            f"t_final must be positive and finite, got {t_final}")
+    require_count("n_output", n_output, 1)
 
 
 def solve_global(data: InitialData, grid: Grid, t_final: float,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Grid, InitialData, SystemState, build_initial_state, \
-    state_from_arrays
+    require_count, state_from_arrays
 from .errors import InputRangeError, UnsupportedModelError, \
     ViscousInstabilityError
 from .model import PowerLawModel, VelocityModel
@@ -166,8 +166,7 @@ def viscous_solve(data: InitialData, eps: float, grid: Grid, t_final: float,
         raise InputRangeError(f"cfl must be in (0, 1], got {cfl}")
     if not t_final >= 0.0:
         raise InputRangeError(f"t_final must be >= 0, got {t_final}")
-    if n_output < 1:
-        raise InputRangeError("n_output must be >= 1")
+    require_count("n_output", n_output, 1)
     state0 = build_initial_state(data, grid)
     h = grid.h
     rho = state0.rho.values.copy()

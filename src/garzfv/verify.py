@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Grid, InitialData, c0_distance, l1_distance
+from .core import (Grid, InitialData, c0_distance, l1_distance,
+                   require_count)
 from .errors import DegeneratePairError, InputRangeError
 from .iteration import (ProblemContext, SlabConfig, Trajectory, make_context,
                         solve_global)
@@ -326,8 +327,7 @@ def uniqueness_check(data: InitialData, grid: Grid, t_final: float,
     Each seed varies the CFL number, the snapshot cadence and the Phi
     tolerance factor.  The pass threshold is 20x the base Phi tolerance.
     """
-    if seeds < 2:
-        raise InputRangeError(f"seeds must be >= 2, got {seeds}")
+    require_count("seeds", seeds, 2)
     base = cfg or SlabConfig()
     tol_base = make_context(data, grid, t_final, model, base)[0].tol_phi
     settings = []

@@ -126,6 +126,7 @@ def test_greenshields_with_gamma_exits_2(tmp_path, capsys):
     ("--n-cells", "1", "n_cells must be >= 2"),
     ("--n-output", "0", "n_output must be >= 1"),
     ("--t-final", "nan", "t_final must be positive"),
+    ("--t-final", "inf", "t_final must be positive"),
     ("--tol-phi", "nan", "tol_phi must be positive"),
 ])
 def test_rejected_run_values_exit_2(tmp_path, capsys, flag, value, message):

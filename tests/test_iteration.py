@@ -32,6 +32,7 @@ from garzfv import (
     scenario,
     solve_global,
     total_variation,
+    uniqueness_check,
 )
 from garzfv import cli, iteration
 from garzfv.core import CellField
@@ -465,6 +466,53 @@ def test_slab_config_validation():
         SlabConfig(max_picard_iters=0)
     with pytest.raises(InputRangeError):
         SlabConfig(snapshots_per_slab=0)
+
+
+# counts given as non-integers: each is a range error where it is checked
+NON_INTEGER_COUNTS = {
+    "n_cells float": lambda sc: Grid(-4.0, 4.0, 64.5),
+    "n_cells str": lambda sc: Grid(-4.0, 4.0, "64"),
+    "snapshots_per_slab": lambda sc: SlabConfig(snapshots_per_slab=2.5),
+    "entropy_levels": lambda sc: SlabConfig(entropy_levels=2.5),
+    "max_picard_iters": lambda sc: SlabConfig(max_picard_iters=3.5),
+    "n_output": lambda sc: solve_global(sc.data, sc.grid, sc.t_final,
+                                        sc.model(), n_output=2.5),
+    "seeds": lambda sc: uniqueness_check(sc.data, sc.grid, sc.t_final,
+                                         sc.model(), seeds=2.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_COUNTS))
+def test_non_integer_counts_raise_before_any_march(monkeypatch, case):
+    def march(*args):
+        raise AssertionError("a march ran")
+
+    monkeypatch.setattr(iteration, "_march_slab", march)
+    name = case.split()[0]
+    with pytest.raises(InputRangeError, match=f"{name} must be an integer"):
+        NON_INTEGER_COUNTS[case](scenario("smoke"))
+
+
+def test_numpy_integer_counts_are_counts():
+    sc = scenario("constant")
+    grid = Grid(sc.grid.x_min, sc.grid.x_max, np.int64(64))
+    cfg = SlabConfig(snapshots_per_slab=np.int32(8),
+                     entropy_levels=np.int64(3))
+    traj = solve_global(sc.data, grid, sc.t_final, sc.model(), cfg,
+                        n_output=np.int64(2))
+    assert len(traj.states) == 3
+    assert all(len(s.entropy_table()) == 3 for s in traj.slabs)
+
+
+@pytest.mark.parametrize("t_final", [math.inf, math.nan, 0.0, -1.0])
+def test_run_end_time_must_be_positive_and_finite(t_final):
+    sc, grid, cfg, *_ = _smoke_context(n=96)
+    for call in (lambda: solve_global(sc.data, grid, t_final, sc.model()),
+                 lambda: make_context(sc.data, grid, t_final, sc.model(),
+                                      cfg)):
+        with pytest.raises(InputRangeError,
+                           match="t_final must be positive"):
+            call()
 
 
 def test_context_constants_on_smoke():
