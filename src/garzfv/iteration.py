@@ -461,8 +461,7 @@ class Trajectory:
 
 def _wave_bound(model: VelocityModel, bounds: ModelBounds) -> float:
     lattice = np.linspace(0.0, max(bounds.u_max, 0.0), 65)
-    speed = float(np.max(model.max_wave_speed(lattice)))
-    return max(bounds.v_sup, speed, SPEED_FLOOR)
+    return max(bounds.v_sup, model.max_wave_speed(lattice), SPEED_FLOOR)
 
 
 def make_context(data: InitialData, grid: Grid, t_final: float,

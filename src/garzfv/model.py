@@ -195,19 +195,15 @@ class VelocityModel:
         v = self.velocity(rho, u)
         lam1 = v + rho * self.d_rho(rho, u)
         return max(float(np.abs(lam1).max()), float(np.abs(v).max()),
-                   float(np.max(self.max_wave_speed(u))))
+                   self.max_wave_speed(u))
 
-    def max_wave_speed(self, u):
-        """sup over rho in [0,1] of |d/drho f(rho, u)|, per marker value."""
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        uv = np.atleast_1d(u).ravel()[None, :]
+    def max_wave_speed(self, u) -> float:
+        """sup over rho in [0,1] and the marker values u of
+        |d/drho f(rho, u)|."""
+        uv = np.asarray(u, dtype=float).ravel()[None, :]
         rr = np.linspace(0.0, 1.0, 65)[:, None]
         dfd = self.velocity(rr, uv) + rr * self.d_rho(rr, uv)
-        out = np.abs(dfd).max(axis=0)
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.shape(u))
+        return float(np.abs(dfd).max())
 
     def sup_bounds(self, u_max) -> ModelBounds:
         """Lattice-sampled (241 x 241) sup norms over [0,1] x [0,u_max]."""
@@ -266,9 +262,9 @@ class PowerLawModel(VelocityModel):
         """d/drho [u rho (1-rho)^g] = u (1-rho)^(g-1) (1 - (1+g) rho)."""
         return np.full(np.shape(u), 1.0 / (1.0 + self.gamma))
 
-    def max_wave_speed(self, u):
+    def max_wave_speed(self, u) -> float:
         # |d/drho f| is largest at rho = 0 where it equals u
-        return np.abs(np.asarray(u, dtype=float))
+        return float(np.abs(np.asarray(u, dtype=float)).max())
 
     def state_speed(self, rho, u):
         """max |u|, the base rule's value for rho in [0, 1].  With s = 1 - rho,
