@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import require_count
 from .errors import InputRangeError, ModelValidationError
 
 FD_STEP = 1e-6        # centered first differences
@@ -346,8 +347,7 @@ def validate_model(model: VelocityModel, u_max: float,
     A closure or derivative that raises, or whose result does not broadcast
     to the lattice, raises ModelValidationError naming the closure.
     """
-    if n_samples < 2:
-        raise InputRangeError("n_samples must be >= 2")
+    require_count("n_samples", n_samples, 2)
     if not 0.0 <= u_max < np.inf:
         raise InputRangeError(f"u_max must be finite and >= 0, got {u_max}")
     rho = np.linspace(0.0, 1.0, n_samples)[:, None]

@@ -33,6 +33,7 @@ from garzfv import (
     solve_global,
     total_variation,
     uniqueness_check,
+    validate_model,
 )
 from garzfv import cli, iteration
 from garzfv.core import CellField
@@ -479,6 +480,7 @@ NON_INTEGER_COUNTS = {
                                         sc.model(), n_output=2.5),
     "seeds": lambda sc: uniqueness_check(sc.data, sc.grid, sc.t_final,
                                          sc.model(), seeds=2.5),
+    "n_samples": lambda sc: validate_model(sc.model(), 1.0, n_samples=2.5),
 }
 
 
