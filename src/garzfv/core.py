@@ -15,6 +15,7 @@ such pieces) and buys exact cell averaging via the primitive.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -34,6 +35,29 @@ def require_count(name: str, value, minimum: int) -> None:
         raise InputRangeError(f"{name} must be >= {minimum}, got {value}")
 
 
+def require_real(name: str, value, lo=-math.inf, hi=math.inf,
+                 open_lo: bool = False, error=InputRangeError) -> float:
+    """value as a float when it is a finite real number (numpy floats and
+    integers included) in [lo, hi], or (lo, hi] when open_lo; otherwise
+    raise error.  NaN, infinities and non-numbers always raise."""
+    real = isinstance(value, numbers.Real)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int too large for a float
+        x = math.inf
+    if math.isfinite(x) and x <= hi and (x > lo if open_lo else x >= lo):
+        return x
+    if hi < math.inf:
+        rule = f"in {'(' if open_lo else '['}{lo}, {hi}]"
+    elif lo == -math.inf:
+        rule = "finite"
+    elif open_lo and lo == 0:
+        rule = "positive and finite"
+    else:
+        rule = f"finite and {'>' if open_lo else '>='} {lo}"
+    raise error(f"{name} must be {rule}, got {value if real else repr(value)}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform 1-D cell grid on [x_min, x_max] with n_cells cells."""
@@ -44,10 +68,8 @@ class Grid:
 
     def __post_init__(self):
         require_count("n_cells", self.n_cells, 2)
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)
-                and self.x_max > self.x_min):
-            raise InputRangeError(
-                f"need x_min < x_max finite, got [{self.x_min}, {self.x_max}]")
+        require_real("x_max", self.x_max, require_real("x_min", self.x_min),
+                     open_lo=True)
 
     @property
     def h(self) -> float:
@@ -115,12 +137,11 @@ class Piece:
     v_right: float
 
     def __post_init__(self):
-        vals = (self.x_left, self.x_right, self.v_left, self.v_right)
-        if not all(np.isfinite(v) for v in vals):
-            raise InvalidDataError(f"non-finite piece {vals}")
-        if not self.x_right > self.x_left:
-            raise InvalidDataError(
-                f"piece needs x_left < x_right, got [{self.x_left}, {self.x_right}]")
+        for name in ("x_left", "v_left", "v_right"):
+            require_real(f"piece {name}", getattr(self, name),
+                         error=InvalidDataError)
+        require_real("piece x_right", self.x_right, self.x_left,
+                     open_lo=True, error=InvalidDataError)
 
     @classmethod
     def const(cls, x_left, x_right, value):
@@ -188,13 +209,11 @@ class InitialData:
         object.__setattr__(self, "rho_pieces", _check_pieces(self.rho_pieces))
         object.__setattr__(self, "psi_pieces", _check_pieces(self.psi_pieces))
         for p in self.rho_pieces:
-            if min(p.v_left, p.v_right) < 0.0 or max(p.v_left, p.v_right) > 1.0:
-                raise InvalidDataError(
-                    f"rho0 piece values outside [0,1]: {p}")
-        if not (np.isfinite(self.z_inf) and np.isfinite(self.u_inf)):
-            raise InvalidDataError("z_inf and u_inf must be finite")
-        if self.u_inf < 0.0:
-            raise InvalidDataError(f"u_inf must be >= 0, got {self.u_inf}")
+            for value in (p.v_left, p.v_right):
+                require_real("rho0 piece value", value, 0, 1,
+                             error=InvalidDataError)
+        require_real("z_inf", self.z_inf, error=InvalidDataError)
+        require_real("u_inf", self.u_inf, 0, error=InvalidDataError)
 
     def support(self) -> tuple[float, float]:
         """Hull of the density pieces (0-width at origin when empty)."""

@@ -53,7 +53,8 @@ import numpy as np
 
 from .core import (CellField, Grid, InitialData, SystemState,
                    build_initial_state, check_margins, l1_norm,
-                   require_count, state_from_arrays, total_variation)
+                   require_count, require_real, state_from_arrays,
+                   total_variation)
 from .errors import InputRangeError, PicardDivergenceError
 from .model import ModelBounds, VelocityModel, require_valid_model
 from .scalar import (SPEED_FLOOR, density_step_arrays, entropy_residual_maxima,
@@ -81,12 +82,10 @@ class SlabConfig:
     entropy_levels: int = DEFAULT_ENTROPY_LEVELS
 
     def __post_init__(self):
-        if self.tol_phi is not None and not self.tol_phi > 0.0:
-            raise InputRangeError(
-                f"tol_phi must be positive, got {self.tol_phi}")
+        if self.tol_phi is not None:
+            require_real("tol_phi", self.tol_phi, 0, open_lo=True)
         require_count("max_picard_iters", self.max_picard_iters, 2)
-        if not 0.0 < self.cfl <= 1.0:
-            raise InputRangeError(f"cfl must be in (0, 1], got {self.cfl}")
+        require_real("cfl", self.cfl, 0, 1, open_lo=True)
         require_count("snapshots_per_slab", self.snapshots_per_slab, 1)
         require_count("entropy_levels", self.entropy_levels, 0)
 
@@ -100,8 +99,9 @@ def compute_tilde_C(bounds: ModelBounds, z0_sup: float, psi0_sup: float,
                     rho0_l1: float) -> float:
     """Growth constant assembled from the closure's sup norms on the
     working box (``VelocityModel.sup_bounds``) and the datum's."""
-    if min(z0_sup, psi0_sup, rho0_l1) < 0.0:
-        raise InputRangeError("sup norms must be nonnegative")
+    for name, value in (("z0_sup", z0_sup), ("psi0_sup", psi0_sup),
+                        ("rho0_l1", rho0_l1)):
+        require_real(name, value, 0)
     return (bounds.d_u_rho_sup * z0_sup
             + bounds.d_u_sup * z0_sup
             + bounds.d_uu_sup * z0_sup ** 2 * rho0_l1
@@ -120,9 +120,7 @@ def compute_tau0(tilde_c: float) -> float:
     not exist (e^{Ct} - 1 >= Ct >= 2t).  This rule is continuous in C.
     tau0 is advisory; convergence is decided by the contraction functional.
     """
-    if not 0.0 <= tilde_c < math.inf:
-        raise InputRangeError(
-            f"tilde_c must be finite and >= 0, got {tilde_c}")
+    tilde_c = require_real("tilde_c", tilde_c, 0)
     if tilde_c == 0.0:
         return 0.25
     return min(0.25, math.log(1.5) / tilde_c)
@@ -495,9 +493,7 @@ def make_context(data: InitialData, grid: Grid, t_final: float,
 def check_run_span(t_final: float, n_output: int = 1) -> None:
     """Range checks of a run's end time and its number of output
     intervals."""
-    if not 0.0 < t_final < math.inf:
-        raise InputRangeError(
-            f"t_final must be positive and finite, got {t_final}")
+    require_real("t_final", t_final, 0, open_lo=True)
     require_count("n_output", n_output, 1)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import require_count
+from .core import require_count, require_real
 from .errors import InputRangeError, ModelValidationError
 
 FD_STEP = 1e-6        # centered first differences
@@ -208,12 +208,11 @@ class VelocityModel:
 
     def sup_bounds(self, u_max) -> ModelBounds:
         """Lattice-sampled (241 x 241) sup norms over [0,1] x [0,u_max]."""
-        if u_max < 0:
-            raise InputRangeError(f"u_max must be nonnegative, got {u_max}")
+        u_max = require_real("u_max", u_max, 0)
         rho = np.linspace(0.0, 1.0, 241)[:, None]
-        u = np.linspace(0.0, max(u_max, 0.0), 241)[None, :]
+        u = np.linspace(0.0, u_max, 241)[None, :]
         return ModelBounds(
-            u_max=float(u_max),
+            u_max=u_max,
             v_sup=float(np.abs(self.velocity(rho, u)).max()),
             d_u_sup=float(np.abs(self.d_u(rho, u)).max()),
             d_u_rho_sup=float(np.abs(self.d_u_rho(rho, u)).max()),
@@ -227,10 +226,7 @@ class PowerLawModel(VelocityModel):
     name = "power"
 
     def __init__(self, gamma: float = 1.0):
-        gamma = float(gamma)
-        if not np.isfinite(gamma) or gamma < 1.0:
-            raise InputRangeError(f"gamma must be >= 1, got {gamma}")
-        self.gamma = gamma
+        self.gamma = require_real("gamma", gamma, 1)
 
     def _gap(self, rho):
         # clamp so rho = 1 gives exactly 0 and tolerated overshoots stay real
@@ -276,9 +272,7 @@ class PowerLawModel(VelocityModel):
         return float(np.abs(u).max())
 
     def sup_bounds(self, u_max) -> ModelBounds:
-        if u_max < 0:
-            raise InputRangeError(f"u_max must be nonnegative, got {u_max}")
-        u_max = float(u_max)
+        u_max = require_real("u_max", u_max, 0)
         return ModelBounds(
             u_max=u_max,
             v_sup=u_max,
@@ -348,10 +342,9 @@ def validate_model(model: VelocityModel, u_max: float,
     to the lattice, raises ModelValidationError naming the closure.
     """
     require_count("n_samples", n_samples, 2)
-    if not 0.0 <= u_max < np.inf:
-        raise InputRangeError(f"u_max must be finite and >= 0, got {u_max}")
+    u_max = require_real("u_max", u_max, 0)
     rho = np.linspace(0.0, 1.0, n_samples)[:, None]
-    u = np.linspace(0.0, float(u_max), n_samples)[None, :]
+    u = np.linspace(0.0, u_max, n_samples)[None, :]
     rho_b, u_b = np.broadcast_arrays(rho, u)
 
     def sample(what, fun, at=(rho, u)):
@@ -412,7 +405,7 @@ def validate_model(model: VelocityModel, u_max: float,
     checks.append(ConditionCheck("flux_unimodal", worst <= VALIDATION_TOL,
                                  worst, where))
 
-    return ModelValidationReport(model.name, float(u_max), n_samples,
+    return ModelValidationReport(model.name, u_max, n_samples,
                                  tuple(checks))
 
 

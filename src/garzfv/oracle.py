@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Grid, InitialData, SystemState, build_initial_state, \
-    require_count, state_from_arrays
+    require_count, require_real, state_from_arrays
 from .errors import InputRangeError, UnsupportedModelError, \
     ViscousInstabilityError
 from .model import PowerLawModel, VelocityModel
@@ -70,16 +70,10 @@ def lwr_riemann_exact(rho_left: float, rho_right: float, u_bar: float,
     positions x and time t.  Only concave fluxes are supported; others raise
     UnsupportedModelError.
     """
-    rho_left = float(rho_left)
-    rho_right = float(rho_right)
-    u_bar = float(u_bar)
-    for name, val in (("rho_left", rho_left), ("rho_right", rho_right)):
-        if not 0.0 <= val <= 1.0:
-            raise InputRangeError(f"{name} must lie in [0, 1], got {val}")
-    if not 0.0 <= u_bar < np.inf:
-        raise InputRangeError(f"u_bar must be finite and >= 0, got {u_bar}")
-    if not 0.0 <= t < np.inf:
-        raise InputRangeError(f"t must be finite and >= 0, got {t}")
+    rho_left = require_real("rho_left", rho_left, 0, 1)
+    rho_right = require_real("rho_right", rho_right, 0, 1)
+    u_bar = require_real("u_bar", u_bar, 0)
+    t = require_real("t", t, 0)
     _check_concave_flux(model, u_bar)
     x = np.atleast_1d(np.asarray(x, dtype=float))
 
@@ -156,16 +150,13 @@ def viscous_solve(data: InitialData, eps: float, grid: Grid, t_final: float,
     ViscousInstabilityError regardless.  Returns n_output+1 states at
     uniform times 0 .. t_final.
     """
-    if not eps > 0.0:
-        raise InputRangeError(f"eps must be positive, got {eps}")
+    eps = require_real("eps", eps, 0, open_lo=True)
     if eps < grid.h:
         raise InputRangeError(
             f"unresolved viscosity: eps={eps:g} < h={grid.h:g}; "
             "refine the grid or increase eps")
-    if not 0.0 < cfl <= 1.0:
-        raise InputRangeError(f"cfl must be in (0, 1], got {cfl}")
-    if not t_final >= 0.0:
-        raise InputRangeError(f"t_final must be >= 0, got {t_final}")
+    require_real("cfl", cfl, 0, 1, open_lo=True)
+    t_final = require_real("t_final", t_final, 0)
     require_count("n_output", n_output, 1)
     state0 = build_initial_state(data, grid)
     h = grid.h

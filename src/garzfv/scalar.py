@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import require_real
 from .errors import CflViolationError, InputRangeError
 from .model import VelocityModel, _require_box
 
@@ -131,8 +132,7 @@ def entropy_residual_arrays(rho_old: np.ndarray, rho_new: np.ndarray,
     one side of k, an O(1) error that does not shrink with h.
     The solution satisfies R_i <= tol_e = 10 h.
     """
-    if not 0.0 <= k <= 1.0:
-        raise InputRangeError(f"entropy level k must be in [0,1], got {k}")
+    require_real("entropy level k", k, 0, 1)
     re = pad2(rho_old)
     ue = pad2(u)
     u_if = interface_marker(u)

@@ -150,7 +150,7 @@ def test_rejected_grid_ladder_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["riemann", "--rho-left", "1.5", "--rho-right", "0.2", "--u", "1",
-      "--t", "0.5"], "rho_left must lie in [0, 1], got 1.5"),
+      "--t", "0.5"], "rho_left must be in [0, 1], got 1.5"),
     (["riemann", "--rho-left", "0.5", "--rho-right", "0.2", "--u", "-1",
       "--t", "0.5"], "u_bar must be finite and >= 0, got -1.0"),
     (["riemann", "--rho-left", "0.5", "--rho-right", "0.2", "--u", "inf",
