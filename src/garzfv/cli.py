@@ -23,15 +23,15 @@ import numpy as np
 from . import runio
 from .config import (RunConfig, apply_overrides, config_from_scenario,
                      dump_config_text, parse_config)
-from .core import Grid
+from .core import Grid, require_count
 from .errors import (ConfigError, GarzError, InputRangeError,
                      PicardDivergenceError)
 from .iteration import check_run_span, solve_global
 from .model import make_model, validate_model
 from .oracle import lwr_riemann_exact
 from .scenarios import SCENARIO_NAMES, perturb_data, scenario
-from .verify import (audit_trajectory, check_ladder, convergence_study,
-                     measure_stability, uniqueness_check)
+from .verify import (audit_trajectory, check_ladder, check_window,
+                     convergence_study, measure_stability, uniqueness_check)
 
 
 def _add_run_source(p: argparse.ArgumentParser) -> None:
@@ -171,7 +171,8 @@ def cmd_stability(args) -> int:
             raise ConfigError(
                 "give --config2 or a perturbation "
                 "(--shift-cells / --du-inf)")
-        data2 = perturb_data(data1, grid, args.shift_cells, args.du_inf)
+        with _rejected_values():
+            data2 = perturb_data(data1, grid, args.shift_cells, args.du_inf)
     result = measure_stability(data1, data2, grid, cfg.t_final, cfg.model(),
                                cfg.slab(), cfg.n_output)
     out = _out_dir(args, cfg, "stability")
@@ -190,8 +191,8 @@ def cmd_stability(args) -> int:
 
 def cmd_uniqueness(args) -> int:
     cfg = _load_config(args)
-    if args.seeds < 2:
-        raise ConfigError(f"seeds must be >= 2, got {args.seeds}")
+    with _rejected_values():
+        require_count("seeds", args.seeds, 2)
     result = uniqueness_check(cfg.data(), cfg.grid(), cfg.t_final,
                               cfg.model(), cfg.slab(), args.seeds,
                               cfg.n_output)
@@ -235,9 +236,6 @@ def cmd_convergence(args) -> int:
         sizes = [int(s) for s in args.grids.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad --grids list {args.grids!r}") from exc
-    with _rejected_values():
-        grids = [Grid(cfg.x_min, cfg.x_max, n) for n in sizes]
-        check_ladder(grids)
     window = None
     if args.window:
         try:
@@ -245,6 +243,11 @@ def cmd_convergence(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --window {args.window!r}") from exc
         window = (lo, hi)
+    with _rejected_values():
+        grids = [Grid(cfg.x_min, cfg.x_max, n) for n in sizes]
+        check_ladder(grids)
+        if window is not None:
+            check_window(window, grids)
     table = convergence_study(cfg.data(), cfg.t_final, grids, cfg.model(),
                               exact, cfg.slab(), window, cfg.n_output)
     out = _out_dir(args, cfg, "convergence")

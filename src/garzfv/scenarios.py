@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Grid, InitialData, Piece
+from .core import Grid, InitialData, Piece, require_real
 from .errors import InputRangeError
 from .model import GreenshieldsModel, VelocityModel
 
@@ -147,9 +147,13 @@ def shift_pieces(pieces, dx: float, grid: Grid):
 
 def perturb_data(data: InitialData, grid: Grid, shift_cells: int = 0,
                  du_inf: float = 0.0) -> InitialData:
-    """Shifted-and-nudged copy of a datum for stability experiments."""
+    """Shifted-and-nudged copy of a datum for stability experiments; a
+    du_inf that is not finite or leaves u_inf negative raises
+    InputRangeError."""
     dx = shift_cells * grid.h
+    u_inf = require_real("u_inf + du_inf",
+                         data.u_inf + require_real("du_inf", du_inf), 0)
     return InitialData(
         rho_pieces=shift_pieces(data.rho_pieces, dx, grid),
         psi_pieces=shift_pieces(data.psi_pieces, dx, grid),
-        z_inf=data.z_inf, u_inf=data.u_inf + du_inf)
+        z_inf=data.z_inf, u_inf=u_inf)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (Grid, InitialData, c0_distance, l1_distance,
-                   require_count)
+                   require_count, require_real)
 from .errors import DegeneratePairError, InputRangeError
 from .iteration import (ProblemContext, SlabConfig, Trajectory, make_context,
                         solve_global)
@@ -383,6 +383,19 @@ def check_ladder(grids: list) -> None:
                 f"ladder must halve h between rungs, got ratio {ratio:g}")
 
 
+def check_window(window, grids) -> None:
+    """An error window (x_lo, x_hi): finite x_lo <= x_hi that hold a cell
+    centre of every grid, so no rung's error is 0 for want of cells."""
+    lo = require_real("window x_lo", window[0])
+    hi = require_real("window x_hi", window[1], lo)
+    for grid in grids:
+        x = grid.centers()
+        if not np.any((x >= lo) & (x <= hi)):
+            raise InputRangeError(
+                f"window [{lo}, {hi}] holds no cell centre of the "
+                f"{grid.n_cells}-cell grid")
+
+
 def convergence_study(data: InitialData, t_final: float, grids,
                       model: VelocityModel, exact,
                       cfg: SlabConfig | None = None,
@@ -392,10 +405,13 @@ def convergence_study(data: InitialData, t_final: float, grids,
 
     data is solved on every grid.  exact is a callable (t, x) -> density
     evaluated at cell centers.  window = (x_lo, x_hi) restricts the error
-    integral.  Orders are log2(e_coarse / e_fine) between consecutive rungs.
+    integral and must hold a cell centre of every grid.  Orders are
+    log2(e_coarse / e_fine) between consecutive rungs.
     """
     grids = list(grids)
     check_ladder(grids)
+    if window is not None:
+        check_window(window, grids)
     cfg = replace(cfg or SlabConfig(), entropy_levels=0)
 
     rows = []

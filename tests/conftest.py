@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import garzfv
+from garzfv import iteration
 
 
 class HumpModel(garzfv.VelocityModel):
@@ -38,6 +39,16 @@ class HumpModel(garzfv.VelocityModel):
 def hump_model():
     """The concave-hump closure with a = 0.3."""
     return HumpModel(0.3)
+
+
+@pytest.fixture
+def no_march(monkeypatch):
+    """Fail the test if any Picard march runs: for checks that must reject
+    their input before solving anything."""
+    def march(*args):
+        raise AssertionError("a march ran")
+
+    monkeypatch.setattr(iteration, "_march_slab", march)
 
 
 @pytest.fixture(scope="session")

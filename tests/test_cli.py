@@ -128,6 +128,7 @@ def test_greenshields_with_gamma_exits_2(tmp_path, capsys):
     ("--t-final", "nan", "t_final must be positive"),
     ("--t-final", "inf", "t_final must be positive"),
     ("--tol-phi", "nan", "tol_phi must be positive"),
+    ("--tol-phi", "inf", "tol_phi must be positive"),
 ])
 def test_rejected_run_values_exit_2(tmp_path, capsys, flag, value, message):
     # every config value the solver would reject fails before any solve,
@@ -165,8 +166,22 @@ def test_rejected_grid_ladder_exits_2(tmp_path, capsys):
      "need a ladder of at least 3 grids"),
     (["convergence", "--scenario", "shock", "--grids", "64,100,200"],
      "ladder must halve h between rungs"),
+    (["convergence", "--scenario", "rarefaction", "--grids", "64,128,256",
+      "--window=100,200"],
+     "window [100.0, 200.0] holds no cell centre of the 64-cell grid"),
+    (["convergence", "--scenario", "rarefaction", "--grids", "64,128,256",
+      "--window=1,-1"], "window x_hi must be finite and >= 1.0, got -1.0"),
+    (["convergence", "--scenario", "rarefaction", "--grids", "64,128,256",
+      "--window=nan,1"], "window x_lo must be finite, got nan"),
+    (["stability", "--scenario", "smoke", "--du-inf", "nan"],
+     "du_inf must be finite, got nan"),
+    (["stability", "--scenario", "smoke", "--du-inf", "inf"],
+     "du_inf must be finite, got inf"),
+    (["stability", "--scenario", "smoke", "--du-inf", "-5"],
+     "u_inf + du_inf must be finite and >= 0, got -4.0"),
 ])
-def test_rejected_argument_values_exit_2(tmp_path, capsys, argv, message):
+def test_rejected_argument_values_exit_2(no_march, tmp_path, capsys, argv,
+                                         message):
     # argument values the computation would reject fail before it runs
     assert run(tmp_path, *argv) == 2
     err = capsys.readouterr().err

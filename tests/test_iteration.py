@@ -26,14 +26,19 @@ from garzfv import (
     compute_M0,
     compute_tau0,
     compute_tilde_C,
+    convergence_study,
     l1_distance,
+    lwr_riemann_exact,
     make_context,
+    perturb_data,
     picard_slab,
+    riemann_initial_data,
     scenario,
     solve_global,
     total_variation,
     uniqueness_check,
     validate_model,
+    viscous_solve,
 )
 from garzfv import cli, iteration
 from garzfv.core import CellField
@@ -485,14 +490,146 @@ NON_INTEGER_COUNTS = {
 
 
 @pytest.mark.parametrize("case", sorted(NON_INTEGER_COUNTS))
-def test_non_integer_counts_raise_before_any_march(monkeypatch, case):
-    def march(*args):
-        raise AssertionError("a march ran")
-
-    monkeypatch.setattr(iteration, "_march_slab", march)
+def test_non_integer_counts_raise_before_any_march(no_march, case):
     name = case.split()[0]
     with pytest.raises(InputRangeError, match=f"{name} must be an integer"):
         NON_INTEGER_COUNTS[case](scenario("smoke"))
+
+
+def _windowed_study(window):
+    data = riemann_initial_data(0.8, 0.2, 1.0, -4.0, 4.0)
+    grids = [Grid(-4.0, 4.0, n) for n in (32, 64, 128)]
+    return convergence_study(data, 0.5, grids, GSH, None, window=window)
+
+
+# site -> (error, the name its message gives, call with the value); every
+# one takes a finite real number only
+NON_REAL_VALUES = {
+    "Grid x_min": (InputRangeError, "x_min", lambda sc, x: Grid(x, 4.0, 64)),
+    "Grid x_max": (InputRangeError, "x_max",
+                   lambda sc, x: Grid(-4.0, x, 64)),
+    "Piece x_left": (InvalidDataError, "piece x_left",
+                     lambda sc, x: Piece(x, 1.0, 0.5, 0.5)),
+    "Piece x_right": (InvalidDataError, "piece x_right",
+                      lambda sc, x: Piece(-1.0, x, 0.5, 0.5)),
+    "Piece v_left": (InvalidDataError, "piece v_left",
+                     lambda sc, x: Piece(-1.0, 1.0, x, 0.5)),
+    "Piece v_right": (InvalidDataError, "piece v_right",
+                      lambda sc, x: Piece(-1.0, 1.0, 0.5, x)),
+    "InitialData z_inf": (InvalidDataError, "z_inf",
+                          lambda sc, x: dataclasses.replace(sc.data,
+                                                            z_inf=x)),
+    "InitialData u_inf": (InvalidDataError, "u_inf",
+                          lambda sc, x: dataclasses.replace(sc.data,
+                                                            u_inf=x)),
+    "SlabConfig tol_phi": (InputRangeError, "tol_phi",
+                           lambda sc, x: SlabConfig(tol_phi=x)),
+    "SlabConfig cfl": (InputRangeError, "cfl",
+                       lambda sc, x: SlabConfig(cfl=x)),
+    "compute_tilde_C z0_sup": (
+        InputRangeError, "z0_sup",
+        lambda sc, x: compute_tilde_C(GSH.sup_bounds(1.0), x, 0.5, 1.2)),
+    "compute_tilde_C psi0_sup": (
+        InputRangeError, "psi0_sup",
+        lambda sc, x: compute_tilde_C(GSH.sup_bounds(1.0), 0.3, x, 1.2)),
+    "compute_tilde_C rho0_l1": (
+        InputRangeError, "rho0_l1",
+        lambda sc, x: compute_tilde_C(GSH.sup_bounds(1.0), 0.3, 0.5, x)),
+    "compute_tau0": (InputRangeError, "tilde_c",
+                     lambda sc, x: compute_tau0(x)),
+    "solve_global t_final": (
+        InputRangeError, "t_final",
+        lambda sc, x: solve_global(sc.data, sc.grid, x, sc.model())),
+    "VelocityModel.sup_bounds": (
+        InputRangeError, "u_max",
+        lambda sc, x: CustomVelocityModel(
+            lambda rho, u: u * (1.0 - rho)).sup_bounds(x)),
+    "PowerLawModel.sup_bounds": (
+        InputRangeError, "u_max",
+        lambda sc, x: PowerLawModel(2).sup_bounds(x)),
+    "PowerLawModel gamma": (InputRangeError, "gamma",
+                            lambda sc, x: PowerLawModel(x)),
+    "validate_model u_max": (InputRangeError, "u_max",
+                             lambda sc, x: validate_model(GSH, x)),
+    "lwr_riemann_exact rho_left": (
+        InputRangeError, "rho_left",
+        lambda sc, x: lwr_riemann_exact(x, 0.2, 1.0, GSH, 0.5, [0.0])),
+    "lwr_riemann_exact rho_right": (
+        InputRangeError, "rho_right",
+        lambda sc, x: lwr_riemann_exact(0.8, x, 1.0, GSH, 0.5, [0.0])),
+    "lwr_riemann_exact u_bar": (
+        InputRangeError, "u_bar",
+        lambda sc, x: lwr_riemann_exact(0.8, 0.2, x, GSH, 0.5, [0.0])),
+    "lwr_riemann_exact t": (
+        InputRangeError, "t",
+        lambda sc, x: lwr_riemann_exact(0.8, 0.2, 1.0, GSH, x, [0.0])),
+    "viscous_solve eps": (
+        InputRangeError, "eps",
+        lambda sc, x: viscous_solve(sc.data, x, sc.grid, 0.1, GSH)),
+    "viscous_solve cfl": (
+        InputRangeError, "cfl",
+        lambda sc, x: viscous_solve(sc.data, 0.5, sc.grid, 0.1, GSH, cfl=x)),
+    "viscous_solve t_final": (
+        InputRangeError, "t_final",
+        lambda sc, x: viscous_solve(sc.data, 0.5, sc.grid, x, GSH)),
+    "entropy_residual_arrays k": (
+        InputRangeError, "entropy level k",
+        lambda sc, x: entropy_residual_arrays(np.full(8, 0.5),
+                                              np.full(8, 0.5), np.ones(8),
+                                              x, 0.01, 0.1, GSH)),
+    "perturb_data du_inf": (
+        InputRangeError, "du_inf",
+        lambda sc, x: perturb_data(sc.data, sc.grid, 0, x)),
+    "convergence_study window x_lo": (
+        InputRangeError, "window x_lo",
+        lambda sc, x: _windowed_study((x, 1.0))),
+    "convergence_study window x_hi": (
+        InputRangeError, "window x_hi",
+        lambda sc, x: _windowed_study((-1.0, x))),
+}
+# 10**400 is an int beyond the float range
+NON_REALS = {"nan": math.nan, "inf": math.inf, "str": "1", "None": None,
+             "big int": 10 ** 400}
+
+
+@pytest.mark.parametrize("case, value", [
+    pytest.param(case, value, id=f"{case}-{label}")
+    for case in sorted(NON_REAL_VALUES) for label, value in NON_REALS.items()
+    # tol_phi = None is the default rule h ||rho0||_L1
+    if (case, value) != ("SlabConfig tol_phi", None)])
+def test_non_real_values_raise_before_any_march(no_march, case, value):
+    error, name, call = NON_REAL_VALUES[case]
+    with pytest.raises(error, match=f"^{name} must be "):
+        call(scenario("smoke"), value)
+
+
+def test_numpy_and_integer_reals_are_reals():
+    # np.float64, np.float32 and int arguments give the bits of their
+    # float values
+    sc = scenario("constant")
+    cfg = SlabConfig(tol_phi=np.float64(1e-3), cfl=np.float32(0.5),
+                     snapshots_per_slab=8, entropy_levels=2)
+
+    def run(real):
+        data = InitialData(sc.data.rho_pieces, (), z_inf=real(0),
+                           u_inf=real(1))
+        return solve_global(data, Grid(real(-4), real(4), 64), real(1),
+                            PowerLawModel(real(2)), cfg, n_output=2)
+
+    ref = run(float)
+    for real in (np.float64, np.float32, int):
+        traj = run(real)
+        assert traj.slabs[0].entropy_table() == ref.slabs[0].entropy_table()
+        for a, b in zip(ref.states, traj.states):
+            assert np.array_equal(a.rho.values, b.rho.values)
+            assert np.array_equal(a.u.values, b.u.values)
+    x = np.linspace(-1.0, 1.0, 9)
+    assert np.array_equal(
+        lwr_riemann_exact(np.float32(0.75), 0, np.int64(1), GSH,
+                          np.float64(0.5), x),
+        lwr_riemann_exact(0.75, 0.0, 1.0, GSH, 0.5, x))
+    assert validate_model(GSH, np.int64(1)).passed
+    assert compute_tau0(np.float32(0)) == 0.25
 
 
 def test_numpy_integer_counts_are_counts():

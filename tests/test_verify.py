@@ -126,6 +126,20 @@ def test_convergence_ladder_validation():
                           GSH, exact)
 
 
+@pytest.mark.parametrize("window, message", [
+    ((100.0, 200.0), "holds no cell centre of the 64-cell grid"),
+    # holds the 64-cell centre -0.0625, an edge of the 128-cell grid
+    ((-0.07, -0.06), "holds no cell centre of the 128-cell grid"),
+    ((1.0, -1.0), "window x_hi must be finite and >= 1.0, got -1.0"),
+])
+def test_convergence_window_must_hold_a_cell_of_every_grid(no_march, window,
+                                                            message):
+    data = riemann_initial_data(0.8, 0.2, 1.0, -4.0, 4.0)
+    grids = [Grid(-4, 4, 64), Grid(-4, 4, 128), Grid(-4, 4, 256)]
+    with pytest.raises(InputRangeError, match=message):
+        convergence_study(data, 1.0, grids, GSH, None, window=window)
+
+
 def test_convergence_on_constant_data_reports_zero_errors():
     data = riemann_initial_data(0.4, 0.4, 1.0, -4.0, 4.0)
     exact = lambda t, x: np.full(np.shape(x), 0.4)
