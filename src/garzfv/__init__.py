@@ -16,8 +16,7 @@ from .core import (CellField, Grid, InitialData, Piece, SystemState,
 from .errors import (CflViolationError, ConfigError, DegeneratePairError,
                      GarzError, GridMismatchError, InputRangeError,
                      InvalidDataError, ModelValidationError,
-                     PicardDivergenceError, UnsupportedModelError,
-                     ViscousInstabilityError)
+                     PicardDivergenceError, ViscousInstabilityError)
 from .iteration import (PicardTrace, ProblemContext, SlabConfig, Trajectory,
                         compute_M0, compute_tau0, compute_tilde_C,
                         make_context, picard_slab, solve_global)

@@ -319,14 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "same data under perturbed solver settings")
     p.add_argument("--seeds", type=int, default=3)
     p = run_command("convergence", cmd_convergence,
-                    "grid ladder against the exact solution")
+                    "grid ladder against the exact Riemann solution")
     p.add_argument("--grids", default="256,512,1024",
                    help="comma-separated cell counts, halving h")
     p.add_argument("--window",
                    help="x_lo,x_hi error window (use --window=-0.5,0.5 "
                         "for negative bounds)")
 
-    p = sub.add_parser("riemann", help="exact Riemann profile to CSV")
+    p = sub.add_parser("riemann", help="exact Riemann profile to CSV, for "
+                       "any admissible closure (Osher's formula)")
     p.add_argument("--rho-left", "--rhoL", dest="rho_left", type=float,
                    required=True)
     p.add_argument("--rho-right", "--rhoR", dest="rho_right", type=float,

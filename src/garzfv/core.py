@@ -305,6 +305,8 @@ def recommended_domain(data: InitialData, t_final: float,
                        wave_bound: float) -> tuple[float, float]:
     """Domain large enough that boundary cells stay at their far-field
     state: the data's support widened by the wave reach plus 1."""
+    t_final = require_real("t_final", t_final, 0)
+    wave_bound = require_real("wave_bound", wave_bound, 0)
     lo, hi = data.support()
     if data.psi_pieces:
         lo = min(lo, min(p.x_left for p in data.psi_pieces))
@@ -320,6 +322,8 @@ def check_margins(state: SystemState, t_final: float, wave_bound: float):
     Compact supports (constant 0) and whole-domain constant states both pass;
     data whose boundary cells would drift are rejected.
     """
+    t_final = require_real("t_final", t_final, 0)
+    wave_bound = require_real("wave_bound", wave_bound, 0)
     grid = state.grid
     width = max(wave_bound * t_final, 2.0 * grid.h)
     x = grid.centers()

@@ -29,10 +29,6 @@ class ModelValidationError(GarzError, RuntimeError):
         self.report = report
 
 
-class UnsupportedModelError(GarzError, ValueError):
-    """An oracle was asked to handle a model outside its contract."""
-
-
 class ViscousInstabilityError(GarzError, RuntimeError):
     """The viscous reference solve produced non-finite values."""
 

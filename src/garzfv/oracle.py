@@ -3,8 +3,8 @@
 Two references live here, both deliberately built on different numerics than
 the main solver:
 
-* exact Riemann solutions of the frozen-marker density equation, valid for
-  velocity closures whose flux rho -> rho V(rho, u_bar) is concave;
+* exact Riemann solutions of the frozen-marker density equation for every
+  admissible closure, by Osher's formula;
 * a viscous regularization marcher (centered flux plus eps * d_xx) whose
   solutions approach the entropy solution as eps -> 0.
 """
@@ -15,50 +15,29 @@ import numpy as np
 
 from .core import Grid, InitialData, SystemState, build_initial_state, \
     require_count, require_real, state_from_arrays
-from .errors import InputRangeError, UnsupportedModelError, \
-    ViscousInstabilityError
-from .model import PowerLawModel, VelocityModel
+from .errors import InputRangeError, ViscousInstabilityError
+from .model import VelocityModel
 
-CONCAVITY_SAMPLES = 257
-CONCAVITY_TOL = 1e-10
-
-
-def _check_concave_flux(model: VelocityModel, u_bar: float) -> None:
-    """Reject closures whose frozen-u flux is not concave on [0, 1].
-
-    Sampled second differences must stay nonpositive up to rounding.  The
-    power-law closure with gamma > 1 has an inflection inside (0, 1) and is
-    rejected here; gamma = 1 passes.
-    """
-    rho = np.linspace(0.0, 1.0, CONCAVITY_SAMPLES)
-    f = model.flux(rho, np.full_like(rho, u_bar))
-    second = f[2:] - 2.0 * f[1:-1] + f[:-2]
-    worst = float(second.max())
-    if worst > CONCAVITY_TOL:
-        raise UnsupportedModelError(
-            f"flux at u={u_bar:g} is not concave on [0, 1] "
-            f"(max sampled second difference {worst:.3e}); "
-            "the exact Riemann construction requires a concave flux")
+LATTICE = 1025      # samples of the flux between the two states
+BISECTIONS = 60     # halvings of one lattice cell, below rounding
+TANGENT_PASSES = 3  # chord-tangent updates of each shock speed
 
 
-def _flux_derivative(model: VelocityModel, rho, u_bar: float):
-    rho = np.asarray(rho, dtype=float)
-    u = np.full_like(rho, u_bar)
-    return model.velocity(rho, u) + rho * model.d_rho(rho, u)
-
-
-def _invert_derivative(model: VelocityModel, xi, rho_lo: float,
-                       rho_hi: float, u_bar: float):
-    """Solve f'(rho) = xi for rho in [rho_lo, rho_hi]; f' is decreasing."""
-    xi = np.asarray(xi, dtype=float)
-    lo = np.full(xi.shape, rho_lo)
-    hi = np.full(xi.shape, rho_hi)
-    for _ in range(80):
+def _descend(slope, r, i, eta):
+    """Local minimizer next to lattice point r[i] of a function whose
+    derivative is slope(rho, eta): bisection between r[i] and the neighbour
+    that slope descends to, or r[i] itself when it is 0 or points off the
+    lattice, so the two states keep their bits."""
+    k = np.clip(i - np.sign(slope(r[i], eta)).astype(int), 0, len(r) - 1)
+    lo, hi = np.minimum(r[i], r[k]), np.maximum(r[i], r[k])
+    out, move = lo.copy(), lo < hi
+    lo, hi, eta = lo[move], hi[move], eta[move]
+    for _ in range(BISECTIONS):
         mid = 0.5 * (lo + hi)
-        too_fast = _flux_derivative(model, mid, u_bar) > xi
-        lo = np.where(too_fast, mid, lo)
-        hi = np.where(too_fast, hi, mid)
-    return 0.5 * (lo + hi)
+        rising = slope(mid, eta) > 0.0
+        lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
+    out[move] = 0.5 * (lo + hi)
+    return out
 
 
 def lwr_riemann_exact(rho_left: float, rho_right: float, u_bar: float,
@@ -67,42 +46,57 @@ def lwr_riemann_exact(rho_left: float, rho_right: float, u_bar: float,
 
     The initial datum is rho_left for x < 0 and rho_right for x > 0, with
     the marker frozen at the constant u_bar.  Returns point values of rho at
-    positions x and time t.  Only concave fluxes are supported; others raise
-    UnsupportedModelError.
+    positions x and time t for any closure, by Osher's formula (SIAM J.
+    Numer. Anal. 21 (1984) 217-235): with s = +1 when rho_left < rho_right
+    and -1 otherwise, rho(x/t) minimizes s f(rho) - (x/t) rho between the
+    two states, f = rho V(rho, u_bar).
+
+    The lower convex hull of s f on LATTICE points picks the minimizing
+    lattice point: its edges' slopes are the speeds at which the minimizer
+    moves on.  An edge spanning several cells is a shock, whose slope
+    TANGENT_PASSES chord updates move to the exact common tangent (each
+    squares its error).  ``_descend`` then refines the minimizer off the
+    lattice.  Nothing here assumes concavity or uses the solver's code.
     """
     rho_left = require_real("rho_left", rho_left, 0, 1)
     rho_right = require_real("rho_right", rho_right, 0, 1)
     u_bar = require_real("u_bar", u_bar, 0)
     t = require_real("t", t, 0)
-    _check_concave_flux(model, u_bar)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-
+    if np.isnan(x).any():
+        raise InputRangeError("positions x must not be NaN")
     if t == 0.0 or rho_left == rho_right:
         return np.where(x < 0.0, rho_left, rho_right)
+    s = 1.0 if rho_left < rho_right else -1.0
 
-    if rho_left < rho_right:
-        fl = float(model.flux(rho_left, u_bar))
-        fr = float(model.flux(rho_right, u_bar))
-        s = (fr - fl) / (rho_right - rho_left)
-        return np.where(x < s * t, rho_left, rho_right)
+    def g(rho):
+        return s * model.flux(rho, np.full_like(rho, u_bar))
 
-    # rho_left > rho_right: rarefaction fan between the two characteristics
-    xi = x / t
-    xi_left = float(_flux_derivative(model, rho_left, u_bar))
-    xi_right = float(_flux_derivative(model, rho_right, u_bar))
-    out = np.where(xi <= xi_left, rho_left, rho_right)
-    fan = (xi > xi_left) & (xi < xi_right)
-    if np.any(fan):
-        if isinstance(model, PowerLawModel) and model.gamma == 1.0:
-            if u_bar == 0.0:
-                fan_vals = np.full(fan.sum(), rho_left)
-            else:
-                fan_vals = 0.5 * (1.0 - xi[fan] / u_bar)
-        else:
-            fan_vals = _invert_derivative(model, xi[fan], rho_right,
-                                          rho_left, u_bar)
-        out[fan] = fan_vals
-    return out
+    def slope(rho, eta):  # of g(rho) - eta rho
+        u = np.full_like(rho, u_bar)
+        return s * (model.velocity(rho, u) + rho * model.d_rho(rho, u)) - eta
+
+    r = np.linspace(min(rho_left, rho_right), max(rho_left, rho_right),
+                    LATTICE)
+    rs, gs, hull = r.tolist(), g(r).tolist(), []
+    for i in range(LATTICE):
+        # drop the last vertex while it does not lie below the chord to i
+        while len(hull) > 1 and (rs[hull[-1]] - rs[hull[-2]]) \
+                * (gs[i] - gs[hull[-2]]) <= (gs[hull[-1]] - gs[hull[-2]]) \
+                * (rs[i] - rs[hull[-2]]):
+            hull.pop()
+        hull.append(i)
+    hull = np.array(hull)
+    slopes = np.diff(g(r[hull])) / np.diff(r[hull])
+    shock = np.flatnonzero(np.diff(hull) > 1)
+    for _ in range(TANGENT_PASSES):
+        a = _descend(slope, r, hull[shock], slopes[shock])
+        b = _descend(slope, r, hull[shock + 1], slopes[shock])
+        slopes[shock] = (g(b) - g(a)) / (b - a)
+    # a point exactly on a shock takes the shock's larger state
+    eta = s * x / t
+    return _descend(slope, r, hull[np.searchsorted(slopes, eta, "right")],
+                    eta)
 
 
 def riemann_initial_data(rho_left: float, rho_right: float, u_bar: float,

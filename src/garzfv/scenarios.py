@@ -7,9 +7,10 @@ reaches the boundary before t = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .core import Grid, InitialData, Piece, require_real
+from .core import Grid, InitialData, Piece, require_count, require_real
 from .errors import InputRangeError
 from .model import GreenshieldsModel, VelocityModel
 
@@ -148,8 +149,9 @@ def shift_pieces(pieces, dx: float, grid: Grid):
 def perturb_data(data: InitialData, grid: Grid, shift_cells: int = 0,
                  du_inf: float = 0.0) -> InitialData:
     """Shifted-and-nudged copy of a datum for stability experiments; a
-    du_inf that is not finite or leaves u_inf negative raises
-    InputRangeError."""
+    shift_cells that is not an integer, or a du_inf that is not finite or
+    leaves u_inf negative, raises InputRangeError."""
+    require_count("shift_cells", shift_cells, -math.inf)
     dx = shift_cells * grid.h
     u_inf = require_real("u_inf + du_inf",
                          data.u_inf + require_real("du_inf", du_inf), 0)

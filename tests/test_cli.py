@@ -403,22 +403,43 @@ def test_uniqueness_cli(tmp_path):
 
 
 def test_convergence_cli(tmp_path):
-    cfg_path = tmp_path / "ladder.ini"
-    cfg_path.write_text(
-        "[initial]\n"
-        "rho_pieces = -4 0 0.3 ; 0 4 0.8428571428571429\n"
-        "u_inf = 1\n"
-        "[slab]\n"
-        "t_final = 0.8\n")
-    code = run(tmp_path, "convergence", "--config", str(cfg_path),
-               "--grids", "64,128,256", "--window=-0.6,0.4")
+    # Greenshields, then a power law with an inflection in (0, 1)
+    for stem, model in (("ladder", ""),
+                        ("power3", "[model]\nname = power\ngamma = 3\n")):
+        cfg_path = tmp_path / f"{stem}.ini"
+        cfg_path.write_text(
+            model + "[initial]\n"
+            "rho_pieces = -4 0 0.3 ; 0 4 0.8428571428571429\n"
+            "u_inf = 1\n"
+            "[slab]\n"
+            "t_final = 0.8\n")
+        code = run(tmp_path, "convergence", "--config", str(cfg_path),
+                   "--grids", "64,128,256", "--window=-0.6,0.4")
+        assert code == 0, stem
+        payload = json.loads((tmp_path / f"convergence-{stem}"
+                              / "convergence.json").read_text())
+        errors = [row["error"] for row in payload["rows"]]
+        assert len(errors) == 3, stem
+        assert errors[0] > errors[1] > errors[2], stem
+        assert payload["window"] == [-0.6, 0.4]
+
+
+def test_riemann_profile_of_a_non_concave_closure(tmp_path):
+    # rho (1 - rho)^2: a shock from 0.8 meets at speed -0.32 the fan
+    # (2 - sqrt(1 + 3 xi)) / 3 from 0.6 down to 0.2
+    code = run(tmp_path, "riemann", "--rho-left", "0.8", "--rho-right",
+               "0.2", "--u", "1", "--t", "0.5", "--model", "power",
+               "--gamma", "2")
     assert code == 0
-    payload = json.loads(
-        (tmp_path / "convergence-ladder" / "convergence.json").read_text())
-    errors = [row["error"] for row in payload["rows"]]
-    assert len(errors) == 3
-    assert errors[0] > errors[1] > errors[2]
-    assert payload["window"] == [-0.6, 0.4]
+    _, body = read_csv(tmp_path / "riemann" / "exact.csv")
+    x, rho = body[:, 0], body[:, 1]
+    assert np.all(np.diff(rho) <= 0.0)
+    assert rho[0] == 0.8 and rho[-1] == 0.2
+    fan = (rho < 0.8) & (rho > 0.2)
+    xi = x[fan] / 0.5
+    assert fan.sum() > 10 and np.abs(xi).max() < 0.32
+    assert np.abs(rho[fan] - (2.0 - np.sqrt(1.0 + 3.0 * xi)) / 3.0).max() \
+        < 1e-12
 
 
 def test_convergence_rejects_marker_data(tmp_path, capsys):

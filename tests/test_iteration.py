@@ -1,6 +1,7 @@
 """Slab-chained fixed-point construction: constants, traces, global solves."""
 import dataclasses
 import importlib
+import inspect
 import math
 import re
 
@@ -23,6 +24,7 @@ from garzfv import (
     VelocityModel,
     audit_trajectory,
     build_initial_state,
+    check_margins,
     compute_M0,
     compute_tau0,
     compute_tilde_C,
@@ -32,6 +34,7 @@ from garzfv import (
     make_context,
     perturb_data,
     picard_slab,
+    recommended_domain,
     riemann_initial_data,
     scenario,
     solve_global,
@@ -409,7 +412,8 @@ def test_trajectory_slabs_are_the_slab_records(levels):
         assert all(isinstance(r, float) for r in table.values())
 
 
-# (module, names) perfbench/spans.py rebinds to trace the solver's layers
+# (module, names) perfbench/spans.py rebinds to trace the solver's layers,
+# and the oracle perfbench/workloads.py checks the cli-io snapshot against
 TRACED_BINDINGS = {
     "iteration": ("density_step_arrays", "marker_step_arrays", "max_speed",
                   "entropy_residual_arrays", "picard_slab", "make_context",
@@ -419,6 +423,7 @@ TRACED_BINDINGS = {
                "measure_stability"),
     "cli": ("solve_global", "audit_trajectory", "parse_config", "main"),
     "runio": ("write_trajectory", "write_report", "emit_plotdata"),
+    "oracle": ("lwr_riemann_exact",),
 }
 
 
@@ -428,6 +433,10 @@ def test_the_bindings_the_span_tracer_rebinds_exist():
         for name in names:
             assert callable(getattr(owner, name)), (module, name)
     assert callable(VelocityModel.__dict__["flux"])
+    # the cli-io gate calls it positionally with these six arguments
+    exact = importlib.import_module("garzfv.oracle").lwr_riemann_exact
+    assert list(inspect.signature(exact).parameters) == [
+        "rho_left", "rho_right", "u_bar", "model", "t", "x"]
 
 
 def test_global_solve_halves_slab_on_divergence():
@@ -486,6 +495,7 @@ NON_INTEGER_COUNTS = {
     "seeds": lambda sc: uniqueness_check(sc.data, sc.grid, sc.t_final,
                                          sc.model(), seeds=2.5),
     "n_samples": lambda sc: validate_model(sc.model(), 1.0, n_samples=2.5),
+    "shift_cells": lambda sc: perturb_data(sc.data, sc.grid, 2.5, 0.0),
 }
 
 
@@ -577,6 +587,20 @@ NON_REAL_VALUES = {
         lambda sc, x: entropy_residual_arrays(np.full(8, 0.5),
                                               np.full(8, 0.5), np.ones(8),
                                               x, 0.01, 0.1, GSH)),
+    "check_margins t_final": (
+        InputRangeError, "t_final",
+        lambda sc, x: check_margins(build_initial_state(sc.data, sc.grid), x,
+                                    1.0)),
+    "check_margins wave_bound": (
+        InputRangeError, "wave_bound",
+        lambda sc, x: check_margins(build_initial_state(sc.data, sc.grid),
+                                    1.0, x)),
+    "recommended_domain t_final": (
+        InputRangeError, "t_final",
+        lambda sc, x: recommended_domain(sc.data, x, 1.0)),
+    "recommended_domain wave_bound": (
+        InputRangeError, "wave_bound",
+        lambda sc, x: recommended_domain(sc.data, 1.0, x)),
     "perturb_data du_inf": (
         InputRangeError, "du_inf",
         lambda sc, x: perturb_data(sc.data, sc.grid, 0, x)),

@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
+from conftest import HumpModel
 from garzfv import (
+    CustomVelocityModel,
     GreenshieldsModel,
     Grid,
     InputRangeError,
     PowerLawModel,
-    UnsupportedModelError,
     lwr_riemann_exact,
     riemann_initial_data,
     validate_model,
@@ -15,6 +16,42 @@ from garzfv import (
 )
 
 GSH = GreenshieldsModel()
+# closures whose frozen-marker flux is not concave: the power law with
+# gamma > 1 and u (1 - rho)^2 (1 + rho) have an inflection in (0, 1)
+NON_CONCAVE = {
+    "power2": PowerLawModel(2.0),
+    "power2.5": PowerLawModel(2.5),
+    "power3": PowerLawModel(3.0),
+    "custom": CustomVelocityModel(
+        lambda rho, u: u * (1.0 - rho) ** 2 * (1.0 + rho)),
+}
+# one concave closure besides Greenshields and the non-concave ones
+CLOSURES = {"hump": HumpModel(0.3), **NON_CONCAVE}
+
+
+def _check_jumps(model, rho_left, rho_right, u, t, x, rho):
+    """Every jump of a sampled profile moves at the Rankine-Hugoniot speed
+    and meets Oleinik's chord condition; returns the number of jumps."""
+    def f(r):
+        r = np.asarray(r, dtype=float)
+        return model.flux(r, np.full(r.shape, u))
+
+    jumps = np.flatnonzero(np.abs(np.diff(rho)) > 1e-2)
+    for j in jumps:
+        # zoom in twice, to 1e-8 of the sampling step
+        lo, hi, left, right = x[j], x[j + 1], rho[j], rho[j + 1]
+        for _ in range(2):
+            xs = np.linspace(lo, hi, 10001)
+            rs = lwr_riemann_exact(rho_left, rho_right, u, model, t, xs)
+            k = np.argmax(np.abs(np.diff(rs)))
+            lo, hi, left, right = xs[k], xs[k + 1], rs[k], rs[k + 1]
+        speed = (f(left) - f(right)) / (left - right)
+        assert lo / t - 1e-12 <= speed <= hi / t + 1e-12
+        # the flux lies on the chord's side that the jump's sign gives
+        between = np.linspace(left, right, 1001)[1:-1]
+        chord = f(left) + speed * (between - left)
+        assert (np.sign(right - left) * (f(between) - chord)).min() > -1e-12
+    return len(jumps)
 
 
 def test_stationary_shock_profile():
@@ -53,39 +90,65 @@ def test_equal_states_and_zero_time():
     assert np.all(step[x < 0] == 0.7) and np.all(step[x > 0] == 0.2)
 
 
+def test_nan_position_is_a_range_error():
+    for rl, rr in ((0.8, 0.2), (0.4, 0.4)):
+        with pytest.raises(InputRangeError, match="x must not be NaN"):
+            lwr_riemann_exact(rl, rr, 1.0, GSH, 1.0, [0.0, np.nan])
+
+
 def test_generic_concave_model_fan_inverts_derivative(hump_model):
-    model = hump_model
-    assert validate_model(model, u_max=1.5).passed
-    t, u = 1.0, 1.2
-    x = np.linspace(-3, 3, 801)
-    rho = lwr_riemann_exact(0.9, 0.1, u, model, t, x)
+    # the concave hump, then closures with an inflection, where a shock
+    # from 0.9 meets the fan at the chord's point of tangency
+    for name, model in {"hump": hump_model, **NON_CONCAVE}.items():
+        assert validate_model(model, u_max=1.5).passed, name
+        t, u = 1.0, 1.2
+        x = np.linspace(-3, 3, 801)
+        rho = lwr_riemann_exact(0.9, 0.1, u, model, t, x)
 
-    def fprime(r):
-        return model.velocity(r, u) + r * model.d_rho(r, u)
+        def fprime(r):
+            return model.velocity(r, u) + r * model.d_rho(r, u)
 
-    xi = x / t
-    fan = (xi > fprime(0.9) + 1e-6) & (xi < fprime(0.1) - 1e-6)
-    # the fan profile satisfies f'(rho(xi)) = xi to the bisection tolerance
-    assert np.abs(fprime(rho[fan]) - xi[fan]).max() < 1e-9
-    assert np.all(np.diff(rho) <= 1e-12)
+        xi = x / t
+        fan = (rho < 0.9) & (rho > 0.1)
+        assert fan.sum() > 100, name
+        # the fan profile satisfies f'(rho(xi)) = xi to the bisection
+        # tolerance; off it, both states keep their bits
+        assert np.abs(fprime(rho[fan]) - xi[fan]).max() < 1e-9, name
+        assert np.all((rho == 0.9) | (rho == 0.1) | fan), name
+        assert rho[0] == 0.9 and rho[-1] == 0.1, name
+        assert np.all(np.diff(rho) <= 1e-12), name
+        jumps = _check_jumps(model, 0.9, 0.1, u, t, x, rho)
+        assert jumps == (0 if name == "hump" else 1), name
 
 
-def test_non_concave_flux_rejected():
-    # rho (1-rho)^2 has an inflection inside (0,1)
-    with pytest.raises(UnsupportedModelError):
-        lwr_riemann_exact(0.8, 0.2, 1.0, PowerLawModel(2.0), 1.0,
-                          np.linspace(-1, 1, 5))
+def test_non_concave_flux_shock_meets_fan():
+    # rho (1-rho)^2 has an inflection at 2/3.  Its chord from 0.8 touches
+    # it at 0.6 with slope f'(0.6) = -0.32, and the fan from 0.6 to 0.2
+    # inverts f'(rho) = 1 - 4 rho + 3 rho^2 = xi in closed form
+    x = np.linspace(-1, 1, 2001)
+    rho = lwr_riemann_exact(0.8, 0.2, 1.0, PowerLawModel(2.0), 1.0, x)
+    fan = (x > -0.32 + 1e-9) & (x < 0.32 - 1e-9)
+    assert np.abs(rho[fan] - (2.0 - np.sqrt(1.0 + 3.0 * x[fan])) / 3.0
+                  ).max() < 1e-12
+    assert np.all(rho[x < -0.32 - 1e-9] == 0.8)
+    assert np.all(rho[x > 0.32 + 1e-9] == 0.2)
+    edge = lwr_riemann_exact(0.8, 0.2, 1.0, PowerLawModel(2.0), 1.0,
+                             [-0.32 - 1e-12, -0.32 + 1e-12])
+    assert edge[0] == 0.8 and abs(edge[1] - 0.6) < 1e-9
 
 
 def test_exact_solution_mass_bookkeeping():
     # windowed mass changes by (f(rho_l) - f(rho_r)) * t
     rl, rr, u, t = 0.3, 0.843, 1.0, 1.0
     x = np.linspace(-4, 4, 400001)
-    rho_t = lwr_riemann_exact(rl, rr, u, GSH, t, x)
     rho_0 = np.where(x < 0, rl, rr)
-    gained = np.trapezoid(rho_t - rho_0, x)
-    expect = (GSH.flux(rl, u) - GSH.flux(rr, u)) * t
-    assert gained == pytest.approx(expect, abs=1e-4)
+    for name, model in {"greenshields": GSH, **CLOSURES}.items():
+        rho_t = lwr_riemann_exact(rl, rr, u, model, t, x)
+        gained = np.trapezoid(rho_t - rho_0, x)
+        expect = (model.flux(rl, u) - model.flux(rr, u)) * t
+        assert gained == pytest.approx(expect, abs=1e-4), name
+        assert np.all(np.diff(rho_t) >= 0.0), name
+        _check_jumps(model, rl, rr, u, t, x, rho_t)
 
 
 def test_riemann_initial_data_shape():
