@@ -24,11 +24,11 @@ from . import runio
 from .config import (RunConfig, apply_overrides, config_from_scenario,
                      dump_config_text, parse_config)
 from .core import Grid, require_count
-from .errors import (ConfigError, GarzError, InputRangeError,
-                     PicardDivergenceError)
+from .errors import (ConfigError, DegeneratePairError, GarzError,
+                     InputRangeError, InvalidDataError, PicardDivergenceError)
 from .iteration import check_run_span, solve_global
 from .model import make_model, validate_model
-from .oracle import lwr_riemann_exact
+from .oracle import lwr_riemann_exact, riemann_initial_data
 from .scenarios import SCENARIO_NAMES, perturb_data, scenario
 from .verify import (audit_trajectory, check_ladder, check_window,
                      convergence_study, measure_stability, uniqueness_check)
@@ -62,6 +62,7 @@ def _load_config(args) -> RunConfig:
     cfg = _apply_flags(cfg, args)
     with _rejected_values():
         cfg.grid()
+        cfg.data()
         cfg.slab()
         cfg.model()
         check_run_span(cfg.t_final, cfg.n_output)
@@ -70,12 +71,12 @@ def _load_config(args) -> RunConfig:
 
 @contextmanager
 def _rejected_values():
-    """A value that building the run's grid, slab settings, closure or
-    span, or a command's argument checks, reject is a configuration error
-    (exit 2), not a solver failure."""
+    """A value that building the run's grid, datum, slab settings, closure
+    or span, or a command's argument checks, reject is a configuration
+    error (exit 2), not a solver failure."""
     try:
         yield
-    except InputRangeError as exc:
+    except (InputRangeError, InvalidDataError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -165,7 +166,8 @@ def cmd_stability(args) -> int:
             raise ConfigError(
                 "stability pair may differ only in [initial] and [output]; "
                 f"--config2 differs in {', '.join(differ)}")
-        data2 = cfg2.data()
+        with _rejected_values():
+            data2 = cfg2.data()
     else:
         if not perturbation:
             raise ConfigError(
@@ -205,22 +207,18 @@ def cmd_uniqueness(args) -> int:
 
 
 def _exact_from_config(cfg: RunConfig):
-    """Exact-solution closure for constant-marker two-piece Riemann data."""
+    """Exact-solution closure for a datum that is riemann_initial_data on
+    the configured domain."""
     data = cfg.data()
-    if data.psi_pieces or data.z_inf != 0.0:
-        raise ConfigError(
-            "convergence needs a constant-marker datum (no psi pieces, "
-            "z_inf = 0)")
     pieces = data.rho_pieces
-    if len(pieces) != 2 or pieces[0].x_right != pieces[1].x_left \
-            or pieces[0].x_right != 0.0 \
-            or pieces[0].v_left != pieces[0].v_right \
-            or pieces[1].v_left != pieces[1].v_right:
+    rho_l, rho_r = (pieces[0].v_left, pieces[-1].v_right) if pieces \
+        else (0.0, 0.0)
+    if not (cfg.x_min < 0.0 < cfg.x_max and data == riemann_initial_data(
+            rho_l, rho_r, data.u_inf, cfg.x_min, cfg.x_max)):
         raise ConfigError(
-            "convergence needs a two-piece Riemann datum with the jump "
-            "at x = 0")
-    rho_l = pieces[0].v_left
-    rho_r = pieces[1].v_left
+            "convergence needs a constant-marker Riemann datum: rho_left "
+            "on [x_min, 0], rho_right on [0, x_max], no psi pieces, "
+            "z_inf = 0")
     model = cfg.model()
 
     def exact(t, x):
@@ -365,7 +363,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DegeneratePairError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except PicardDivergenceError as exc:

@@ -168,12 +168,6 @@ class VelocityModel:
         rho, u = _require_box(rho, u)
         return rho * self.velocity(rho, u)
 
-    def eigenvalues(self, rho, u):
-        """(lambda1, lambda2) = (V + rho dV/drho, V)."""
-        rho, u = _require_box(rho, u)
-        v = self.velocity(rho, u)
-        return v + rho * self.d_rho(rho, u), v
-
     def critical_density(self, u):
         """Argmax of f(., u) over [0, 1], an array of u's shape.
 
@@ -258,10 +252,6 @@ class PowerLawModel(VelocityModel):
     def critical_density(self, u):
         """d/drho [u rho (1-rho)^g] = u (1-rho)^(g-1) (1 - (1+g) rho)."""
         return np.full(np.shape(u), 1.0 / (1.0 + self.gamma))
-
-    def max_wave_speed(self, u) -> float:
-        # |d/drho f| is largest at rho = 0 where it equals u
-        return float(np.abs(np.asarray(u, dtype=float)).max())
 
     def state_speed(self, rho, u):
         """max |u|, the base rule's value for rho in [0, 1].  With s = 1 - rho,

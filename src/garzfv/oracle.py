@@ -62,7 +62,11 @@ def lwr_riemann_exact(rho_left: float, rho_right: float, u_bar: float,
     rho_right = require_real("rho_right", rho_right, 0, 1)
     u_bar = require_real("u_bar", u_bar, 0)
     t = require_real("t", t, 0)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(np.asarray(x))
+    if x.dtype.kind not in "biuf":
+        raise InputRangeError(
+            f"positions x must be real numbers, got dtype {x.dtype}")
+    x = x.astype(float, copy=False)
     if np.isnan(x).any():
         raise InputRangeError("positions x must not be NaN")
     if t == 0.0 or rho_left == rho_right:
@@ -165,16 +169,18 @@ def viscous_solve(data: InitialData, eps: float, grid: Grid, t_final: float,
     for t_next in out_times[1:]:
         t_next = float(t_next)
         while t_next - t > time_tol:
-            speed = float(np.max(np.abs(model.eigenvalues(rho, u)[0])))
-            speed = max(speed, float(np.max(np.abs(u))), 1e-12)
-            remaining = t_next - t
-            dt = min(cfl * h / speed, 0.25 * h * h / eps, remaining)
-
             rho_e = np.concatenate(([rho[0]], rho, [rho[-1]]))
             u_e = np.concatenate(([u[0]], u, [u[-1]]))
             psi_e = np.concatenate(([psi[0]], psi, [psi[-1]]))
 
+            # flux range-checks rho and u before the closure sees them
             f = model.flux(rho_e, u_e)
+            lam1 = model.velocity(rho, u) + rho * model.d_rho(rho, u)
+            speed = max(float(np.max(np.abs(lam1))),
+                        float(np.max(np.abs(u))), 1e-12)
+            remaining = t_next - t
+            dt = min(cfl * h / speed, 0.25 * h * h / eps, remaining)
+
             lap_rho = (rho_e[2:] - 2.0 * rho_e[1:-1] + rho_e[:-2]) / (h * h)
             rho_new = rho - dt * (f[2:] - f[:-2]) / (2.0 * h) \
                 + dt * eps * lap_rho

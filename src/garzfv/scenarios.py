@@ -103,47 +103,26 @@ def scenario(name: str) -> Scenario:
             f"{', '.join(SCENARIO_NAMES)}") from None
 
 
-def _piece_value(p: Piece, x: float) -> float:
-    if p.x_right == p.x_left or p.v_left == p.v_right:
-        return p.v_left
-    lam = (x - p.x_left) / (p.x_right - p.x_left)
-    return p.v_left + lam * (p.v_right - p.v_left)
-
-
 def shift_pieces(pieces, dx: float, grid: Grid):
-    """Translate pieces by dx, keeping the datum attached to the grid.
+    """Translate pieces by dx.
 
-    Pieces protruding past the domain are clipped (ramp values interpolated
-    at the cut), and a boundary the original datum touched stays covered by
-    extending the end value as a plateau, so margins stay intact.
+    ``cell_averages`` integrates each piece over the grid's cells only, so
+    a part pushed off the domain drops out by itself.  A boundary the
+    datum touched is re-covered by a plateau of its end value, so margins
+    stay intact, however long the shift.
     """
     shifted = tuple(Piece(p.x_left + dx, p.x_right + dx, p.v_left, p.v_right)
                     for p in pieces)
-    if not pieces or dx == 0.0:
+    if not pieces:
         return shifted
     eps = 1e-12 * max(1.0, grid.x_max - grid.x_min)
-    touched_left = pieces[0].x_left <= grid.x_min + eps
-    touched_right = pieces[-1].x_right >= grid.x_max - eps
-    out = []
-    for p in shifted:
-        xl, xr, vl, vr = p.x_left, p.x_right, p.v_left, p.v_right
-        if xl < grid.x_min - eps:
-            if xr <= grid.x_min + eps:
-                continue
-            vl = _piece_value(p, grid.x_min)
-            xl = grid.x_min
-        if xr > grid.x_max + eps:
-            if xl >= grid.x_max - eps:
-                continue
-            vr = _piece_value(p, grid.x_max)
-            xr = grid.x_max
-        out.append(Piece(xl, xr, vl, vr))
-    if touched_left and out and out[0].x_left > grid.x_min + eps:
-        out.insert(0, Piece.const(grid.x_min, out[0].x_left, out[0].v_left))
-    if touched_right and out and out[-1].x_right < grid.x_max - eps:
-        out.append(Piece.const(out[-1].x_right, grid.x_max,
-                               out[-1].v_right))
-    return tuple(out)
+    if pieces[0].x_left <= grid.x_min + eps < shifted[0].x_left:
+        shifted = (Piece.const(grid.x_min, shifted[0].x_left,
+                               pieces[0].v_left),) + shifted
+    if shifted[-1].x_right < grid.x_max - eps <= pieces[-1].x_right:
+        shifted += (Piece.const(shifted[-1].x_right, grid.x_max,
+                                pieces[-1].v_right),)
+    return shifted
 
 
 def perturb_data(data: InitialData, grid: Grid, shift_cells: int = 0,

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (Grid, InitialData, c0_distance, l1_distance,
-                   require_count, require_real)
+from .core import (Grid, InitialData, build_initial_state, c0_distance,
+                   l1_distance, require_count, require_real)
 from .errors import DegeneratePairError, InputRangeError
 from .iteration import (ProblemContext, SlabConfig, Trajectory, make_context,
                         solve_global)
@@ -274,24 +274,29 @@ def measure_stability(data1: InitialData, data2: InitialData, grid: Grid,
     """Solve both data and measure sup_t LHS(t)/LHS(0) of the C0+L1 gap.
 
     LHS(t) = max|u1 - u2| + L1|rho1 - rho2| at the shared output times.
-    Identical data (LHS(0) below 1e-15) raise DegeneratePairError: use
-    uniqueness_check for same-data reproducibility instead.  The envelope
-    series exp(c_hat t) uses a growth rate assembled from both runs'
-    constants and bounds every ratio in practice; it is advisory.
+    Identical data (LHS(0) below 1e-15) raise DegeneratePairError before
+    any solve: use uniqueness_check for same-data reproducibility instead.
+    The envelope series exp(c_hat t) uses a growth rate assembled from both
+    runs' constants and bounds every ratio in practice; it is advisory.
     """
     # the pair is compared on states only, so neither run is entropy-audited
     cfg = replace(cfg or SlabConfig(), entropy_levels=0)
-    traj1 = solve_global(data1, grid, t_final, model, cfg, n_output)
-    traj2 = solve_global(data2, grid, t_final, model, cfg, n_output)
-    times = traj1.output_times
-    lhs = np.array([
-        c0_distance(s1.u, s2.u) + l1_distance(s1.rho, s2.rho)
-        for s1, s2 in zip(traj1.states, traj2.states)])
-    lhs0 = float(lhs[0])
+
+    def gap(s1, s2):
+        return c0_distance(s1.u, s2.u) + l1_distance(s1.rho, s2.rho)
+
+    # the initial states are the bits of each run's first state
+    lhs0 = gap(build_initial_state(data1, grid),
+               build_initial_state(data2, grid))
     if lhs0 <= 1e-15:
         raise DegeneratePairError(
             "initial data coincide (LHS(0) = 0); the stability ratio is "
             "undefined -- run uniqueness_check for same-data agreement")
+    traj1 = solve_global(data1, grid, t_final, model, cfg, n_output)
+    traj2 = solve_global(data2, grid, t_final, model, cfg, n_output)
+    times = traj1.output_times
+    lhs = np.array([gap(s1, s2) for s1, s2 in zip(traj1.states,
+                                                  traj2.states)])
     ratio = lhs / lhs0
     c1, c2 = traj1.context, traj2.context
     c_hat = max(c1.c_tilde, c2.c_tilde) \

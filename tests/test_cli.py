@@ -129,18 +129,31 @@ def test_greenshields_with_gamma_exits_2(tmp_path, capsys):
     ("--t-final", "inf", "t_final must be positive"),
     ("--tol-phi", "nan", "tol_phi must be positive"),
     ("--tol-phi", "inf", "tol_phi must be positive"),
+    # [initial] keys: the datum is built with the grid
+    ("rho_pieces", "-4 0 1.5 ; 0 4 0.2",
+     "rho0 piece value must be in [0, 1], got 1.5"),
+    ("rho_pieces", "-4 0.5 0.3 ; 0 4 0.2",
+     "overlapping pieces at [-4.0,0.5] and [0.0,4.0]"),
+    ("u_inf", "-1", "u_inf must be finite and >= 0, got -1.0"),
 ])
 def test_rejected_run_values_exit_2(tmp_path, capsys, flag, value, message):
     # every config value the solver would reject fails before any solve,
     # with the solver's own message
+    if flag.startswith("--"):
+        source = ["--scenario", "constant", flag, value]
+    else:
+        ini = tmp_path / "datum.ini"
+        ini.write_text(f"[initial]\n{flag} = {value}\n")
+        source = ["--config", str(ini)]
+    out = tmp_path / "runs"
     for command in ("solve", "verify", "dump-config"):
-        argv = [command, "--scenario", "constant", flag, value]
+        argv = [command] + source
         if command != "dump-config":
-            argv += ["--seed-dir", str(tmp_path)]
+            argv += ["--seed-dir", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
-    assert list(tmp_path.iterdir()) == []
+    assert not out.exists()
 
 
 def test_rejected_grid_ladder_exits_2(tmp_path, capsys):
@@ -179,6 +192,9 @@ def test_rejected_grid_ladder_exits_2(tmp_path, capsys):
      "du_inf must be finite, got inf"),
     (["stability", "--scenario", "smoke", "--du-inf", "-5"],
      "u_inf + du_inf must be finite and >= 0, got -4.0"),
+    # the shift re-covers the left edge: both data average to 0.4
+    (["stability", "--scenario", "constant", "--shift-cells", "3"],
+     "initial data coincide"),
 ])
 def test_rejected_argument_values_exit_2(no_march, tmp_path, capsys, argv,
                                          message):
@@ -442,11 +458,17 @@ def test_riemann_profile_of_a_non_concave_closure(tmp_path):
         < 1e-12
 
 
-def test_convergence_rejects_marker_data(tmp_path, capsys):
-    code = run(tmp_path, "convergence", "--scenario", "smoke",
-               "--grids", "64,128")
-    assert code == 2
-    assert "constant-marker" in capsys.readouterr().err
+def test_convergence_rejects_marker_data(no_march, tmp_path, capsys):
+    # a marker datum, and two pieces that leave [-4, -2] and [2, 4] empty:
+    # the exact solution would be that of another datum
+    partial = tmp_path / "partial.ini"
+    partial.write_text("[initial]\nrho_pieces = -2 0 0.8 ; 0 2 0.2\n")
+    for source, grids in ((["--scenario", "smoke"], "64,128"),
+                          (["--config", str(partial)], "128,256,512")):
+        code = run(tmp_path, "convergence", *source, "--grids", grids)
+        assert code == 2
+        assert "constant-marker" in capsys.readouterr().err
+    assert not (tmp_path / "convergence-partial").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -437,6 +437,20 @@ def test_the_bindings_the_span_tracer_rebinds_exist():
     exact = importlib.import_module("garzfv.oracle").lwr_riemann_exact
     assert list(inspect.signature(exact).parameters) == [
         "rho_left", "rho_right", "u_bar", "model", "t", "x"]
+    # the keywords, methods and config fields perfbench/workloads.py uses
+    # by name, from the modules it imports them from
+    for module, name, keywords in (
+            ("scenarios", "perturb_data", ("shift_cells", "du_inf")),
+            ("verify", "uniqueness_check", ("seeds",)),
+            ("model", "CustomVelocityModel", ("name",))):
+        call = getattr(importlib.import_module(f"garzfv.{module}"), name)
+        assert set(keywords) <= set(inspect.signature(call).parameters), \
+            (module, name)
+    assert callable(iteration.Trajectory.final_state)
+    config = importlib.import_module("garzfv.config")
+    assert {"n_cells", "rho_pieces", "psi_pieces", "entropy_levels",
+            "n_output"} <= {f.name for f in dataclasses.fields(
+                config.RunConfig)}
 
 
 def test_global_solve_halves_slab_on_divergence():

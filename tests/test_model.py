@@ -42,13 +42,19 @@ def test_greenshields_flux_values():
     assert m.flux(0.25, 2.0) == pytest.approx(2 * 0.25 * 0.75, abs=1e-15)
 
 
+def _eigenvalues(m, rho, u):
+    """(lambda1, lambda2) = (V + rho dV/drho, V)."""
+    v = m.velocity(rho, u)
+    return v + rho * m.d_rho(rho, u), v
+
+
 def test_greenshields_eigenvalues():
     m = GreenshieldsModel()
-    lam1, lam2 = m.eigenvalues(0.5, 1.0)
+    lam1, lam2 = _eigenvalues(m, 0.5, 1.0)
     # lambda1 = u(1 - 2 rho), lambda2 = u(1 - rho)
     assert lam1 == pytest.approx(0.0, abs=1e-15)
     assert lam2 == pytest.approx(0.5, abs=1e-15)
-    lam1, lam2 = m.eigenvalues(RHO, 0.0)
+    lam1, lam2 = _eigenvalues(m, RHO, 0.0)
     assert np.all(lam1 == 0.0) and np.all(lam2 == 0.0)
 
 
@@ -230,8 +236,12 @@ def test_power_law_speed_hook_equals_eigenvalue_rule(gamma):
     u = np.linspace(0.0, 3.0, 121)
     # pairwise: |lambda1| and |lambda2| never exceed max_wave_speed = u
     r, w = np.meshgrid(rho, u, indexing="ij")
-    lam1, lam2 = m.eigenvalues(r, w)
+    lam1, lam2 = _eigenvalues(m, r, w)
     assert np.all(np.maximum(np.abs(lam1), np.abs(lam2)) <= w)
+    # the base rule's sampled sup of |df/drho| is max |u| to the bit, on
+    # the whole lattice and on every leading part of it
+    for k in range(1, u.size + 1):
+        assert VelocityModel.max_wave_speed(m, u[:k]) == u[:k].max()
     # the hook and the base rule agree on every marker row and overall
     for row in range(u.size):
         col = np.full(rho.size, u[row])

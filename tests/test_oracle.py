@@ -91,9 +91,16 @@ def test_equal_states_and_zero_time():
 
 
 def test_nan_position_is_a_range_error():
-    for rl, rr in ((0.8, 0.2), (0.4, 0.4)):
-        with pytest.raises(InputRangeError, match="x must not be NaN"):
-            lwr_riemann_exact(rl, rr, 1.0, GSH, 1.0, [0.0, np.nan])
+    # and so are positions that are not real numbers, "1" included
+    for x, message in (([0.0, np.nan], "x must not be NaN"),
+                       ("abc", "x must be real numbers, got dtype <U3"),
+                       ("1", "x must be real numbers, got dtype <U1"),
+                       (None, "x must be real numbers, got dtype object"),
+                       ([0.0, None], "x must be real numbers"),
+                       ([0.5j], "x must be real numbers")):
+        for rl, rr in ((0.8, 0.2), (0.4, 0.4)):
+            with pytest.raises(InputRangeError, match=message):
+                lwr_riemann_exact(rl, rr, 1.0, GSH, 1.0, x)
 
 
 def test_generic_concave_model_fan_inverts_derivative(hump_model):

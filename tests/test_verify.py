@@ -26,7 +26,7 @@ from garzfv import (
     uniqueness_check,
 )
 from garzfv import iteration
-from garzfv.core import state_from_arrays
+from garzfv.core import build_initial_state, state_from_arrays
 
 GSH = GreenshieldsModel()
 
@@ -86,7 +86,36 @@ def test_stability_on_shifted_and_nudged_pair():
     assert res_sw.k_measured == pytest.approx(res.k_measured, rel=1e-12)
 
 
-def test_stability_identical_pair_rejected():
+@pytest.mark.parametrize("name", ["shock", "rarefaction", "constant",
+                                  "smoke"])
+@pytest.mark.parametrize("cells", [-7, -1, 1, 7])
+def test_shift_translates_the_cell_averages(name, cells):
+    # cell i of the shifted datum holds cell i - cells of the datum, and a
+    # cell shifted in from outside the edge cell's value: a whole-cell
+    # shift of constant pieces is exact
+    sc = scenario(name)
+    n = sc.grid.n_cells
+    before = build_initial_state(sc.data, sc.grid)
+    shifted = perturb_data(sc.data, sc.grid, cells)
+    after = build_initial_state(shifted, sc.grid)
+    source = np.clip(np.arange(n) - cells, 0, n - 1)
+    for field in ("rho", "psi", "u"):
+        assert np.array_equal(getattr(after, field).values,
+                              getattr(before, field).values[source]), field
+    # the margins still hold: the shifted datum passes make_context
+    iteration.make_context(shifted, sc.grid, sc.t_final, sc.model(),
+                           SlabConfig())
+
+
+def test_shift_longer_than_the_domain_keeps_the_far_field():
+    sc = scenario("shock")
+    for cells, far_field in ((600, 0.2), (-600, 0.8)):
+        shifted = perturb_data(sc.data, sc.grid, cells)
+        rho = build_initial_state(shifted, sc.grid).rho.values
+        assert np.all(rho == far_field), cells
+
+
+def test_stability_identical_pair_rejected(no_march):
     sc = scenario("shock")
     with pytest.raises(DegeneratePairError):
         measure_stability(sc.data, sc.data, sc.grid, sc.t_final, sc.model())
