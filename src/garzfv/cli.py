@@ -108,12 +108,16 @@ def _solve_audit_write(args, cfg: RunConfig, command: str,
                        snapshots: bool, plots: bool, audit: bool):
     """Solve cfg, audit the run if asked, and write the manifest, the
     reports and the asked-for snapshots and plots to the command's run
-    directory.  Returns (trajectory, report or None, run directory)."""
+    directory, after deleting the outputs of an earlier run there that
+    this one does not overwrite.  Returns (trajectory, report or None,
+    run directory)."""
     slab = cfg.slab() if audit else replace(cfg.slab(), entropy_levels=0)
     traj = solve_global(cfg.data(), cfg.grid(), cfg.t_final, cfg.model(),
                         slab, cfg.n_output)
     report = audit_trajectory(traj) if audit else None
     out = _out_dir(args, cfg, command)
+    runio.remove_stale_outputs(out, len(traj.states) if snapshots else 0,
+                               plots, report is not None)
     runio.write_trajectory(out, traj, cfg, report, write_snapshots=snapshots)
     if report is not None:
         runio.write_report(out, report)

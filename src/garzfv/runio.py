@@ -6,10 +6,15 @@ Layout under a run directory:
     snapshots/NNNN.csv one row per cell: x_center,rho,u,z,psi,v,w
     report.csv         one row per check: check,worst_violation,tol,pass
     report.json        full report with entropy table and notes
-    plot/*.dat         two-column plain text, plot-ready
+    plot/rho.dat       per output state one two-column block x,rho;
+    plot/u.dat         blocks are separated by two blank lines, so
+    plot/z.dat         gnuplot's `index i` is snapshot i
+    plot/{tv,mass,phi}.dat  two-column time series
 
 Identical inputs produce bit-identical bytes: floats print as %.17g, JSON
-keys are sorted, and nothing timestamps itself.
+keys are sorted, and nothing timestamps itself.  A run directory holds one
+run: before a run writes, remove_stale_outputs deletes the files with
+these names that the run will not write, and no other file.
 
 Table text is built column by column with format_column, which formats
 each distinct bit pattern of a column once: the solutions are plateaus,
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 
@@ -29,11 +35,19 @@ from .iteration import Trajectory
 from .verify import RunReport, reported_constants
 
 SNAPSHOT_COLUMNS = ("x_center", "rho", "u", "z", "psi", "v", "w")
+# every path in a run directory, except manifest.json, that a writer here
+# names, and the per-state plot files of the earlier rho_NNNN.dat layout
+_OUTPUT_PATH = re.compile(r"snapshots/\d{4,}\.csv|report\.(csv|json)"
+                          r"|plot/((rho|u|z)(_\d{4,})?|tv|mass|phi)\.dat")
+
+
+def _open_text(path: str):
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_text(path) as fh:
         fh.write(text)
 
 
@@ -66,12 +80,16 @@ def format_column(values) -> list[str]:
     return text.take(inverse).tolist()
 
 
-def write_table(path: str, columns, sep: str, header=None) -> None:
-    """Write equal-length text columns (lists of str, see format_column),
-    one row per line, after an optional header row of column names."""
+def _table_text(columns, sep: str, header=None) -> str:
+    """Equal-length text columns (lists of str, see format_column), one
+    row per line, after an optional header row of column names."""
     lines = [sep.join(header)] if header else []
     lines += map(sep.join, zip(*columns))
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_table(path: str, columns, sep: str, header=None) -> None:
+    _write_text(path, _table_text(columns, sep, header))
 
 
 def trajectory_manifest(traj: Trajectory, cfg: RunConfig | None = None,
@@ -151,15 +169,44 @@ def write_report(out_dir: str, report: RunReport) -> None:
     write_json(os.path.join(out_dir, "report.json"), report_payload(report))
 
 
+def remove_stale_outputs(out_dir: str, n_snapshots: int, plots: bool,
+                         report: bool) -> None:
+    """Delete the files in out_dir that carry a writer's name here but
+    that a run writing n_snapshots snapshots (0: none), the plot files
+    when plots and the report when report will not write.  Every other
+    file stays."""
+    keep = {f"snapshots/{i:04d}.csv" for i in range(n_snapshots)}
+    if plots:
+        keep.update(f"plot/{name}.dat"
+                    for name in ("rho", "u", "z", "tv", "mass", "phi"))
+    if report:
+        keep.update(("report.csv", "report.json"))
+    for sub in ("", "snapshots", "plot"):
+        try:
+            names = os.listdir(os.path.join(out_dir, sub))
+        except FileNotFoundError:
+            continue
+        for name in names:
+            rel = f"{sub}/{name}" if sub else name
+            path = os.path.join(out_dir, rel)
+            if (rel not in keep and _OUTPUT_PATH.fullmatch(rel)
+                    and os.path.isfile(path)):
+                os.remove(path)
+
+
 def emit_plotdata(out_dir: str, traj: Trajectory) -> None:
-    """Write a run's plot-ready two-column files."""
+    """Write a run's plot-ready files: per field one file holding a
+    two-column block per output state, and the time series."""
     plot = os.path.join(out_dir, "plot")
     x = format_column(traj.grid.centers())
-    for i, state in enumerate(traj.states):
-        for name, field in (("rho", state.rho), ("u", state.u),
-                            ("z", state.z)):
-            write_table(os.path.join(plot, f"{name}_{i:04d}.dat"),
-                        (x, format_column(field.values)), " ")
+    for name in ("rho", "u", "z"):
+        # block by block: the joined text of all states is not held
+        with _open_text(os.path.join(plot, f"{name}.dat")) as fh:
+            for i, state in enumerate(traj.states):
+                if i:
+                    fh.write("\n\n")
+                fh.write(_table_text(
+                    (x, format_column(getattr(state, name).values)), " "))
     t = format_column(traj.series_times)
     write_table(os.path.join(plot, "tv.dat"),
                 (t, format_column(traj.tv_series)), " ")

@@ -303,7 +303,7 @@ def test_solve_outputs_are_deterministic(tmp_path):
 
 
 def test_solve_tables_match_the_row_formula(tmp_path, monkeypatch):
-    # rebuild every snapshot and per-state plot file from the run's own
+    # rebuild every snapshot and per-field plot file from the run's own
     # states with the per-row %.17g formula the column formatter replaced
     trajs = []
     real = cli.solve_global
@@ -325,16 +325,63 @@ def test_solve_tables_match_the_row_formula(tmp_path, monkeypatch):
         return ("\n".join(lines) + "\n").encode()
 
     assert len(traj.states) == 4
+    x = traj.grid.centers()
     for i, s in enumerate(traj.states):
-        x = s.grid.centers()
         assert (out / "snapshots" / f"{i:04d}.csv").read_bytes() == table(
             (x, s.rho.values, s.u.values, s.z.values, s.psi.values,
              s.v.values, s.w.values), ",",
             ("x_center", "rho", "u", "z", "psi", "v", "w"))
-        for name in ("rho", "u", "z"):
-            field = getattr(s, name).values
-            assert (out / "plot" / f"{name}_{i:04d}.dat").read_bytes() \
-                == table((x, field), " ")
+    # one file per field, one block per state: gnuplot's `index i` is
+    # state i, and numpy reads the blocks as (states, cells, 2)
+    assert sorted(p.name for p in (out / "plot").iterdir()) == [
+        "mass.dat", "phi.dat", "rho.dat", "tv.dat", "u.dat", "z.dat"]
+    for name in ("rho", "u", "z"):
+        fields = [getattr(s, name).values for s in traj.states]
+        path = out / "plot" / f"{name}.dat"
+        assert path.read_bytes() == b"\n\n".join(
+            table((x, f), " ") for f in fields)
+        blocks = np.loadtxt(path).reshape(len(fields), len(x), 2)
+        for block, f in zip(blocks, fields):
+            assert block[:, 0].tobytes() == x.tobytes()
+            assert block[:, 1].tobytes() == f.tobytes()
+
+
+def test_rerun_leaves_only_its_own_outputs(tmp_path):
+    # a run directory holds one run: a rerun deletes the outputs of the
+    # earlier run that it does not write itself, and no other file
+    args = ("solve", "--scenario", "shock", "--n-cells", "64")
+    assert run(tmp_path, *args, "--n-output", "8") == 0
+    out = tmp_path / "solve-shock"
+    # writer names of an earlier layout and of a longer run go; the
+    # user's files stay, whatever they resemble
+    stale = [out / "plot" / "rho_0003.dat", out / "snapshots" / "12345.csv"]
+    user = [out / "notes.txt", out / "plot" / "user.dat",
+            out / "snapshots" / "0001.csv.bak", out / "report.txt"]
+    for path in stale + user:
+        path.write_text("kept\n")
+
+    def files():
+        return sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                      if p.is_file())
+
+    assert run(tmp_path, *args, "--n-output", "4") == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["n_snapshots"] == 5
+    run_files = (["manifest.json", "report.csv", "report.json"]
+                 + [f"plot/{n}.dat" for n in ("rho", "u", "z", "tv", "mass",
+                                              "phi")]
+                 + [f"snapshots/{i:04d}.csv" for i in range(5)])
+    kept = sorted(p.relative_to(out).as_posix() for p in user)
+    assert files() == sorted(run_files + kept)
+    assert all(p.read_text() == "kept\n" for p in user)
+    # the audit, snapshots and plots off: only the manifest is the run's
+    cfg = replace(config_from_scenario(scenario("shock")), n_cells=64,
+                  audit=False, write_snapshots=False, write_plot=False,
+                  out_dir="solve-shock")
+    ini = tmp_path / "quiet.ini"
+    ini.write_text(dump_config_text(cfg))
+    assert run(tmp_path, "solve", "--config", str(ini)) == 0
+    assert files() == sorted(["manifest.json"] + kept)
 
 
 def test_nan_entropy_residual_fails_the_audit(tmp_path, monkeypatch):

@@ -231,6 +231,47 @@ def test_unaudited_solve_marches_once_per_picard_iterate(monkeypatch):
     assert all(s.entropy_table() == {} for s in traj.slabs)
 
 
+# per scenario at n = 1536, unaudited: marches per slab, and each slab's
+# Phi as marching every iterate gives it (recorded before the repeated-rows
+# rule); the 0.0 is the iterate whose marker rows repeat and is not marched
+REPEATED_ROWS = {
+    "shock": (1, [[1.3877787807814457e-17]] * 4),
+    "rarefaction": (1, [[0.044999999999999984, 0.0],
+                        [0.044999999999999686, 0.0],
+                        [0.04499999999999999, 0.0],
+                        [0.044999999999999984, 0.0]]),
+    "smoke": (3, [[0.14750000000000005, 0.03971396660525695,
+                   0.0003293452745577013],
+                  [0.1473407786243353, 0.03973830545011422,
+                   0.0003313769417763988],
+                  [0.14684421405314924, 0.03971145704058861,
+                   0.00033220647013420206],
+                  [0.14601402321139756, 0.039648180534877946,
+                   0.00033201552707754454]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_ROWS))
+def test_repeated_marker_rows_are_not_marched_again(monkeypatch, name):
+    marches = [0]
+    real_march = iteration._march_slab
+
+    def march(*args):
+        marches[0] += 1
+        return real_march(*args)
+
+    monkeypatch.setattr(iteration, "_march_slab", march)
+    per_slab, phis = REPEATED_ROWS[name]
+    sc = scenario(name)
+    grid = Grid(sc.grid.x_min, sc.grid.x_max, 1536)
+    traj = solve_global(sc.data, grid, sc.t_final, sc.model(),
+                        SlabConfig(entropy_levels=0))
+    assert [s.trace.phi for s in traj.slabs] == phis
+    assert [s.trace.iterations for s in traj.slabs] == [
+        len(phi) + 1 for phi in phis]
+    assert marches[0] == per_slab * len(traj.slabs)
+
+
 def test_constant_datum_converges_in_two_iterations():
     g = Grid(-4.0, 4.0, 64)
     data = InitialData((Piece(-4.0, 4.0, 0.45, 0.45),), (), z_inf=0.0,
