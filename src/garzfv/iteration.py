@@ -17,7 +17,9 @@ constant in rho, u, v and w cannot change in a step (the transport has
 finite speed), so each step runs the step kernels on the one range of cells
 that holds every bitwise jump of those arrays; outside it the full-width
 step would return each cell's own bits, and the influx and the CFL speed
-are the same.  ``_march_slab`` states the proof and how the window is kept.
+are the same.  A step reads the window's padded stencil as a view of the
+march's ghost-padded state.  ``_march_slab`` states the proof and how the
+window and the ghosts are kept.
 
 Convergence is declared when the contraction functional
 
@@ -69,7 +71,7 @@ from .core import (CellField, Grid, InitialData, SystemState,
 from .errors import InputRangeError, PicardDivergenceError
 from .model import ModelBounds, VelocityModel, require_valid_model
 from .scalar import (SPEED_FLOOR, density_step_arrays, entropy_residual_maxima,
-                     max_speed)
+                     max_speed, pad2)
 # not called here, but kept importable from this module: perfbench traces
 # the per-level entropy audit at this binding
 from .scalar import entropy_residual_arrays  # noqa: F401
@@ -251,13 +253,30 @@ def _row_spans(rows: np.ndarray):
     return lo.tolist(), hi.tolist()
 
 
-def _marker_now(u_rows, s, lam, a, b):
-    """u on cells [a, b) at weight lam of stored row s: rows s-1 and s of
-    the previous iterate's u blended linearly, row s-1 itself at lam = 0."""
-    u_now = u_rows[s - 1, a:b]
-    if lam != 0.0:
-        u_now = (1.0 - lam) * u_now + lam * u_rows[s, a:b]
-    return u_now
+def _marker_now(u_rows, s, lam, a, b, ue):
+    """The padded u of window [a, b) at weight lam of stored row s: rows
+    s-1 and s of the previous iterate's u blended linearly on cells a-2 to
+    b+1, row s-1 itself at lam = 0, written into the ghost-padded buffer
+    ue (cell i at ue[i + 2]) and returned as its view ue[a:b+4]."""
+    lo, hi = max(a - 2, 0), min(b + 2, u_rows.shape[1])
+    cells = ue[lo + 2:hi + 2]
+    if lam == 0.0:
+        cells[:] = u_rows[s - 1, lo:hi]
+    else:
+        # (1 - lam) u + lam u', operation by operation
+        np.multiply(u_rows[s - 1, lo:hi], 1.0 - lam, out=cells)
+        cells += lam * u_rows[s, lo:hi]
+    _refresh_ghosts(ue, lo, hi)
+    return ue[a:b + 4]
+
+
+def _refresh_ghosts(state, a, b):
+    """After cells [a, b) of the ghost-padded state (cell i at column
+    i + 2) were written, copy each edge cell among them to its ghosts."""
+    if a == 0:
+        state[..., :2] = state[..., 2:3]
+    if b == state.shape[-1] - 4:
+        state[..., -2:] = state[..., -3:-2]
 
 
 def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf):
@@ -293,13 +312,23 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf):
     of the window at each stored time re-tightens it.  u_now is
     interpolated between rows j and j+1 of u_rows, so its jumps lie in the
     union of their spans, taken for all rows once per march.
+
+    (rho, v, w) are kept as one (3, n+4) array with two copy ghosts per
+    side, cell i at column i + 2, and u_now is blended into a padded
+    buffer alike.  A step on [a, b) reads its padded stencil as the view
+    of columns a to b+3: cells a-2, a-1, b and b+1, or the ghosts where
+    those fall off the domain, equal the window's end cells bit for bit,
+    so the view is the window padded by ``pad2``.  The ghosts are
+    refreshed when a window reaches an edge cell, the only steps that can
+    move it.
     """
     n = len(rho)
     shape = (len(times), n)
     out = SlabIterate(times, *(np.empty(shape) for _ in range(4)),
                       influx=np.empty(len(times)))
-    state = np.stack((rho, v, w))  # rows rho, v, w; stepped in place
-    rho, q = state[0], state[1:]
+    state = pad2(np.stack((rho, v, w)))  # rows rho, v, w; stepped in place
+    cells = state[:, 2:-2]
+    ue = np.empty(n + 4)  # u_now, ghost-padded
     plan = []
     u_lo, u_hi = _row_spans(u_rows)
     influx = 0.0
@@ -307,7 +336,8 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf):
     t = tlist[0]
     time_tol = 1e-13 * max(1.0, abs(tlist[-1]))
     # times[0] is t, so row 0 stores the start state without a step, and
-    # the scan after it sets the window [lo, hi) of (rho, v, w)
+    # the scan of all cells after it sets the window [lo, hi) of (rho, v, w)
+    lo, hi = 0, n
     for s, t_next in enumerate(tlist):
         while t_next - t > time_tol:
             # t lies in [times[s-1], times[s])
@@ -316,27 +346,31 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf):
             if a >= b:
                 a, b = 0, 1
             lam = (t - tlist[s - 1]) / (t_next - tlist[s - 1])
-            u_now = _marker_now(u_rows, s, lam, a, b)
-            rho_old = rho[a:b]
-            speed = max_speed(rho_old, u_now, model)
+            u_now = _marker_now(u_rows, s, lam, a, b, ue)
+            re, qe = state[0, a:b + 4], state[1:, a:b + 4]
+            speed = max_speed(re[2:-2], u_now[2:-2], model)
             dt_stable = cfl * h / speed
             remaining = t_next - t
             dt = min(dt_stable, remaining)
             # the Godunov parts are dropped here, before the marker step
-            rho_new, flux = density_step_arrays(rho_old, u_now, h, dt, model,
+            rho_new, flux = density_step_arrays(re, u_now, h, dt, model,
                                                 speed)[:2]
-            q[:, a:b] = marker_step_arrays(q[:, a:b], rho_old, flux, h, dt)
+            cells[1:, a:b] = marker_step_arrays(qe, re, flux, h, dt)
             influx += dt * (flux[0] - flux[-1])
             plan.append((a, b, s, lam, dt, speed))
-            rho[a:b] = rho_new
+            cells[0, a:b] = rho_new
+            _refresh_ghosts(state, a, b)
             lo, hi = max(a - 1, 0), min(b + 1, n)
             t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt
         t = t_next
-        # (rho, v, w) are constant outside [lo, hi)
-        span_lo, span_hi = _row_spans(state)
-        lo, hi = min(span_lo), max(span_hi)
-        out.rho[s] = rho
-        out.v[s], out.w[s] = q
+        # (rho, v, w) are constant outside [lo, hi), and so inside it when
+        # a row has no jump there; with no jump at all, the empty range
+        # (n, 0) that a scan of all cells gives
+        span_lo, span_hi = _row_spans(cells[:, lo:hi])
+        lo, hi = lo + min(span_lo), lo + max(span_hi)
+        if lo >= hi:
+            lo, hi = n, 0
+        out.rho[s], out.v[s], out.w[s] = cells
         out.influx[s] = influx
     np.cumsum(out.v, axis=1, out=out.u)
     out.u *= h
@@ -371,21 +405,23 @@ def _replay_density(rho, u_rows, plan, model, h, levels) -> np.ndarray:
     most 1/4 long), and x + y is -0.0 only when both are.  So the maximum
     is one number whatever the order, and NaN propagates.
     """
-    rho = rho.copy()
     n = len(rho)
+    rho = pad2(rho)  # ghost-padded, as are the buffers of _march_slab
+    ue = np.empty(n + 4)
     entropy_max = np.full(len(levels), -math.inf)
     for a, b, s, lam, dt, speed in plan:
-        u_now = _marker_now(u_rows, s, lam, a, b)
-        rho_old = rho[a:b]
-        rho_new, _, parts = density_step_arrays(rho_old, u_now, h, dt, model,
+        u_now = _marker_now(u_rows, s, lam, a, b, ue)
+        re = rho[a:b + 4]
+        rho_new, _, parts = density_step_arrays(re, u_now, h, dt, model,
                                                 speed)
-        maxima = entropy_residual_maxima(rho_old, rho_new, u_now, levels, dt,
-                                         h, model, parts)
+        maxima = entropy_residual_maxima(re[2:-2], rho_new, u_now[2:-2],
+                                         levels, dt, h, model, parts)
         if b - a < n:
             np.maximum(maxima, 0.0, out=maxima)
         # np.maximum keeps a NaN residual, which Python's max would drop
         np.maximum(maxima, entropy_max, out=entropy_max)
-        rho[a:b] = rho_new
+        rho[a + 2:b + 2] = rho_new
+        _refresh_ghosts(rho, a, b)
     return entropy_max
 
 

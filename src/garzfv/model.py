@@ -184,6 +184,26 @@ class VelocityModel:
             hi = np.where(rising, hi, mid)
         return 0.5 * (lo + hi)
 
+    def side_fluxes(self, cells, u_if):
+        """f = rho V(rho, u_if[i]) at both cells of each interface i: the
+        pair (f at cells[:-1], f at cells[1:]), unchecked (the step kernel
+        range-checked its cells).  One ``velocity`` call per side here."""
+        rl, rr = cells[:-1], cells[1:]
+        return rl * self.velocity(rl, u_if), rr * self.velocity(rr, u_if)
+
+    def critical_flux(self, u_if, where):
+        """(c, f(c, u_if)) with c = ``critical_density(u_if)`` on the
+        interfaces where the mask ``where`` holds, the only ones whose
+        Godunov value reads c; elsewhere c is 0.5, a box value the closure
+        can be evaluated at.  A pointwise closure bisects each interface
+        on its own, so the bits where c is read do not depend on the mask.
+        """
+        crit = np.full(u_if.shape, 0.5)
+        idx = np.flatnonzero(where)
+        if idx.size:
+            crit[idx] = self.critical_density(u_if[idx])
+        return crit, crit * self.velocity(crit, u_if)
+
     def state_speed(self, rho, u):
         """CFL speed: max of |lambda1|, |lambda2| and max_wave_speed(u) over
         the pair's cells, unchecked (``scalar.max_speed`` checks them)."""
@@ -252,6 +272,19 @@ class PowerLawModel(VelocityModel):
     def critical_density(self, u):
         """d/drho [u rho (1-rho)^g] = u (1-rho)^(g-1) (1 - (1+g) rho)."""
         return np.full(np.shape(u), 1.0 / (1.0 + self.gamma))
+
+    def side_fluxes(self, cells, u_if):
+        """(1 - rho)^gamma once per cell, then rho (u (1 - rho)^gamma) on
+        each side, the operation order of ``velocity``."""
+        g = self._gap(cells) ** self.gamma
+        return cells[:-1] * (u_if * g[:-1]), cells[1:] * (u_if * g[1:])
+
+    def critical_flux(self, u_if, where):
+        """The constant c = 1/(1+gamma) as one value, its (1 - c)^gamma an
+        array power as ``velocity`` takes it (a 0-d power can round
+        differently: gamma = 2.5 shows it)."""
+        crit = 1.0 / (1.0 + self.gamma)
+        return crit, crit * (u_if * self._gap(np.full(1, crit)) ** self.gamma)
 
     def state_speed(self, rho, u):
         """max |u|, the base rule's value for rho in [0, 1].  With s = 1 - rho,

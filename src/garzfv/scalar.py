@@ -12,6 +12,15 @@ edge cells never move, so this is exact outflow handling.  Since f(0, u) =
 f(1, u) = 0 for every admissible closure, the scheme preserves 0 <= rho <= 1
 regardless of how u varies in space.
 
+The step kernels take padded arrays: the m cells they step plus two
+neighbours per side.  The caller pads with ``pad2``, or, as a march does,
+hands a view of a ghost-padded state whose cells next to the window hold
+the bits ``pad2`` would copy; then a step copies nothing to pad.  The closure-specific values of a step go
+through ``VelocityModel.side_fluxes`` and ``critical_flux``: the power law
+raises (1 - rho) to gamma once per cell and takes its constant critical
+density as one value; a custom closure bisects the critical density only at
+the interfaces whose Godunov value reads it (rho_i > rho_{i+1}).
+
 A march step range-checks its (rho, u) once, in ``max_speed``; the step and
 audit kernels then evaluate f = rho V without ``VelocityModel.flux``'s check.
 """
@@ -33,9 +42,9 @@ def pad2(a: np.ndarray) -> np.ndarray:
                            a[..., -1:]), axis=-1)
 
 
-def interface_marker(u: np.ndarray) -> np.ndarray:
-    """Arithmetic interface averages, one value per interface (n+1)."""
-    ue = pad2(u)
+def interface_marker(ue: np.ndarray) -> np.ndarray:
+    """Arithmetic interface averages of a padded marker (m+4 values), one
+    value per interface of its m cells (m+1)."""
     return 0.5 * (ue[1:-2] + ue[2:-1])
 
 
@@ -54,24 +63,26 @@ def godunov_flux(rho_left, rho_right, u_interface, model: VelocityModel):
     rl, rr, ui = np.atleast_1d(rl, rr, ui)
     rl, rr, ui = np.broadcast_arrays(rl, rr, ui)
     _require_box((rl, rr), ui)
-    out = _godunov_parts(rl, rr, ui, model)[0]
+    f_l, f_r = (x * model.velocity(x, ui) for x in (rl, rr))
+    out = _godunov_parts(rl, rr, ui, f_l, f_r, model)[0]
     return float(out[0]) if scalar else out
 
 
-def _godunov_parts(rl, rr, ui, model: VelocityModel):
+def _godunov_parts(rl, rr, ui, f_l, f_r, model: VelocityModel):
     """(F, crit, f(rl), f(rr), f(crit)): Godunov flux F and what it is picked
-    from, f = rho V unchecked; callers range-check rl, rr and ui."""
-    crit = model.critical_density(ui)
-    f_l, f_r, f_c = (x * model.velocity(x, ui) for x in (rl, rr, crit))
+    from, given f_l = f(rl) and f_r = f(rr), f = rho V unchecked; callers
+    range-check rl, rr and ui.  crit is the closure's critical density
+    wherever rl > rr, the only interfaces that read it: an array, or one
+    value when it is constant (``VelocityModel.critical_flux``)."""
+    crit, f_c = model.critical_flux(ui, rl > rr)
     return _godunov_pick(rl, rr, f_l, f_r, crit, f_c), crit, f_l, f_r, f_c
 
 
 def _godunov_pick(rl, rr, f_l, f_r, crit, f_crit):
     """Godunov flux of a unimodal f with maximum at crit, given the values
-    f_l = f(rl), f_r = f(rr) and f_crit = f(crit)."""
-    lo = np.minimum(rl, rr)
-    hi = np.maximum(rl, rr)
-    f_max = np.where((lo <= crit) & (crit <= hi), f_crit,
+    f_l = f(rl), f_r = f(rr) and f_crit = f(crit).  crit and f_crit are
+    read only where rl > rr, where [rr, rl] is the Riemann fan's range."""
+    f_max = np.where((rr <= crit) & (crit <= rl), f_crit,
                      np.maximum(f_l, f_r))
     return np.where(rl <= rr, np.minimum(f_l, f_r), f_max)
 
@@ -83,32 +94,37 @@ def max_speed(rho: np.ndarray, u: np.ndarray, model: VelocityModel) -> float:
     return max(model.state_speed(rho, u), SPEED_FLOOR)
 
 
-def density_step_arrays(rho: np.ndarray, u: np.ndarray, h: float, dt: float,
+def density_step_arrays(re: np.ndarray, ue: np.ndarray, h: float, dt: float,
                         model: VelocityModel, speed: float):
-    """One Godunov step on raw arrays; returns (rho_new, interface fluxes,
-    parts), parts being (padded rho, interface marker, F, crit, f_a, f_b,
-    f_c) for ``entropy_residual_maxima`` to reuse (see _godunov_parts).  A
-    caller that does not audit the step drops them on return.
+    """One Godunov step of the m cells of the padded density re (m+4
+    values, two neighbours per side) with the padded marker ue; returns
+    (rho_new of the m cells, their m+1 interface fluxes, parts), parts
+    being (re, ue, interface marker, F, crit, f_a, f_b, f_c) for
+    ``entropy_residual_maxima`` to reuse (see _godunov_parts).  A caller
+    that does not audit the step drops them on return.
 
-    speed is max_speed(rho, u, model), which the caller has already taken
-    to choose dt and to range-check (rho, u), so f is evaluated unchecked;
+    speed is max_speed of the m cells, which the caller has already taken
+    to choose dt and to range-check them, so f is evaluated unchecked;
     steps with dt * speed above h raise CflViolationError.
     """
     if dt * speed > h * (1.0 + 1e-9):
         raise CflViolationError(
             f"dt={dt:.3e} exceeds stable limit h/s_max={h / speed:.3e}")
-    parts = _step_parts(rho, u, model)
-    flux = parts[2]
-    rho_new = rho - (dt / h) * (flux[1:] - flux[:-1])
-    return rho_new, flux, parts
+    parts = _step_parts(re, ue, model)
+    flux = parts[3]
+    # rho - (dt/h) (F_{i+1/2} - F_{i-1/2}), operation by operation, in place
+    rho_new = np.subtract(flux[1:], flux[:-1])
+    rho_new *= dt / h
+    return np.subtract(re[2:-2], rho_new, out=rho_new), flux, parts
 
 
-def _step_parts(rho, u, model: VelocityModel):
-    """(padded rho, interface marker, *_godunov_parts) of a step from
-    (rho, u), unchecked."""
-    re = pad2(rho)
-    u_if = interface_marker(u)
-    return (re, u_if, *_godunov_parts(re[1:-2], re[2:-1], u_if, model))
+def _step_parts(re, ue, model: VelocityModel):
+    """(re, ue, interface marker, *_godunov_parts) of a step from the
+    padded (re, ue), unchecked."""
+    u_if = interface_marker(ue)
+    rl, rr = re[1:-2], re[2:-1]
+    f_l, f_r = model.side_fluxes(re[1:-1], u_if)
+    return (re, ue, u_if, *_godunov_parts(rl, rr, u_if, f_l, f_r, model))
 
 
 def entropy_residual_arrays(rho_old: np.ndarray, rho_new: np.ndarray,
@@ -135,7 +151,7 @@ def entropy_residual_arrays(rho_old: np.ndarray, rho_new: np.ndarray,
     require_real("entropy level k", k, 0, 1)
     re = pad2(rho_old)
     ue = pad2(u)
-    u_if = interface_marker(u)
+    u_if = interface_marker(ue)
     a = re[1:-2]
     b = re[2:-1]
     q_hi = godunov_flux(np.maximum(a, k), np.maximum(b, k), u_if, model)
@@ -193,13 +209,14 @@ def entropy_residual_maxima(rho_old: np.ndarray, rho_new: np.ndarray,
     Equal bit-for-bit to ``entropy_residual_arrays(..., k, ...).max()`` at
     each level, signed zeros and NaN included.  All levels go in one pass
     over (levels x cells) arrays, dV/du from ``model.d_u_levels``.  parts
-    are the Godunov parts of the step from (rho_old, u), as
-    ``density_step_arrays`` returns them (``_step_parts``).
+    are the Godunov parts of the step from (rho_old, u) padded, as
+    ``density_step_arrays`` returns them (``_step_parts``); the padded
+    marker comes from them.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size and not (levels.min() >= 0.0 and levels.max() <= 1.0):
         raise InputRangeError(f"entropy levels must be in [0,1], got {levels}")
-    ue = pad2(u)
+    ue = parts[1]
     k = levels[:, None]
     q = _level_entropy_fluxes(parts, k, model)
     du_center = (ue[3:-1] - ue[1:-3]) / (2.0 * h)
@@ -219,7 +236,7 @@ def _level_entropy_fluxes(parts, k, model):
     Godunov flux); the others take both Godunov fluxes.  f is evaluated
     unchecked: the march range-checked (rho_old, u) in max_speed.
     """
-    re, u_if, flux, crit, f_a, f_b, f_c = parts
+    re, _, u_if, flux, crit, f_a, f_b, f_c = parts
     a, b = re[1:-2], re[2:-1]
     f_k = k * model.velocity(k, u_if)
     lo = np.minimum(a, b)
@@ -229,7 +246,9 @@ def _level_entropy_fluxes(parts, k, model):
     if mid.size:
         row, col = np.divmod(mid, a.size)
         km = k[row, 0]
-        am, bm, cm = a[col], b[col], crit[col]
+        # crit is read where a > b only (see _godunov_pick): both
+        # max(a, k) > max(b, k) and min(a, k) > min(b, k) imply it
+        am, bm, cm = a[col], b[col], np.broadcast_to(crit, a.shape)[col]
         fam, fbm, fcm, fkm = f_a[col], f_b[col], f_c[col], f_k[row, col]
         q.reshape(-1)[mid] = (
             _godunov_pick(np.maximum(am, km), np.maximum(bm, km),

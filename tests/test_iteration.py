@@ -46,7 +46,7 @@ from garzfv import (
 from garzfv import cli, iteration
 from garzfv.core import CellField
 from garzfv.scenarios import SCENARIO_NAMES
-from garzfv.scalar import entropy_residual_arrays
+from garzfv.scalar import entropy_residual_arrays, pad2
 
 GSH = GreenshieldsModel()
 
@@ -132,16 +132,19 @@ def _smoke_context(n=128):
 
 def _traced_smoke_solve(monkeypatch, cfg, n=192):
     """Solve smoke, recording per slab each march (its iterate, its step
-    plan, its arguments), the calls through iteration's names of the
-    density step and of the multi-level entropy kernel, and what
-    picard_slab returned."""
-    marches, calls, slabs = [], {"step": 0, "maxima": 0}, []
+    plan, its arguments, the kernel calls it made), the calls through
+    iteration's names of the CFL speed, the density step, the marker step
+    and the multi-level entropy kernel, and what picard_slab returned."""
+    marches, slabs = [], []
+    calls = {"speed": 0, "step": 0, "marker": 0, "maxima": 0}
     real_march = iteration._march_slab
     real_slab = iteration.picard_slab
 
     def march(*args):
+        before = dict(calls)
         iterate, plan = real_march(*args)
-        marches.append((iterate, plan, args))
+        made = {key: calls[key] - before[key] for key in calls}
+        marches.append((iterate, plan, args, made))
         return iterate, plan
 
     def counted(key, real):
@@ -159,8 +162,12 @@ def _traced_smoke_solve(monkeypatch, cfg, n=192):
         return result
 
     monkeypatch.setattr(iteration, "_march_slab", march)
+    monkeypatch.setattr(iteration, "max_speed",
+                        counted("speed", iteration.max_speed))
     monkeypatch.setattr(iteration, "density_step_arrays",
                         counted("step", iteration.density_step_arrays))
+    monkeypatch.setattr(iteration, "marker_step_arrays",
+                        counted("marker", iteration.marker_step_arrays))
     monkeypatch.setattr(iteration, "entropy_residual_maxima",
                         counted("maxima", iteration.entropy_residual_maxima))
     monkeypatch.setattr(iteration, "picard_slab", slab)
@@ -171,7 +178,15 @@ def _traced_smoke_solve(monkeypatch, cfg, n=192):
 
 
 def _plan_steps(slab_marches) -> int:
-    return sum(len(plan) for _, plan, _ in slab_marches)
+    return sum(len(plan) for _, plan, *_ in slab_marches)
+
+
+def _assert_one_kernel_call_per_step(slab_marches):
+    # perfbench/spans.py times the kernels at these bindings: a march
+    # step that bypassed one would zero its span without any error
+    for _, plan, _, made in slab_marches:
+        assert made == {"speed": len(plan), "step": len(plan),
+                        "marker": len(plan), "maxima": 0}
 
 
 def _max_cfl(plan, h) -> float:
@@ -202,9 +217,12 @@ def test_entropy_audit_runs_once_per_step_of_converged_iterate(monkeypatch):
     for slab_marches, calls, (iterate, trace, record) in slabs:
         assert trace.iterations >= 3
         assert len(slab_marches) == trace.iterations - 1
-        kept, plan, args = slab_marches[-1]
+        kept, plan, args, _ = slab_marches[-1]
         assert kept is iterate
+        _assert_one_kernel_call_per_step(slab_marches)
+        # the replay steps the density only: no speed and no marker step
         assert calls["step"] == _plan_steps(slab_marches) + len(plan)
+        assert calls["speed"] == calls["marker"] == _plan_steps(slab_marches)
         assert calls["maxima"] == len(plan) == record.n_steps > 0
         assert len(record.entropy_table()) == 11
         h = args[6]
@@ -222,10 +240,13 @@ def test_unaudited_solve_marches_once_per_picard_iterate(monkeypatch):
                                       SlabConfig(entropy_levels=0))
     for slab_marches, calls, (iterate, trace, record) in slabs:
         assert len(slab_marches) == trace.iterations - 1
-        kept, plan, _ = slab_marches[-1]
+        kept, plan, *_ = slab_marches[-1]
         assert kept is iterate
-        # the marches take every density step: no replay runs
-        assert calls == {"step": _plan_steps(slab_marches), "maxima": 0}
+        _assert_one_kernel_call_per_step(slab_marches)
+        # the marches take every step: no replay runs
+        steps = _plan_steps(slab_marches)
+        assert calls == {"speed": steps, "step": steps, "marker": steps,
+                         "maxima": 0}
         assert record.n_steps == len(plan) > 0
         assert record.entropy_table() == {}
     assert all(s.entropy_table() == {} for s in traj.slabs)
@@ -796,10 +817,12 @@ def test_entropy_tables_match_the_per_level_reference(monkeypatch, name,
 def audited_reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf,
                             k_levels):
     """_march_slab stepping every cell: the same kernels through
-    iteration's names, full width, with u interpolated on all cells.
-    Returns (iterate, full-width step plan, entropy maxima), the maxima
-    audited inline at each level of k_levels as the steps are taken, on
-    all cells, so with no plan and no still-cell rule."""
+    iteration's names, full width, with u interpolated on all cells and
+    each step's inputs padded by pad2 from the full rows, so with no
+    ghost-padded state.  Returns (iterate, full-width step plan, entropy
+    maxima), the maxima audited inline at each level of k_levels as the
+    steps are taken, on all cells, so with no plan and no still-cell
+    rule."""
     shape = (len(times), len(rho))
     out = iteration.SlabIterate(times, *(np.empty(shape) for _ in range(4)),
                                 influx=np.empty(len(times)))
@@ -818,13 +841,14 @@ def audited_reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf,
             speed = iteration.max_speed(rho, u_now, model)
             remaining = t_next - t
             dt = min(cfl * h / speed, remaining)
+            re = pad2(rho)
             rho_new, flux, parts = iteration.density_step_arrays(
-                rho, u_now, h, dt, model, speed)
+                re, pad2(u_now), h, dt, model, speed)
             if len(k_levels):
                 np.maximum(iteration.entropy_residual_maxima(
                     rho, rho_new, u_now, k_levels, dt, h, model, parts),
                     maxima, out=maxima)
-            q = iteration.marker_step_arrays(q, rho, flux, h, dt)
+            q = iteration.marker_step_arrays(pad2(q), re, flux, h, dt)
             influx += dt * (flux[0] - flux[-1])
             plan.append((0, len(rho), j + 1, lam, dt, speed))
             rho = rho_new
@@ -913,6 +937,80 @@ def test_windowed_march_matches_the_full_width_march(data, model, cfl,
     assert maxima.tobytes() == ref_maxima.tobytes()
     assert len(plan) == len(ref_plan)
     assert _max_cfl(plan, h) == _max_cfl(ref_plan, h)
+
+
+PADDED_STEP_MODELS = [PowerLawModel(1.0), PowerLawModel(2.5),
+                      PowerLawModel(3.0),
+                      CustomVelocityModel(lambda r, u: u * (1.0 - r) ** 2,
+                                          name="sq")]
+
+
+def _padded_step_case(case, n):
+    """(rho, v, w, u_rows, times) of one case; the markers are dominated
+    by the density as v = rho z and w = rho psi are."""
+    rho = np.full(n, 0.4)
+    times = np.linspace(0.0, 0.3, 4)
+    u_rows = np.ones((len(times), n))
+    if case == "left-edge":
+        # cell 0 moves, and later steps read its ghosts
+        rho[:3] = [0.7, 0.55, 0.8]
+        u_rows[1:, :2] = 1.5
+    elif case == "right-edge":
+        rho[-3:] = [0.8, 0.6, 0.2]
+        u_rows[1:, -2:] = 1.5
+    elif case == "undershoot":
+        # -1e-10 is inside RANGE_TOL, and f = rho V < 0 there
+        rho[:] = 0.0
+        rho[8], rho[9:14] = -1e-10, 0.5
+    return rho, 0.2 * rho, -0.1 * rho, u_rows, times
+
+
+@pytest.mark.parametrize("model", PADDED_STEP_MODELS,
+                         ids=["power1", "power2.5", "power3", "custom"])
+@pytest.mark.parametrize("case", ["constant", "left-edge", "right-edge",
+                                  "undershoot"])
+def test_padded_window_steps_match_the_full_width_steps(monkeypatch, model,
+                                                        case):
+    # the march steps views of its ghost-padded state; the reference steps
+    # every cell from pad2-ed full rows.  Same bits, and each case reaches
+    # what it is named for: the constant state's [0, 1) window, a window
+    # at an edge cell (so the ghosts are refreshed), a negative flux (so
+    # each interface picks its donor)
+    n, h = 24, 0.05
+    rho, v, w, u_rows, times = _padded_step_case(case, n)
+    fluxes = []
+    real_marker = iteration.marker_step_arrays
+
+    def marker(qe, re, flux, h, dt):
+        fluxes.append(flux)
+        return real_marker(qe, re, flux, h, dt)
+
+    monkeypatch.setattr(iteration, "marker_step_arrays", marker)
+    got, plan = iteration._march_slab(rho, v, w, times, u_rows, model, h,
+                                      0.5, 1.0)
+    march_fluxes = fluxes[:]
+    ref, ref_plan = reference_march(rho, v, w, times, u_rows, model, h, 0.5,
+                                    1.0)
+    assert _same_iterate(got, ref)
+    assert np.array([p[2:] for p in plan]).tobytes() \
+        == np.array([p[2:] for p in ref_plan]).tobytes()
+    levels = np.linspace(0.0, 1.0, 3)
+    assert iteration._replay_density(rho, u_rows, plan, model, h,
+                                     levels).tobytes() \
+        == iteration._replay_density(rho, u_rows, ref_plan, model, h,
+                                     levels).tobytes()
+    windows = [p[:2] for p in plan]
+    if case == "constant":
+        # each stored time's scan finds no jump; the window then grows by
+        # a cell per side per step
+        assert {w for w, p in zip(windows, plan) if p[3] == 0.0} \
+            == {(0, 1)}
+    elif case == "left-edge":
+        assert windows[0][0] == 0 and got.rho[-1, 0] != rho[0]
+    elif case == "right-edge":
+        assert windows[0][1] == n and got.rho[-1, -1] != rho[-1]
+    else:
+        assert min(f.min() for f in march_fluxes) < 0.0
 
 
 @pytest.mark.parametrize("tail", ["rho", "u"])

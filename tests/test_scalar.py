@@ -17,8 +17,9 @@ from garzfv import (
     max_speed,
     total_variation,
 )
-from garzfv.scalar import (_step_parts, density_step_arrays,
-                           entropy_residual_arrays, entropy_residual_maxima)
+from garzfv.scalar import (_godunov_pick, _step_parts, density_step_arrays,
+                           entropy_residual_arrays, entropy_residual_maxima,
+                           pad2)
 
 GSH = GreenshieldsModel()
 
@@ -28,7 +29,8 @@ def _cfl_step(rho, u, h, cfl=0.5):
     returns (rho_new, interface fluxes, dt)."""
     speed = max_speed(rho, u, GSH)
     dt = cfl * h / speed
-    rho_new, flux, _ = density_step_arrays(rho, u, h, dt, GSH, speed)
+    rho_new, flux, _ = density_step_arrays(pad2(rho), pad2(u), h, dt, GSH,
+                                           speed)
     return rho_new, flux, dt
 
 
@@ -102,9 +104,10 @@ def test_density_step_rejects_dt_above_cfl_limit():
     rho = 0.5 * np.exp(-g.centers() ** 2)
     u = 1.0 + 0.2 * np.tanh(g.centers())
     speed = max_speed(rho, u, GSH)
-    density_step_arrays(rho, u, g.h, g.h / speed, GSH, speed)
+    density_step_arrays(pad2(rho), pad2(u), g.h, g.h / speed, GSH, speed)
     with pytest.raises(CflViolationError):
-        density_step_arrays(rho, u, g.h, 1.01 * g.h / speed, GSH, speed)
+        density_step_arrays(pad2(rho), pad2(u), g.h, 1.01 * g.h / speed,
+                            GSH, speed)
 
 
 def test_constant_state_is_fixed_point():
@@ -209,7 +212,8 @@ def _kernel_case(data, model, n, tie_values):
     cfl = data.draw(st.floats(0.05, 1.0))
     speed = max_speed(rho, u, model)
     dt = cfl * h / speed
-    rho_new, _, _ = density_step_arrays(rho, u, h, dt, model, speed)
+    rho_new, _, _ = density_step_arrays(pad2(rho), pad2(u), h, dt, model,
+                                        speed)
     reset = np.array(data.draw(st.lists(st.booleans(), min_size=n,
                                         max_size=n)))
     ties = np.array(data.draw(st.lists(st.sampled_from(tie_values),
@@ -229,12 +233,12 @@ def _reference_maxima(rho, rho_new, u, levels, dt, h, model):
 def _assert_kernel_matches(rho, rho_new, u, dt, h, model,
                            levels=AUDIT_LEVELS):
     got = entropy_residual_maxima(rho, rho_new, u, levels, dt, h, model,
-                                  _step_parts(rho, u, model))
+                                  _step_parts(pad2(rho), pad2(u), model))
     ref = _reference_maxima(rho, rho_new, u, levels, dt, h, model)
     assert got.tobytes() == ref.tobytes()
     # handed the Godunov parts that the step from (rho, u) returns, as the
     # audit replay hands them over, the kernel returns the same bytes
-    parts = density_step_arrays(rho, u, h, dt, model,
+    parts = density_step_arrays(pad2(rho), pad2(u), h, dt, model,
                                 max_speed(rho, u, model))[2]
     reused = entropy_residual_maxima(rho, rho_new, u, levels, dt, h, model,
                                      parts)
@@ -272,7 +276,8 @@ def _plateau_case(data, model, n, tie_values):
     h = 0.05
     speed = max_speed(rho, u, model)
     dt = data.draw(st.floats(0.05, 1.0)) * h / speed
-    rho_new, _, _ = density_step_arrays(rho, u, h, dt, model, speed)
+    rho_new, _, _ = density_step_arrays(pad2(rho), pad2(u), h, dt, model,
+                                        speed)
     for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
         rho_new[i] = data.draw(st.sampled_from(tie_values))
     return rho, rho_new, u, dt, h
@@ -316,7 +321,8 @@ def test_multilevel_kernel_with_every_cell_moving():
     u = 1.0 + 0.3 * x
     speed = max_speed(rho, u, GSH)
     dt = 0.5 * 0.05 / speed
-    rho_new, _, _ = density_step_arrays(rho, u, 0.05, dt, GSH, speed)
+    rho_new, _, _ = density_step_arrays(pad2(rho), pad2(u), 0.05, dt, GSH,
+                                        speed)
     assert np.all(rho_new != rho)
     _assert_kernel_matches(rho, rho_new, u, dt, 0.05, GSH)
 
@@ -361,7 +367,7 @@ def test_multilevel_kernel_rejects_levels_outside_unit_interval():
     u = np.ones(8)
     with pytest.raises(InputRangeError):
         entropy_residual_maxima(rho, rho, u, [0.5, 1.5], 0.01, 0.1, GSH,
-                                _step_parts(rho, u, GSH))
+                                _step_parts(pad2(rho), pad2(u), GSH))
 
 
 STEP_MODELS = [PowerLawModel(g) for g in (1.0, 2.0, 2.5, 3.0)] + [
@@ -383,7 +389,8 @@ def test_density_step_equals_godunov_flux_difference(data, model, n):
     h = 0.05
     speed = max_speed(rho, u, model)
     dt = data.draw(st.floats(0.05, 1.0)) * h / speed
-    rho_new, flux, _ = density_step_arrays(rho, u, h, dt, model, speed)
+    rho_new, flux, _ = density_step_arrays(pad2(rho), pad2(u), h, dt, model,
+                                           speed)
     re = np.pad(rho, 2, mode="edge")
     ue = np.pad(u, 2, mode="edge")
     ref_flux = godunov_flux(re[1:-2], re[2:-1],
@@ -391,6 +398,33 @@ def test_density_step_equals_godunov_flux_difference(data, model, n):
     assert flux.tobytes() == ref_flux.tobytes()
     assert rho_new.tobytes() == \
         (rho - dt / h * np.diff(ref_flux)).tobytes()
+
+
+def test_custom_closure_bisects_only_where_the_flux_reads_it(monkeypatch):
+    # the Godunov value reads the critical density only where rho_i >
+    # rho_{i+1}; bisecting there alone gives the bits of bisecting everywhere
+    model = CustomVelocityModel(lambda rho, u: u * (1.0 - rho) ** 2)
+    rho = np.array([0.2, 0.9, 0.9, 0.4, 0.1, 0.1, 0.6, 0.3, 0.0])
+    u = np.linspace(0.5, 1.5, rho.size)
+    real = model.critical_density
+    sizes = []
+
+    def bisect(v):
+        sizes.append(v.size)
+        return real(v)
+
+    monkeypatch.setattr(model, "critical_density", bisect)
+    re, ue = pad2(rho), pad2(u)
+    speed = max_speed(rho, u, model)
+    _, flux, _ = density_step_arrays(re, ue, 0.05, 0.02 / speed, model,
+                                     speed)
+    rl, rr = re[1:-2], re[2:-1]
+    assert sizes == [np.count_nonzero(rl > rr)] == [4]
+    u_if = 0.5 * (ue[1:-2] + ue[2:-1])
+    crit = real(u_if)
+    f_l, f_r, f_c = (x * model.velocity(x, u_if) for x in (rl, rr, crit))
+    assert flux.tobytes() == _godunov_pick(rl, rr, f_l, f_r, crit,
+                                           f_c).tobytes()
 
 
 @pytest.mark.parametrize("model", [

@@ -13,7 +13,7 @@ from garzfv import (
     max_speed,
 )
 from garzfv.core import ratio_or
-from garzfv.scalar import density_step_arrays
+from garzfv.scalar import density_step_arrays, pad2
 from garzfv.transport import marker_step_arrays
 
 GSH = GreenshieldsModel()
@@ -25,7 +25,8 @@ def _setup(rho, grid):
     u = np.ones(rho.size)
     speed = max_speed(rho, u, GSH)
     dt = 0.5 * grid.h / speed
-    rho_new, flux, _ = density_step_arrays(rho, u, grid.h, dt, GSH, speed)
+    rho_new, flux, _ = density_step_arrays(pad2(rho), pad2(u), grid.h, dt,
+                                           GSH, speed)
     return rho_new, flux, dt
 
 
@@ -38,7 +39,7 @@ def test_zero_marker_stays_zero():
     g = Grid(-2.0, 2.0, 80)
     rho = 0.5 * np.exp(-g.centers() ** 2)
     rho_new, flux, dt = _setup(rho, g)
-    q_new = marker_step_arrays(np.zeros(80), rho, flux, g.h, dt)
+    q_new = marker_step_arrays(pad2(np.zeros(80)), pad2(rho), flux, g.h, dt)
     assert np.all(q_new == 0.0)
 
 
@@ -49,7 +50,7 @@ def test_proportional_marker_tracks_density():
     rho = np.where(np.abs(x) < 1.0, 0.6, 0.1)
     rho_new, flux, dt = _setup(rho, g)
     c = 0.42
-    q_new = marker_step_arrays(c * rho, rho, flux, g.h, dt)
+    q_new = marker_step_arrays(pad2(c * rho), pad2(rho), flux, g.h, dt)
     assert np.abs(q_new - c * rho_new).max() < 1e-12
 
 
@@ -60,7 +61,7 @@ def test_marker_sum_conserved_on_compact_support():
     psi = np.where(x < 0.0, 0.4, -0.2)
     rho_new, flux, dt = _setup(rho, g)
     q = rho * psi
-    q_new = marker_step_arrays(q, rho, flux, g.h, dt)
+    q_new = marker_step_arrays(pad2(q), pad2(rho), flux, g.h, dt)
     assert q_new.sum() == pytest.approx(q.sum(), abs=1e-13)
 
 
@@ -74,7 +75,7 @@ def test_ratio_maximum_principle(seed, bound):
     rho[:2] = rho[-2:] = 0.0
     q = rho * rng.uniform(-bound, bound, 60)
     rho_new, flux, dt = _setup(rho, g)
-    q_new = marker_step_arrays(q, rho, flux, g.h, dt)
+    q_new = marker_step_arrays(pad2(q), pad2(rho), flux, g.h, dt)
     assert np.all(np.abs(q_new) <= bound * rho_new + 1e-12)
 
 
@@ -143,8 +144,8 @@ def test_marker_routes_agree_where_flux_is_flat():
     psi[np.abs(x) >= 1.0] = 0.0
     w = rho * psi
     z = _prefix(w, g.h, 0.0)
-    w_new = marker_step_arrays(w, rho, flux, g.h, dt)
-    v_new = marker_step_arrays(rho * z, rho, flux, g.h, dt)
+    w_new = marker_step_arrays(pad2(w), pad2(rho), flux, g.h, dt)
+    v_new = marker_step_arrays(pad2(rho * z), pad2(rho), flux, g.h, dt)
     z_prefix = _prefix(w_new, g.h, 0.0)
     z_direct = v_new / rho_new
     assert np.abs(z_prefix - z_direct).max() < 1e-10
@@ -180,9 +181,9 @@ def test_stacked_markers_equal_separate_and_two_sided_steps(data, n):
                      floats(-2.0, 2.0, n, [0.0])) for _ in range(2))
     flux = floats(-0.5, 0.5, n + 1, [0.0])
     h, dt = 0.05, data.draw(st.floats(1e-4, 0.05))
-    both = marker_step_arrays(np.stack((v, w)), rho, flux, h, dt)
+    both = marker_step_arrays(pad2(np.stack((v, w))), pad2(rho), flux, h, dt)
     for row, q in zip(both, (v, w)):
-        alone = marker_step_arrays(q, rho, flux, h, dt)
+        alone = marker_step_arrays(pad2(q), pad2(rho), flux, h, dt)
         assert row.tobytes() == alone.tobytes()
         assert alone.tobytes() == \
             _two_sided_reference(q, rho, flux, h, dt).tobytes()
