@@ -53,8 +53,9 @@ value of each iterate after the first), the step count and largest CFL
 number of the plan it keeps, and its entropy residual maxima.
 Trajectory.slabs holds those records.  The entropy audit runs on no
 Picard march: an audited slab replays the density steps of the plan it
-keeps, and the replay returns the residual maxima, the step window's
-maxima raised to +0.0 when cells lie outside it.
+keeps, hands them to the audit kernel in batches of about
+AUDIT_BATCH_CELLS cells, and returns the residual maxima over the step
+windows, raised to +0.0 once per slab when a window leaves cells out.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ from .transport import marker_step_arrays
 
 DEFAULT_ENTROPY_LEVELS = 11
 MAX_TAU_HALVINGS = 5
+# cells per entropy audit kernel call, whose cost is mostly fixed: at 11
+# levels a (levels x cells) temporary is about 135 KB, in a core's L2; the
+# kernel keeps about six live, so a larger budget raises peak memory
+AUDIT_BATCH_CELLS = 1536
 
 
 @dataclass(frozen=True)
@@ -388,6 +393,10 @@ def _replay_density(rho, u_rows, plan, model, h, levels) -> np.ndarray:
     range-checked them, so the replay skips ``max_speed``, the marker
     transport, the window scans and the stored rows.
 
+    One kernel call audits each batch of steps holding AUDIT_BATCH_CELLS
+    cells.  A step keeps its rho_new, its Godunov parts and copies of its
+    padded rho and u_now windows, which the next step overwrites.
+
     A step audits the cells of its window.  A cell i outside it has a
     constant stencil (see _march_slab): rho_old and u are the same bits at
     i-1, i and i+1 (the copy ghosts make each edge cell its own outer
@@ -397,31 +406,38 @@ def _replay_density(rho, u_rows, plan, model, h, levels) -> np.ndarray:
     +0.0; |d_new| - |d_old| is x - x = +0.0; u[i+1] - u[i-1] is +0.0, so
     the source term is +-0.0; and +0.0 + +-0.0 = +0.0.  This needs finite
     values, which the range check and an admissible closure (pointwise,
-    finite on the box) give.  So the full row's maximum is the window's
-    maximum raised to +0.0.
+    finite on the box) give.  So the maximum over all the steps' full rows
+    is the maximum over their windows, raised to +0.0, once per slab,
+    when any window is narrower than the n cells.
 
     No residual is -0.0: |d_new| - |d_old| is never -0.0, dividing a
     nonzero by dt <= 1 cannot round to zero (solve_global's slabs are at
     most 1/4 long), and x + y is -0.0 only when both are.  So the maximum
-    is one number whatever the order, and NaN propagates.
+    is one number whatever the order and however the steps are batched,
+    and NaN propagates.
     """
     n = len(rho)
     rho = pad2(rho)  # ghost-padded, as are the buffers of _march_slab
     ue = np.empty(n + 4)
     entropy_max = np.full(len(levels), -math.inf)
-    for a, b, s, lam, dt, speed in plan:
+    batch, cells, narrow = [], 0, False
+    for i, (a, b, s, lam, dt, speed) in enumerate(plan):
         u_now = _marker_now(u_rows, s, lam, a, b, ue)
         re = rho[a:b + 4]
         rho_new, _, parts = density_step_arrays(re, u_now, h, dt, model,
                                                 speed)
-        maxima = entropy_residual_maxima(re[2:-2], rho_new, u_now[2:-2],
-                                         levels, dt, h, model, parts)
-        if b - a < n:
-            np.maximum(maxima, 0.0, out=maxima)
-        # np.maximum keeps a NaN residual, which Python's max would drop
-        np.maximum(maxima, entropy_max, out=entropy_max)
+        batch.append((dt, rho_new, (re.copy(), u_now.copy(), *parts[2:])))
+        cells += b - a
+        narrow |= b - a < n
         rho[a + 2:b + 2] = rho_new
         _refresh_ghosts(rho, a, b)
+        if cells >= AUDIT_BATCH_CELLS or i == len(plan) - 1:
+            # np.maximum keeps a NaN residual, which Python's max would drop
+            np.maximum(entropy_residual_maxima(batch, levels, h, model),
+                       entropy_max, out=entropy_max)
+            batch, cells = [], 0
+    if narrow:
+        np.maximum(entropy_max, 0.0, out=entropy_max)
     return entropy_max
 
 

@@ -191,17 +191,20 @@ class VelocityModel:
         rl, rr = cells[:-1], cells[1:]
         return rl * self.velocity(rl, u_if), rr * self.velocity(rr, u_if)
 
-    def critical_flux(self, u_if, where):
+    def critical_flux(self, u_if, rl, rr):
         """(c, f(c, u_if)) with c = ``critical_density(u_if)`` on the
-        interfaces where the mask ``where`` holds, the only ones whose
-        Godunov value reads c; elsewhere c is 0.5, a box value the closure
-        can be evaluated at.  A pointwise closure bisects each interface
-        on its own, so the bits where c is read do not depend on the mask.
+        interfaces with rl > rr, the only ones whose Godunov value reads c;
+        elsewhere c is 0.5, a box value the closure can be evaluated at.
+        A pointwise closure bisects each value on its own, so bisecting
+        each distinct int64 bit pattern of u_if there once gives the bits
+        of bisecting every interface.
         """
         crit = np.full(u_if.shape, 0.5)
-        idx = np.flatnonzero(where)
+        idx = np.flatnonzero(rl > rr)
         if idx.size:
-            crit[idx] = self.critical_density(u_if[idx])
+            bits, inverse = np.unique(u_if[idx].view(np.int64),
+                                      return_inverse=True)
+            crit[idx] = self.critical_density(bits.view(float)).take(inverse)
         return crit, crit * self.velocity(crit, u_if)
 
     def state_speed(self, rho, u):
@@ -235,12 +238,17 @@ class VelocityModel:
 
 
 class PowerLawModel(VelocityModel):
-    """V(rho, u) = u * (1 - rho)**gamma with gamma >= 1."""
+    """V(rho, u) = u * (1 - rho)**gamma with gamma >= 1, gamma fixed at
+    construction (the step constants are taken from it there)."""
 
     name = "power"
 
     def __init__(self, gamma: float = 1.0):
         self.gamma = require_real("gamma", gamma, 1)
+        # c = 1/(1+gamma) and (1 - c)^gamma, an array power as ``velocity``
+        # takes it (a 0-d power can round differently: gamma = 2.5)
+        self._crit = 1.0 / (1.0 + self.gamma)
+        self._crit_gap = self._gap(np.full(1, self._crit)) ** self.gamma
 
     def _gap(self, rho):
         # clamp so rho = 1 gives exactly 0 and tolerated overshoots stay real
@@ -257,9 +265,10 @@ class PowerLawModel(VelocityModel):
         return self._gap(rho) ** self.gamma * np.ones_like(u)
 
     def d_u_levels(self, levels, u):
-        """The column (1 - k)^gamma, each entry the 0-d power that d_u takes:
-        an array power can round differently (gamma = 2.5 shows it)."""
-        return np.array([self._gap(level) ** self.gamma
+        """The column (1 - k)^gamma, each entry the scalar power that d_u
+        takes (the C library's pow, on Python floats here): an array power
+        can round differently (gamma = 2.5 shows it)."""
+        return np.array([max(1.0 - level, 0.0) ** self.gamma
                          for level in levels.tolist()])[:, None]
 
     def d_u_rho(self, rho, u):
@@ -271,20 +280,21 @@ class PowerLawModel(VelocityModel):
 
     def critical_density(self, u):
         """d/drho [u rho (1-rho)^g] = u (1-rho)^(g-1) (1 - (1+g) rho)."""
-        return np.full(np.shape(u), 1.0 / (1.0 + self.gamma))
+        return np.full(np.shape(u), self._crit)
 
     def side_fluxes(self, cells, u_if):
         """(1 - rho)^gamma once per cell, then rho (u (1 - rho)^gamma) on
-        each side, the operation order of ``velocity``."""
-        g = self._gap(cells) ** self.gamma
+        each side, the operation order of ``velocity``.  For gamma = 1 the
+        power is skipped: x**1 is x."""
+        g = self._gap(cells)
+        if self.gamma != 1.0:
+            g = g ** self.gamma
         return cells[:-1] * (u_if * g[:-1]), cells[1:] * (u_if * g[1:])
 
-    def critical_flux(self, u_if, where):
-        """The constant c = 1/(1+gamma) as one value, its (1 - c)^gamma an
-        array power as ``velocity`` takes it (a 0-d power can round
-        differently: gamma = 2.5 shows it)."""
-        crit = 1.0 / (1.0 + self.gamma)
-        return crit, crit * (u_if * self._gap(np.full(1, crit)) ** self.gamma)
+    def critical_flux(self, u_if, rl, rr):
+        """The constant c = 1/(1+gamma) as one value and c u (1 - c)^gamma,
+        from the constants taken in ``__init__``; the states are not read."""
+        return self._crit, self._crit * (u_if * self._crit_gap)
 
     def state_speed(self, rho, u):
         """max |u|, the base rule's value for rho in [0, 1].  With s = 1 - rho,

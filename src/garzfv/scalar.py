@@ -15,11 +15,17 @@ regardless of how u varies in space.
 The step kernels take padded arrays: the m cells they step plus two
 neighbours per side.  The caller pads with ``pad2``, or, as a march does,
 hands a view of a ghost-padded state whose cells next to the window hold
-the bits ``pad2`` would copy; then a step copies nothing to pad.  The closure-specific values of a step go
-through ``VelocityModel.side_fluxes`` and ``critical_flux``: the power law
-raises (1 - rho) to gamma once per cell and takes its constant critical
-density as one value; a custom closure bisects the critical density only at
-the interfaces whose Godunov value reads it (rho_i > rho_{i+1}).
+the bits ``pad2`` would copy; then a step copies nothing to pad.  The
+closure-specific values of a step go through ``VelocityModel.side_fluxes``
+and ``critical_flux``: the power law raises (1 - rho) to gamma once per
+cell (not at all for gamma = 1) and returns its critical density and
+(1 - c)^gamma, constants taken once per closure; a custom closure bisects
+the critical density only at the interfaces whose Godunov value reads it
+(rho_i > rho_{i+1}), once per distinct marker value.
+
+The entropy audit kernel ``entropy_residual_maxima`` takes a batch of
+recorded steps, their cells end to end; its cost is mostly fixed per
+call, so the audit replay batches ``iteration.AUDIT_BATCH_CELLS`` cells.
 
 A march step range-checks its (rho, u) once, in ``max_speed``; the step and
 audit kernels then evaluate f = rho V without ``VelocityModel.flux``'s check.
@@ -45,7 +51,10 @@ def pad2(a: np.ndarray) -> np.ndarray:
 def interface_marker(ue: np.ndarray) -> np.ndarray:
     """Arithmetic interface averages of a padded marker (m+4 values), one
     value per interface of its m cells (m+1)."""
-    return 0.5 * (ue[1:-2] + ue[2:-1])
+    # 0.5 (u_i + u_{i+1}), added and halved in place
+    out = np.add(ue[1:-2], ue[2:-1])
+    out *= 0.5
+    return out
 
 
 def godunov_flux(rho_left, rho_right, u_interface, model: VelocityModel):
@@ -74,7 +83,7 @@ def _godunov_parts(rl, rr, ui, f_l, f_r, model: VelocityModel):
     range-check rl, rr and ui.  crit is the closure's critical density
     wherever rl > rr, the only interfaces that read it: an array, or one
     value when it is constant (``VelocityModel.critical_flux``)."""
-    crit, f_c = model.critical_flux(ui, rl > rr)
+    crit, f_c = model.critical_flux(ui, rl, rr)
     return _godunov_pick(rl, rr, f_l, f_r, crit, f_c), crit, f_l, f_r, f_c
 
 
@@ -101,7 +110,8 @@ def density_step_arrays(re: np.ndarray, ue: np.ndarray, h: float, dt: float,
     (rho_new of the m cells, their m+1 interface fluxes, parts), parts
     being (re, ue, interface marker, F, crit, f_a, f_b, f_c) for
     ``entropy_residual_maxima`` to reuse (see _godunov_parts).  A caller
-    that does not audit the step drops them on return.
+    that does not audit the step drops them on return; one that audits it
+    later keeps copies of re and ue if it overwrites them.
 
     speed is max_speed of the m cells, which the caller has already taken
     to choose dt and to range-check them, so f is evaluated unchecked;
@@ -165,7 +175,7 @@ def entropy_residual_arrays(rho_old: np.ndarray, rho_new: np.ndarray,
 def _residual(dq, rho_old, rho_new, k, d_u, du_center, dt, h):
     """R_i at level k from the entropy-flux differences dq = Q_{i+1/2} -
     Q_{i-1/2} and d_u = dV/du(k, u_i); k is a scalar or a column of levels
-    against rows of cells."""
+    against rows of cells.  dq is overwritten."""
     d_old = rho_old - k
     d_new = rho_new - k
     src = _level_sign(d_old, d_new, rho_old, rho_new)
@@ -177,7 +187,8 @@ def _residual(dq, rho_old, rho_new, k, d_u, du_center, dt, h):
     res = np.abs(d_new, out=d_new)
     res -= np.abs(d_old, out=d_old)
     res /= dt
-    res += dq / h
+    dq /= h
+    res += dq
     res += src
     return res
 
@@ -201,32 +212,55 @@ def _level_sign(d_old, d_new, rho_old, rho_new):
     return sgn
 
 
-def entropy_residual_maxima(rho_old: np.ndarray, rho_new: np.ndarray,
-                            u: np.ndarray, levels, dt: float, h: float,
-                            model: VelocityModel, parts) -> np.ndarray:
-    """max_i R_i at every level of ``levels`` for one recorded step.
+def entropy_residual_maxima(steps, levels, h: float,
+                            model: VelocityModel) -> np.ndarray:
+    """max_i R_i at every level of ``levels`` over the cells of one or more
+    recorded steps (dt, rho_new, parts), parts the Godunov parts of the
+    step from its padded (rho_old, u), as ``density_step_arrays`` returns
+    them (``_step_parts``).
 
-    Equal bit-for-bit to ``entropy_residual_arrays(..., k, ...).max()`` at
-    each level, signed zeros and NaN included.  All levels go in one pass
-    over (levels x cells) arrays, dV/du from ``model.d_u_levels``.  parts
-    are the Godunov parts of the step from (rho_old, u) padded, as
-    ``density_step_arrays`` returns them (``_step_parts``); the padded
-    marker comes from them.
+    Each cell's residual has the bits of ``entropy_residual_arrays(...,
+    k, ...)`` at that cell of its own step, signed zeros and NaN included,
+    so with no residual -0.0 (see ``iteration._replay_density``) this is
+    the largest of the steps' maxima.  All levels and the steps' cells go
+    in one pass over (levels x cells) arrays, each cell with its step's
+    dt, dV/du from ``model.d_u_levels``; no entropy-flux difference spans
+    the seam between two steps.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size and not (levels.min() >= 0.0 and levels.max() <= 1.0):
         raise InputRangeError(f"entropy levels must be in [0,1], got {levels}")
-    ue = parts[1]
+    dts, rho_new, parts = zip(*steps)
+    sizes = [len(r) for r in rho_new]
+    re, ue, u_if, flux, crit, f_a, f_b, f_c = zip(*parts)
+    u_if, flux, f_a, f_b, f_c = map(np.concatenate,
+                                    (u_if, flux, f_a, f_b, f_c))
+    # one value when the closure's critical density is constant
+    crit = np.concatenate(crit) if np.ndim(crit[0]) else crit[0]
     k = levels[:, None]
-    q = _level_entropy_fluxes(parts, k, model)
-    du_center = (ue[3:-1] - ue[1:-3]) / (2.0 * h)
-    return _residual(np.diff(q), rho_old, rho_new, k,
-                     model.d_u_levels(levels, u), du_center, dt, h).max(axis=1)
+    # Q_{i+1/2} - Q_{i-1/2}: cell c of step j lies between interfaces c + j
+    # and c + j + 1 of the batch
+    left = np.arange(sum(sizes)) + np.repeat(np.arange(len(sizes)), sizes)
+    dq = np.diff(_level_entropy_fluxes(
+        _cat(re, 1, 2), _cat(re, 2, 1), u_if, flux, crit, f_a, f_b, f_c, k,
+        model)).take(left, axis=1)
+    u = _cat(ue, 2, 2)
+    du_center = (_cat(ue, 3, 1) - _cat(ue, 1, 3)) / (2.0 * h)
+    return _residual(dq, _cat(re, 2, 2), np.concatenate(rho_new), k,
+                     model.d_u_levels(levels, u), du_center,
+                     np.repeat(dts, sizes), h).max(axis=1)
 
 
-def _level_entropy_fluxes(parts, k, model):
-    """Godunov entropy flux Q(a, b) at every level of the column k, from a
-    step's Godunov parts (a, b its interface states).
+def _cat(arrays, lo: int, hi: int) -> np.ndarray:
+    """Entries lo to len - hi of each array, end to end."""
+    return np.concatenate([x[lo:len(x) - hi] for x in arrays])
+
+
+def _level_entropy_fluxes(a, b, u_if, flux, crit, f_a, f_b, f_c, k, model):
+    """Godunov entropy flux Q(a, b) at every level of the column k, from
+    the Godunov parts of steps at their interface states (a, b): the
+    interface marker u_if, the Godunov flux, the critical density and f at
+    a, b and crit, one entry per interface.
 
     The parts hold f at a, b and at the critical density c; f is evaluated
     once more per level at k (on the column, an array as in the
@@ -236,19 +270,18 @@ def _level_entropy_fluxes(parts, k, model):
     Godunov flux); the others take both Godunov fluxes.  f is evaluated
     unchecked: the march range-checked (rho_old, u) in max_speed.
     """
-    re, _, u_if, flux, crit, f_a, f_b, f_c = parts
-    a, b = re[1:-2], re[2:-1]
     f_k = k * model.velocity(k, u_if)
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    q = np.where(k < lo, flux - f_k, f_k - flux)
+    q = np.subtract(f_k, flux)
+    np.subtract(flux, f_k, out=q, where=k < lo)
     mid = np.flatnonzero((lo <= k) & (k <= hi))
     if mid.size:
         row, col = np.divmod(mid, a.size)
         km = k[row, 0]
         # crit is read where a > b only (see _godunov_pick): both
         # max(a, k) > max(b, k) and min(a, k) > min(b, k) imply it
-        am, bm, cm = a[col], b[col], np.broadcast_to(crit, a.shape)[col]
+        am, bm, cm = a[col], b[col], crit[col] if np.ndim(crit) else crit
         fam, fbm, fcm, fkm = f_a[col], f_b[col], f_c[col], f_k[row, col]
         q.reshape(-1)[mid] = (
             _godunov_pick(np.maximum(am, km), np.maximum(bm, km),

@@ -386,16 +386,27 @@ def test_rerun_leaves_only_its_own_outputs(tmp_path):
 
 def test_nan_entropy_residual_fails_the_audit(tmp_path, monkeypatch):
     # a NaN residual at one level in one step must fail the audit and be
-    # named; a Python max merge drops it and the run passed with 1.7e-14
+    # named; a Python max merge drops it and the run passed with 1.7e-14.
+    # The kernel audits a batch of steps per call, the steps' cells end to
+    # end: the NaN goes into the fifth step's dV/du at level k = 0.4
     real = iteration.entropy_residual_maxima
     calls = [0]
 
-    def maxima(*args):
+    def maxima(steps, levels, h, model):
         calls[0] += 1
-        out = real(*args)
-        if calls[0] == 5:
-            out[4] = np.nan  # level k = 0.4
-        return out
+        if calls[0] != 1:
+            return real(steps, levels, h, model)
+        sizes = [len(rho_new) for _, rho_new, _ in steps]
+        first = sum(sizes[:4])
+
+        class Poisoned(type(model)):
+            def d_u_levels(self, levels, u):
+                out = np.broadcast_to(model.d_u_levels(levels, u),
+                                      (len(levels), len(u))).copy()
+                out[4, first:first + sizes[4]] = np.nan
+                return out
+
+        return real(steps, levels, h, Poisoned())
 
     monkeypatch.setattr(iteration, "entropy_residual_maxima", maxima)
     assert run(tmp_path, "solve", "--scenario", "smoke", "--t-final", "0.25",

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,8 +135,9 @@ def _traced_smoke_solve(monkeypatch, cfg, n=192):
     """Solve smoke, recording per slab each march (its iterate, its step
     plan, its arguments, the kernel calls it made), the calls through
     iteration's names of the CFL speed, the density step, the marker step
-    and the multi-level entropy kernel, and what picard_slab returned."""
-    marches, slabs = [], []
+    and the multi-level entropy kernel, the batches of steps that kernel
+    got, and what picard_slab returned."""
+    marches, slabs, batches = [], [], []
     calls = {"speed": 0, "step": 0, "marker": 0, "maxima": 0}
     real_march = iteration._march_slab
     real_slab = iteration.picard_slab
@@ -153,12 +155,19 @@ def _traced_smoke_solve(monkeypatch, cfg, n=192):
             return real(*args)
         return call
 
+    real_maxima = iteration.entropy_residual_maxima
+
+    def maxima(steps, *args):
+        calls["maxima"] += 1
+        batches.append(list(steps))
+        return real_maxima(steps, *args)
+
     def slab(*args, **kwargs):
-        first, before = len(marches), dict(calls)
+        first, before, audited = len(marches), dict(calls), len(batches)
         result = real_slab(*args, **kwargs)
         slabs.append((marches[first:],
                       {key: calls[key] - before[key] for key in calls},
-                      result))
+                      result, batches[audited:]))
         return result
 
     monkeypatch.setattr(iteration, "_march_slab", march)
@@ -168,8 +177,7 @@ def _traced_smoke_solve(monkeypatch, cfg, n=192):
                         counted("step", iteration.density_step_arrays))
     monkeypatch.setattr(iteration, "marker_step_arrays",
                         counted("marker", iteration.marker_step_arrays))
-    monkeypatch.setattr(iteration, "entropy_residual_maxima",
-                        counted("maxima", iteration.entropy_residual_maxima))
+    monkeypatch.setattr(iteration, "entropy_residual_maxima", maxima)
     monkeypatch.setattr(iteration, "picard_slab", slab)
     sc = scenario("smoke")
     grid = Grid(sc.grid.x_min, sc.grid.x_max, n)
@@ -208,13 +216,15 @@ def test_entropy_audit_runs_once_per_step_of_converged_iterate(monkeypatch):
     # every Picard march runs unaudited (auditing each would cost n_steps x
     # (iterates - 1) kernel calls per slab) and no march runs after the one
     # that converged: the audit replays the kept march's density steps, one
-    # step and one kernel call per step of its plan, and records what an
-    # audit done inline during the full-width march of the same slab
-    # inputs records, bit for bit.  The call counts are the ones the span
-    # tracer in perfbench/spans.py reads.
+    # density step per step of its plan, each step's cells reaching the
+    # audit kernel exactly once, in batches of AUDIT_BATCH_CELLS cells, and
+    # records what an audit done inline during the full-width march of the
+    # same slab inputs records, bit for bit.  The call counts are the ones
+    # the span tracer in perfbench/spans.py reads.
+    budget = iteration.AUDIT_BATCH_CELLS
     traj, slabs = _traced_smoke_solve(monkeypatch, SlabConfig())
     assert len(slabs) == len(traj.slabs) >= 2
-    for slab_marches, calls, (iterate, trace, record) in slabs:
+    for slab_marches, calls, (iterate, trace, record), batches in slabs:
         assert trace.iterations >= 3
         assert len(slab_marches) == trace.iterations - 1
         kept, plan, args, _ = slab_marches[-1]
@@ -223,7 +233,22 @@ def test_entropy_audit_runs_once_per_step_of_converged_iterate(monkeypatch):
         # the replay steps the density only: no speed and no marker step
         assert calls["step"] == _plan_steps(slab_marches) + len(plan)
         assert calls["speed"] == calls["marker"] == _plan_steps(slab_marches)
-        assert calls["maxima"] == len(plan) == record.n_steps > 0
+        assert calls["maxima"] == len(batches) < len(plan) == record.n_steps
+        # the steps reach the kernel once each, in plan order, each with
+        # the cells of its window and the padded windows of its own copies
+        steps = [step for batch in batches for step in batch]
+        assert [len(rho_new) for _, rho_new, _ in steps] \
+            == [b - a for a, b, *_ in plan]
+        assert [dt for dt, *_ in steps] == [dt for *_, dt, _ in plan]
+        for (_, _, parts), (_, _, later) in zip(steps, steps[1:]):
+            assert not np.shares_memory(parts[0], later[0])
+            assert not np.shares_memory(parts[1], later[1])
+        # every batch but the last closes once it holds the budget
+        cells = [sum(len(rho_new) for _, rho_new, _ in batch)
+                 for batch in batches]
+        assert all(c >= budget for c in cells[:-1])
+        assert all(c - len(batch[-1][1]) < budget
+                   for c, batch in zip(cells, batches))
         assert len(record.entropy_table()) == 11
         h = args[6]
         ref, ref_plan, maxima = audited_reference_march(*args,
@@ -238,7 +263,8 @@ def test_entropy_audit_runs_once_per_step_of_converged_iterate(monkeypatch):
 def test_unaudited_solve_marches_once_per_picard_iterate(monkeypatch):
     traj, slabs = _traced_smoke_solve(monkeypatch,
                                       SlabConfig(entropy_levels=0))
-    for slab_marches, calls, (iterate, trace, record) in slabs:
+    for slab_marches, calls, (iterate, trace, record), batches in slabs:
+        assert batches == []
         assert len(slab_marches) == trace.iterations - 1
         kept, plan, *_ = slab_marches[-1]
         assert kept is iterate
@@ -802,14 +828,20 @@ def test_entropy_tables_match_the_per_level_reference(monkeypatch, name,
     shipped = tables()
     assert shipped and all(shipped)
 
-    def reference(rho_old, rho_new, u, levels, dt, h, model, parts):
-        # the step's Godunov parts are ignored: the reference recomputes
-        return np.array([entropy_residual_arrays(rho_old, rho_new, u, k, dt,
-                                                 h, model).max()
-                         for k in levels.tolist()])
+    def reference(steps, levels, h, model):
+        # the steps' Godunov parts are ignored: the reference recomputes
+        # each step's residuals over its padded (rho_old, u) windows
+        return np.maximum.reduce([
+            [entropy_residual_arrays(parts[0][2:-2], rho_new,
+                                     parts[1][2:-2], k, dt, h, model).max()
+             for k in levels.tolist()]
+            for dt, rho_new, parts in steps])
 
-    monkeypatch.setattr(iteration, "entropy_residual_maxima", reference)
+    calls = []
+    monkeypatch.setattr(iteration, "entropy_residual_maxima",
+                        lambda *args: calls.append(args) or reference(*args))
     assert tables() == shipped
+    assert calls
 
 
 # The windowed march against the march over all n cells.
@@ -846,7 +878,7 @@ def audited_reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf,
                 re, pad2(u_now), h, dt, model, speed)
             if len(k_levels):
                 np.maximum(iteration.entropy_residual_maxima(
-                    rho, rho_new, u_now, k_levels, dt, h, model, parts),
+                    [(dt, rho_new, parts)], k_levels, h, model),
                     maxima, out=maxima)
             q = iteration.marker_step_arrays(pad2(q), re, flux, h, dt)
             influx += dt * (flux[0] - flux[-1])
@@ -1011,6 +1043,132 @@ def test_padded_window_steps_match_the_full_width_steps(monkeypatch, model,
         assert windows[0][1] == n and got.rho[-1, -1] != rho[-1]
     else:
         assert min(f.min() for f in march_fluxes) < 0.0
+
+
+# The audit replay's batches: how many steps share a kernel call.
+
+# one step per call, the default, and the whole plan in one call
+BATCH_BUDGETS = (1, iteration.AUDIT_BATCH_CELLS, 10 ** 9)
+
+
+def _widened(plan, n):
+    """The plan with every window widened to all n cells: the full-width
+    march's plan (see test_windowed_march_matches_the_full_width_march)."""
+    return [(0, n, *step[2:]) for step in plan]
+
+
+def _replays_by_budget(monkeypatch, rho, u_rows, plan, model, h, levels,
+                       budgets=BATCH_BUDGETS):
+    """_replay_density's bytes at each of the budgets."""
+    out = []
+    for budget in budgets:
+        monkeypatch.setattr(iteration, "AUDIT_BATCH_CELLS", budget)
+        out.append(iteration._replay_density(rho, u_rows, plan, model, h,
+                                             levels).tobytes())
+    return out
+
+
+class _NanAtLevel4(PowerLawModel):
+    """Greenshields with dV/du NaN at level index 4 on the cells whose
+    marker exceeds u_nan: a NaN residual that no batch split may drop."""
+
+    def __init__(self, u_nan):
+        super().__init__(1.0)
+        self.u_nan = u_nan
+
+    def d_u_levels(self, levels, u):
+        out = np.repeat(super().d_u_levels(levels, u), len(u), axis=1)
+        out[4, u > self.u_nan] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("name, model", [
+    ("smoke", None), ("vacuum", None), ("smoke", PowerLawModel(2.5)),
+    ("vacuum", CustomVelocityModel(lambda r, u: u * (1.0 - r) ** 2)),
+    ("smoke", "nan")], ids=["smoke", "vacuum", "smoke-power2.5",
+                            "vacuum-custom", "smoke-nan"])
+def test_slab_entropy_maxima_do_not_depend_on_the_batch_split(monkeypatch,
+                                                              name, model):
+    # the first two slabs' replays, with their marches' narrow windows and
+    # with every window full width, at one step per kernel call, at the
+    # default budget and with the whole plan in one call
+    sc = scenario(name)
+    grid = Grid(sc.grid.x_min, sc.grid.x_max, 64)
+    replays = []
+    real = iteration._replay_density
+
+    def capture(*args):
+        replays.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(iteration, "_replay_density", capture)
+    if model == "nan":
+        u0 = build_initial_state(sc.data, grid).u.values
+        model = _NanAtLevel4(float(np.median(u0)))
+    solve_global(sc.data, grid, sc.t_final, model or sc.model())
+    monkeypatch.undo()
+    assert len(replays) >= 2
+    for rho, u_rows, plan, slab_model, h, levels in replays[:2]:
+        n = len(rho)
+        assert any(b - a < n for a, b, *_ in plan)
+        got = [_replays_by_budget(monkeypatch, rho, u_rows, steps,
+                                  slab_model, h, levels)
+               for steps in (plan, _widened(plan, n))]
+        assert len(set(got[0] + got[1])) == 1
+        maxima = np.frombuffer(got[0][0])
+        if isinstance(slab_model, _NanAtLevel4):
+            assert np.isnan(maxima[4])
+            assert np.isfinite(np.delete(maxima, 4)).all()
+        else:
+            assert np.isfinite(maxima).all()
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=_march_inputs(),
+       model=st.sampled_from(PADDED_STEP_MODELS[1:]))
+def test_generated_replays_do_not_depend_on_the_batch_split(data, model):
+    # plateaus of 0.0 next to -0.0, narrow and full-width windows
+    rho, v, w, times, u_rows = data
+    h = 0.05
+    levels = np.linspace(0.0, 1.0, 11)
+    _, plan = iteration._march_slab(rho, v, w, times, u_rows, model, h, 0.5,
+                                    0.25)
+    # a budget of 7 cells also closes batches in the middle of a plan
+    with pytest.MonkeyPatch.context() as mp:
+        got = [_replays_by_budget(mp, rho, u_rows, steps, model, h, levels,
+                                  (7, *BATCH_BUDGETS))
+               for steps in (plan, _widened(plan, len(rho)))]
+    assert len(set(got[0] + got[1])) == 1
+
+
+def test_replay_memory_does_not_grow_with_the_steps(monkeypatch):
+    # tracemalloc counts the bytes numpy asks for, whatever the allocator
+    # makes of them; the replay holds at most one batch of steps, so 4x the
+    # steps over the same cells keep the same peak.  With the whole plan in
+    # one batch the same measure grows with the plan
+    n = 256
+    h = 1.0 / n
+    x = (np.arange(n) + 0.5) * h
+    rho = 0.4 + 0.3 * np.sin(2.0 * np.pi * x)
+    times = np.linspace(0.0, 0.156, 5)
+    u_rows = np.tile(1.0 + 0.2 * x, (len(times), 1))
+    levels = np.linspace(0.0, 1.0, 11)
+
+    def peak(cfl):
+        _, plan = iteration._march_slab(rho, 0.2 * rho, 0.1 * rho, times,
+                                        u_rows, GSH, h, cfl, 1.0)
+        tracemalloc.start()
+        try:
+            iteration._replay_density(rho, u_rows, plan, GSH, h, levels)
+            return len(plan), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (short, short_peak), (long, long_peak) = peak(0.5), peak(0.125)
+    assert (short, long) == (96, 384)
+    assert long_peak <= 1.05 * short_peak
+    monkeypatch.setattr(iteration, "AUDIT_BATCH_CELLS", 10 ** 9)
+    assert peak(0.5)[1] > 4 * short_peak
 
 
 @pytest.mark.parametrize("tail", ["rho", "u"])

@@ -277,3 +277,61 @@ def test_batched_d_u_equals_the_per_level_calls(model):
     assert got.shape in (per_level.shape, (levels.size, 1))
     assert np.broadcast_to(got, per_level.shape).tobytes() \
         == per_level.tobytes()
+
+
+def _gap(rho):
+    return np.maximum(1.0 - np.asarray(rho, dtype=float), 0.0)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 2.5, 3.0])
+def test_power_law_step_constants_keep_the_per_step_bits(gamma):
+    # PowerLawModel takes c = 1/(1+gamma) and (1 - c)^gamma once, and
+    # skips the power for gamma = 1; the step hooks must return the bits of
+    # the formulas they evaluated at every step before, at a jam cell, a
+    # tolerated undershoot and vacuum among others
+    m = PowerLawModel(gamma)
+    cells = np.array([1.0, -1e-10, 0.0, 0.3, 1.0, 0.0, 0.75, -1e-10])
+    u_if = np.array([1.0, 0.0, 1.5, 2.0, 0.25, 1.0, 0.5])
+    g = _gap(cells) ** gamma
+    f_l, f_r = m.side_fluxes(cells, u_if)
+    assert f_l.tobytes() == (cells[:-1] * (u_if * g[:-1])).tobytes()
+    assert f_r.tobytes() == (cells[1:] * (u_if * g[1:])).tobytes()
+    crit = 1.0 / (1.0 + gamma)
+    got_crit, f_c = m.critical_flux(u_if, cells[:-1], cells[1:])
+    assert got_crit == crit
+    assert f_c.tobytes() == (
+        crit * (u_if * _gap(np.full(1, crit)) ** gamma)).tobytes()
+    assert m.critical_density(u_if).tobytes() \
+        == np.full(u_if.shape, crit).tobytes()
+    # and f = rho V of the closure itself, jam, undershoot and vacuum alike
+    assert f_l.tobytes() == (cells[:-1] * m.velocity(cells[:-1],
+                                                     u_if)).tobytes()
+    # the column of dV/du at the levels, one scalar power per level
+    levels = np.union1d(np.linspace(0.0, 1.0, 101), [crit])
+    assert m.d_u_levels(levels, u_if).ravel().tobytes() == np.array(
+        [m.d_u(k, 1.0) for k in levels.tolist()]).tobytes()
+
+
+def test_custom_closure_bisects_once_per_distinct_marker_value(monkeypatch):
+    # the interfaces that read the critical density (rl > rr) repeat four
+    # marker values, 0.0 and -0.0 among them: two bit patterns that are
+    # equal as numbers, bisected apart
+    model = CustomVelocityModel(lambda rho, u: u * (1.0 - rho) ** 2)
+    real = model.critical_density
+    sizes = []
+
+    def bisect(u):
+        sizes.append(u.size)
+        return real(u)
+
+    monkeypatch.setattr(model, "critical_density", bisect)
+    u_if = np.array([1.5, 1.5, 0.0, -0.0, 1.5, 0.7, 0.0, 0.7, 2.0])
+    rl = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1])
+    rr = rl - 0.05
+    rr[-1] = 0.3  # rl < rr: the last interface does not read it
+    crit, f_c = model.critical_flux(u_if, rl, rr)
+    assert sizes == [4]
+    # the bits of bisecting every interface on its own
+    ref = np.concatenate([real(u_if[i:i + 1]) for i in range(8)] + [[0.5]])
+    assert crit.tobytes() == ref.tobytes()
+    assert f_c.tobytes() == (ref * model.velocity(ref, u_if)).tobytes()

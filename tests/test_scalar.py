@@ -232,16 +232,17 @@ def _reference_maxima(rho, rho_new, u, levels, dt, h, model):
 
 def _assert_kernel_matches(rho, rho_new, u, dt, h, model,
                            levels=AUDIT_LEVELS):
-    got = entropy_residual_maxima(rho, rho_new, u, levels, dt, h, model,
-                                  _step_parts(pad2(rho), pad2(u), model))
+    # the kernel on a batch of one step, its (rho_old, u) read from the parts
+    got = entropy_residual_maxima(
+        [(dt, rho_new, _step_parts(pad2(rho), pad2(u), model))], levels, h,
+        model)
     ref = _reference_maxima(rho, rho_new, u, levels, dt, h, model)
     assert got.tobytes() == ref.tobytes()
     # handed the Godunov parts that the step from (rho, u) returns, as the
     # audit replay hands them over, the kernel returns the same bytes
     parts = density_step_arrays(pad2(rho), pad2(u), h, dt, model,
                                 max_speed(rho, u, model))[2]
-    reused = entropy_residual_maxima(rho, rho_new, u, levels, dt, h, model,
-                                     parts)
+    reused = entropy_residual_maxima([(dt, rho_new, parts)], levels, h, model)
     assert reused.tobytes() == got.tobytes()
     return got
 
@@ -362,12 +363,35 @@ def test_multilevel_kernel_matches_per_level_residual_for_custom_closure(
                            model)
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), model=st.sampled_from(
+    [PowerLawModel(1.0), PowerLawModel(2.5),
+     CustomVelocityModel(lambda rho, u: u * (1.0 - rho) ** 2)]),
+       sizes=st.lists(st.integers(1, 20), min_size=1, max_size=4))
+def test_batched_kernel_is_the_largest_of_its_steps_maxima(data, model,
+                                                           sizes):
+    # steps of different widths and dt end to end: no entropy-flux
+    # difference crosses the seam between two steps, and each cell divides
+    # by its own step's dt.  Plateaus carry -0.0 next to 0.0
+    ties = list(AUDIT_LEVELS)
+    steps, per_step = [], []
+    for n in sizes:
+        case = _plateau_case if data.draw(st.booleans()) else _kernel_case
+        rho, rho_new, u, dt, h = case(data, model, n, ties)
+        steps.append((dt, rho_new, _step_parts(pad2(rho), pad2(u), model)))
+        per_step.append(_reference_maxima(rho, rho_new, u, AUDIT_LEVELS, dt,
+                                          h, model))
+    got = entropy_residual_maxima(steps, AUDIT_LEVELS, 0.05, model)
+    assert got.tobytes() == np.maximum.reduce(per_step).tobytes()
+
+
 def test_multilevel_kernel_rejects_levels_outside_unit_interval():
     rho = np.full(8, 0.5)
     u = np.ones(8)
     with pytest.raises(InputRangeError):
-        entropy_residual_maxima(rho, rho, u, [0.5, 1.5], 0.01, 0.1, GSH,
-                                _step_parts(pad2(rho), pad2(u), GSH))
+        entropy_residual_maxima(
+            [(0.01, rho, _step_parts(pad2(rho), pad2(u), GSH))], [0.5, 1.5],
+            0.1, GSH)
 
 
 STEP_MODELS = [PowerLawModel(g) for g in (1.0, 2.0, 2.5, 3.0)] + [
