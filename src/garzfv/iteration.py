@@ -71,8 +71,8 @@ from .core import (CellField, Grid, InitialData, SystemState,
                    total_variation)
 from .errors import InputRangeError, PicardDivergenceError
 from .model import ModelBounds, VelocityModel, require_valid_model
-from .scalar import (SPEED_FLOOR, density_step_arrays, entropy_residual_maxima,
-                     max_speed, pad2)
+from .scalar import (SPEED_FLOOR, AuditWorkspace, density_step_arrays,
+                     entropy_residual_maxima, max_speed, pad2)
 # not called here, but kept importable from this module: perfbench traces
 # the per-level entropy audit at this binding
 from .scalar import entropy_residual_arrays  # noqa: F401
@@ -80,10 +80,15 @@ from .transport import marker_step_arrays
 
 DEFAULT_ENTROPY_LEVELS = 11
 MAX_TAU_HALVINGS = 5
-# cells per entropy audit kernel call, whose cost is mostly fixed: at 11
-# levels a (levels x cells) temporary is about 135 KB, in a core's L2; the
-# kernel keeps about six live, so a larger budget raises peak memory
-AUDIT_BATCH_CELLS = 1536
+# cells per entropy audit kernel call.  The kernel writes its (levels x
+# cells) arrays into one workspace per replay, three float buffers of
+# about 360 KB each at 11 levels, so a call allocates no array of that
+# size but the closure's own (its velocity at the levels; a custom one's
+# dV/du).  An audited smoke n=1536 solve, budgets alternating in one
+# process, spent 85 ms in the kernel at 1,536 cells, 82 ms at 2,048, 61 ms
+# at 3,072 and 55 ms at 4,096, for about 1.4 MB more peak RSS than the
+# per-call temporaries at 1,536
+AUDIT_BATCH_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -383,6 +388,19 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf):
     return out, plan
 
 
+def _audit_batches(plan):
+    """The batches of plan's steps that share an audit kernel call, as
+    index ranges [lo, hi): each closes once it holds AUDIT_BATCH_CELLS
+    cells, the last at the plan's end."""
+    bounds, lo, cells = [], 0, 0
+    for i, (a, b, *_) in enumerate(plan):
+        cells += b - a
+        if cells >= AUDIT_BATCH_CELLS or i == len(plan) - 1:
+            bounds.append((lo, i + 1))
+            lo, cells = i + 1, 0
+    return bounds
+
+
 def _replay_density(rho, u_rows, plan, model, h, levels) -> np.ndarray:
     """Audit the density steps that a march from rho with marker rows
     u_rows logged in plan: re-run each and return, per entropy level in
@@ -394,8 +412,10 @@ def _replay_density(rho, u_rows, plan, model, h, levels) -> np.ndarray:
     transport, the window scans and the stored rows.
 
     One kernel call audits each batch of steps holding AUDIT_BATCH_CELLS
-    cells.  A step keeps its rho_new, its Godunov parts and copies of its
-    padded rho and u_now windows, which the next step overwrites.
+    cells (``_audit_batches``), all in one AuditWorkspace sized for the
+    batch with the most interfaces.  A step keeps its rho_new, its Godunov
+    parts and copies of its padded rho and u_now windows, which the next
+    step overwrites.
 
     A step audits the cells of its window.  A cell i outside it has a
     constant stencil (see _march_slab): rho_old and u are the same bits at
@@ -420,23 +440,27 @@ def _replay_density(rho, u_rows, plan, model, h, levels) -> np.ndarray:
     rho = pad2(rho)  # ghost-padded, as are the buffers of _march_slab
     ue = np.empty(n + 4)
     entropy_max = np.full(len(levels), -math.inf)
-    batch, cells, narrow = [], 0, False
-    for i, (a, b, s, lam, dt, speed) in enumerate(plan):
-        u_now = _marker_now(u_rows, s, lam, a, b, ue)
-        re = rho[a:b + 4]
-        rho_new, _, parts = density_step_arrays(re, u_now, h, dt, model,
-                                                speed)
-        batch.append((dt, rho_new, (re.copy(), u_now.copy(), *parts[2:])))
-        cells += b - a
-        narrow |= b - a < n
-        rho[a + 2:b + 2] = rho_new
-        _refresh_ghosts(rho, a, b)
-        if cells >= AUDIT_BATCH_CELLS or i == len(plan) - 1:
-            # np.maximum keeps a NaN residual, which Python's max would drop
-            np.maximum(entropy_residual_maxima(batch, levels, h, model),
-                       entropy_max, out=entropy_max)
-            batch, cells = [], 0
-    if narrow:
+    batches = _audit_batches(plan)
+    # a step of m cells has m + 1 interfaces
+    faces = max((sum(b - a + 1 for a, b, *_ in plan[lo:hi])
+                 for lo, hi in batches), default=0)
+    workspace = AuditWorkspace(len(levels) * faces)
+    for lo, hi in batches:
+        batch = []
+        for a, b, s, lam, dt, speed in plan[lo:hi]:
+            u_now = _marker_now(u_rows, s, lam, a, b, ue)
+            re = rho[a:b + 4]
+            rho_new, _, parts = density_step_arrays(re, u_now, h, dt, model,
+                                                    speed)
+            batch.append((dt, rho_new,
+                          (re.copy(), u_now.copy(), *parts[2:])))
+            rho[a + 2:b + 2] = rho_new
+            _refresh_ghosts(rho, a, b)
+        # np.maximum keeps a NaN residual, which Python's max would drop
+        np.maximum(entropy_residual_maxima(batch, levels, h, model,
+                                           workspace),
+                   entropy_max, out=entropy_max)
+    if any(b - a < n for a, b, *_ in plan):
         np.maximum(entropy_max, 0.0, out=entropy_max)
     return entropy_max
 

@@ -26,6 +26,12 @@ the critical density only at the interfaces whose Godunov value reads it
 The entropy audit kernel ``entropy_residual_maxima`` takes a batch of
 recorded steps, their cells end to end; its cost is mostly fixed per
 call, so the audit replay batches ``iteration.AUDIT_BATCH_CELLS`` cells.
+It writes every (levels x cells) and (levels x interfaces) array into an
+``AuditWorkspace`` that the replay allocates once for its largest batch:
+three float buffers, since each term takes rho - k afresh instead of
+keeping it.  A call allocates no other array of that size but the
+closure's own: its ``velocity`` at the levels and, for a closure without
+a closed form, its dV/du.
 
 A march step range-checks its (rho, u) once, in ``max_speed``; the step and
 audit kernels then evaluate f = rho V without ``VelocityModel.flux``'s check.
@@ -33,10 +39,12 @@ audit kernels then evaluate f = rho V without ``VelocityModel.flux``'s check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import require_real
-from .errors import CflViolationError, InputRangeError
+from .errors import CflViolationError, GridMismatchError, InputRangeError
 from .model import VelocityModel, _require_box
 
 SPEED_FLOOR = 1e-12
@@ -70,7 +78,12 @@ def godunov_flux(rho_left, rho_right, u_interface, model: VelocityModel):
     ui = np.asarray(u_interface, dtype=float)
     scalar = rl.ndim == 0 and rr.ndim == 0 and ui.ndim == 0
     rl, rr, ui = np.atleast_1d(rl, rr, ui)
-    rl, rr, ui = np.broadcast_arrays(rl, rr, ui)
+    try:
+        rl, rr, ui = np.broadcast_arrays(rl, rr, ui)
+    except ValueError:
+        raise InputRangeError(
+            f"godunov_flux inputs do not broadcast together: shapes "
+            f"{rl.shape}, {rr.shape} and {ui.shape}") from None
     _require_box((rl, rr), ui)
     f_l, f_r = (x * model.velocity(x, ui) for x in (rl, rr))
     out = _godunov_parts(rl, rr, ui, f_l, f_r, model)[0]
@@ -98,8 +111,17 @@ def _godunov_pick(rl, rr, f_l, f_r, crit, f_crit):
 
 def max_speed(rho: np.ndarray, u: np.ndarray, model: VelocityModel) -> float:
     """``model.state_speed`` of the pair (rho, u), floored at 1e-12, after
-    the step's one range check (InputRangeError outside [0,1] x [0, inf))."""
+    the step's one range check (InputRangeError outside [0,1] x [0, inf)).
+    rho and u hold the same cells: GridMismatchError when their shapes
+    differ and InputRangeError when they hold none, before the speed is
+    taken (the power law's speed reads u alone)."""
     rho, u = _require_box(rho, u)
+    if rho.shape != u.shape:
+        raise GridMismatchError(
+            f"max_speed needs rho and u on the same cells, got shapes "
+            f"{rho.shape} and {u.shape}")
+    if rho.size == 0:
+        raise InputRangeError("max_speed needs at least one cell, got none")
     return max(model.state_speed(rho, u), SPEED_FLOOR)
 
 
@@ -166,54 +188,89 @@ def entropy_residual_arrays(rho_old: np.ndarray, rho_new: np.ndarray,
     b = re[2:-1]
     q_hi = godunov_flux(np.maximum(a, k), np.maximum(b, k), u_if, model)
     q_lo = godunov_flux(np.minimum(a, k), np.minimum(b, k), u_if, model)
-    du_center = (ue[3:-1] - ue[1:-3]) / (2.0 * h)
     q = q_hi - q_lo
-    return _residual(q[1:] - q[:-1], rho_old, rho_new, k, model.d_u(k, u),
-                     du_center, dt, h)
+    return _residual(rho_old, rho_new, k, dt, (q[1:] - q[:-1]) / h,
+                     model.d_u(k, u), (ue[3:-1] - ue[1:-3]) / (2.0 * h),
+                     AuditWorkspace(len(rho_old)))
 
 
-def _residual(dq, rho_old, rho_new, k, d_u, du_center, dt, h):
-    """R_i at level k from the entropy-flux differences dq = Q_{i+1/2} -
-    Q_{i-1/2} and d_u = dV/du(k, u_i); k is a scalar or a column of levels
-    against rows of cells.  dq is overwritten."""
-    d_old = rho_old - k
-    d_new = rho_new - k
-    src = _level_sign(d_old, d_new, rho_old, rho_new)
-    # (|d_new| - |d_old|)/dt + dq/h + ((s k) d_u) du, operation by operation,
-    # in place: the batched kernel keeps few (levels x cells) temporaries
+class AuditWorkspace:
+    """The work arrays of the audit kernel, reused from call to call: three
+    float and two bool buffers of ``size`` entries each.  A batch of L
+    levels and I interfaces needs size >= L * I; each (levels x cells) or
+    (levels x interfaces) array of a call is a contiguous view of a
+    buffer's leading entries (``_view``).
+
+    What each float buffer holds, in turn, within one call: ``source`` f
+    at the levels, then dq = (Q_{i+1/2} - Q_{i-1/2})/h, then the source
+    term s_i k dV/du du; ``sums`` the entropy fluxes Q, then R_i;
+    ``scratch`` d = rho - k and the sign after the step.  The bool buffers
+    ``below`` and ``above`` hold the level masks, ``below`` then the cells
+    whose sign changes.  ``_residual`` reads dq before it writes over it.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.source, self.sums, self.scratch = (np.empty(size)
+                                                for _ in range(3))
+        self.below, self.above = (np.empty(size, dtype=bool)
+                                  for _ in range(2))
+
+
+def _view(buf: np.ndarray, shape) -> np.ndarray:
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _residual(rho_old, rho_new, k, dt, dq, d_u, du_center,
+              work: AuditWorkspace):
+    """R_i at level k (a scalar, or a column of levels against rows of
+    cells), written into ``work.sums``, from dq, the entropy-flux
+    differences over h, d_u = dV/du(k, u_i) and the centred u difference,
+    with d = rho - k before and after the step:
+    (|d_new| - |d_old|)/dt + dq + ((s_i k) d_u) du_center.
+
+    Each term takes d afresh rather than keeping it, so no more than the
+    workspace's three float arrays are live besides the inputs.
+    """
+    shape = np.broadcast_shapes(np.shape(rho_old), np.shape(k))
+    res, src, scratch = (_view(buf, shape)
+                         for buf in (work.sums, work.source, work.scratch))
+    np.abs(np.subtract(rho_new, k, out=res), out=res)
+    res -= np.abs(np.subtract(rho_old, k, out=scratch), out=scratch)
+    res /= dt
+    res += dq
+    _level_sign(rho_old, rho_new, k, src, scratch, _view(work.below, shape))
     src *= k
     src *= d_u
     src *= du_center
-    res = np.abs(d_new, out=d_new)
-    res -= np.abs(d_old, out=d_old)
-    res /= dt
-    dq /= h
-    res += dq
     res += src
     return res
 
 
-def _level_sign(d_old, d_new, rho_old, rho_new):
-    """s_i of the source term from d = rho - k before and after the step;
-    the cells run along the last axis."""
-    sgn = np.sign(d_old)
-    s_new = np.sign(d_new)
+def _level_sign(rho_old, rho_new, k, sgn, s_new, mask):
+    """s_i of the source term, written into sgn, from d = rho - k before
+    and after the step; the cells run along the last axis, and s_new and
+    mask are scratch of sgn's shape."""
+    np.sign(np.subtract(rho_old, k, out=sgn), out=sgn)
+    np.sign(np.subtract(rho_new, k, out=s_new), out=s_new)
     # cells where the sign changes: d_old != d_new there, so rho_new != rho_old
-    idx = np.flatnonzero(sgn != s_new)
+    idx = np.flatnonzero(np.not_equal(sgn, s_new, out=mask))
     if idx.size:
-        cell = idx % sgn.shape[-1]
-        flat, s_new, d_old, d_new = (x.reshape(-1)
-                                     for x in (sgn, s_new, d_old, d_new))
-        s_old, s_new = flat[idx], s_new[idx]
-        mean = ((np.abs(d_new[idx]) - np.abs(d_old[idx]))
+        n = sgn.shape[-1]
+        cell, k_idx = idx % n, np.ravel(k)[idx // n]
+        flat = sgn.reshape(-1)
+        s_old, s_new = flat[idx], s_new.reshape(-1)[idx]
+        # d at these cells taken again: the same subtraction, the same bits
+        d_old, d_new = rho_old[cell] - k_idx, rho_new[cell] - k_idx
+        mean = ((np.abs(d_new) - np.abs(d_old))
                 / (rho_new[cell] - rho_old[cell]))
         flat[idx] = np.where(s_old == 0.0, s_new,
                              np.where(s_old * s_new < 0.0, mean, s_old))
-    return sgn
 
 
-def entropy_residual_maxima(steps, levels, h: float,
-                            model: VelocityModel) -> np.ndarray:
+def entropy_residual_maxima(steps, levels, h: float, model: VelocityModel,
+                            workspace: AuditWorkspace | None = None
+                            ) -> np.ndarray:
     """max_i R_i at every level of ``levels`` over the cells of one or more
     recorded steps (dt, rho_new, parts), parts the Godunov parts of the
     step from its padded (rho_old, u), as ``density_step_arrays`` returns
@@ -225,7 +282,10 @@ def entropy_residual_maxima(steps, levels, h: float,
     the largest of the steps' maxima.  All levels and the steps' cells go
     in one pass over (levels x cells) arrays, each cell with its step's
     dt, dV/du from ``model.d_u_levels``; no entropy-flux difference spans
-    the seam between two steps.
+    the seam between two steps.  Every (levels x cells) and (levels x
+    interfaces) array is written into the workspace's three float
+    buffers, the closure's own arrays aside; a call without one builds its
+    own.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size and not (levels.min() >= 0.0 and levels.max() <= 1.0):
@@ -233,22 +293,42 @@ def entropy_residual_maxima(steps, levels, h: float,
     dts, rho_new, parts = zip(*steps)
     sizes = [len(r) for r in rho_new]
     re, ue, u_if, flux, crit, f_a, f_b, f_c = zip(*parts)
-    u_if, flux, f_a, f_b, f_c = map(np.concatenate,
-                                    (u_if, flux, f_a, f_b, f_c))
+    u_if = np.concatenate(u_if)
+    k = levels[:, None]
+    faces = (len(levels), len(u_if))
+    if workspace is None:
+        workspace = AuditWorkspace(math.prod(faces))
+    elif workspace.size < math.prod(faces):
+        raise InputRangeError(
+            f"audit workspace holds {workspace.size} entries per array, "
+            f"the batch needs {math.prod(faces)}")
+    f_k, q = _view(workspace.source, faces), _view(workspace.sums, faces)
+    # f at the levels, unchecked (the march range-checked u in max_speed),
+    # on the column, an array as in the reference; before the other parts
+    # are laid end to end, since the closure's own (levels x interfaces)
+    # array is the largest the call allocates
+    np.multiply(k, model.velocity(k, u_if), out=f_k)
+    flux, f_a, f_b, f_c = map(np.concatenate, (flux, f_a, f_b, f_c))
     # one value when the closure's critical density is constant
     crit = np.concatenate(crit) if np.ndim(crit[0]) else crit[0]
-    k = levels[:, None]
-    # Q_{i+1/2} - Q_{i-1/2}: cell c of step j lies between interfaces c + j
-    # and c + j + 1 of the batch
-    left = np.arange(sum(sizes)) + np.repeat(np.arange(len(sizes)), sizes)
-    dq = np.diff(_level_entropy_fluxes(
-        _cat(re, 1, 2), _cat(re, 2, 1), u_if, flux, crit, f_a, f_b, f_c, k,
-        model)).take(left, axis=1)
-    u = _cat(ue, 2, 2)
-    du_center = (_cat(ue, 3, 1) - _cat(ue, 1, 3)) / (2.0 * h)
-    return _residual(dq, _cat(re, 2, 2), np.concatenate(rho_new), k,
-                     model.d_u_levels(levels, u), du_center,
-                     np.repeat(dts, sizes), h).max(axis=1)
+    _level_entropy_fluxes(_cat(re, 1, 2), _cat(re, 2, 1), flux, crit, f_a,
+                          f_b, f_c, k, f_k, q,
+                          (_view(workspace.below, faces),
+                           _view(workspace.above, faces)))
+    # Q_{i+1/2} - Q_{i-1/2} over f_k: the m cells of step j lie between
+    # its m + 1 interfaces, the batch's c + j to c + j + m
+    dq = _view(workspace.source, (len(levels), sum(sizes)))
+    c = 0
+    for j, m in enumerate(sizes):
+        np.subtract(q[:, c + j + 1:c + j + m + 1], q[:, c + j:c + j + m],
+                    out=dq[:, c:c + m])
+        c += m
+    dq /= h
+    return _residual(_cat(re, 2, 2), np.concatenate(rho_new), k,
+                     np.repeat(dts, sizes), dq,
+                     model.d_u_levels(levels, _cat(ue, 2, 2)),
+                     (_cat(ue, 3, 1) - _cat(ue, 1, 3)) / (2.0 * h),
+                     workspace).max(axis=1)
 
 
 def _cat(arrays, lo: int, hi: int) -> np.ndarray:
@@ -256,26 +336,28 @@ def _cat(arrays, lo: int, hi: int) -> np.ndarray:
     return np.concatenate([x[lo:len(x) - hi] for x in arrays])
 
 
-def _level_entropy_fluxes(a, b, u_if, flux, crit, f_a, f_b, f_c, k, model):
-    """Godunov entropy flux Q(a, b) at every level of the column k, from
-    the Godunov parts of steps at their interface states (a, b): the
-    interface marker u_if, the Godunov flux, the critical density and f at
-    a, b and crit, one entry per interface.
+def _level_entropy_fluxes(a, b, flux, crit, f_a, f_b, f_c, k, f_k, q,
+                          masks):
+    """Godunov entropy flux Q(a, b) at every level of the column k, written
+    into q, from the Godunov parts of steps at their interface states
+    (a, b): the Godunov flux, the critical density and f at a, b and crit,
+    one entry per interface, and f_k, f at each level and interface.  The
+    two bool masks are scratch of q's shape.
 
-    The parts hold f at a, b and at the critical density c; f is evaluated
-    once more per level at k (on the column, an array as in the
-    reference), and every Godunov value of the entropy flux is a selection
-    among those.  At an interface with k < min(a, b) the entropy flux is
+    Every Godunov value of the entropy flux is a selection among those
+    values of f.  At an interface with k < min(a, b) the entropy flux is
     F - f(k), at one with k > max(a, b) it is f(k) - F (F the step's
-    Godunov flux); the others take both Godunov fluxes.  f is evaluated
-    unchecked: the march range-checked (rho_old, u) in max_speed.
+    Godunov flux); the others take both Godunov fluxes.
     """
-    f_k = k * model.velocity(k, u_if)
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    q = np.subtract(f_k, flux)
-    np.subtract(flux, f_k, out=q, where=k < lo)
-    mid = np.flatnonzero((lo <= k) & (k <= hi))
+    below, above = masks
+    np.subtract(f_k, flux, out=q)
+    np.subtract(flux, f_k, out=q, where=np.less(k, lo, out=below))
+    # lo <= k <= hi
+    mid = np.flatnonzero(np.logical_and(np.less_equal(lo, k, out=below),
+                                        np.less_equal(k, hi, out=above),
+                                        out=below))
     if mid.size:
         row, col = np.divmod(mid, a.size)
         km = k[row, 0]
@@ -290,4 +372,3 @@ def _level_entropy_fluxes(a, b, u_if, flux, crit, f_a, f_b, f_c, k, model):
             - _godunov_pick(np.minimum(am, km), np.minimum(bm, km),
                             np.where(am <= km, fam, fkm),
                             np.where(bm <= km, fbm, fkm), cm, fcm))
-    return q

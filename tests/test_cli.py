@@ -392,10 +392,10 @@ def test_nan_entropy_residual_fails_the_audit(tmp_path, monkeypatch):
     real = iteration.entropy_residual_maxima
     calls = [0]
 
-    def maxima(steps, levels, h, model):
+    def maxima(steps, levels, h, model, workspace):
         calls[0] += 1
         if calls[0] != 1:
-            return real(steps, levels, h, model)
+            return real(steps, levels, h, model, workspace)
         sizes = [len(rho_new) for _, rho_new, _ in steps]
         first = sum(sizes[:4])
 
@@ -406,7 +406,7 @@ def test_nan_entropy_residual_fails_the_audit(tmp_path, monkeypatch):
                 out[4, first:first + sizes[4]] = np.nan
                 return out
 
-        return real(steps, levels, h, Poisoned())
+        return real(steps, levels, h, Poisoned(), workspace)
 
     monkeypatch.setattr(iteration, "entropy_residual_maxima", maxima)
     assert run(tmp_path, "solve", "--scenario", "smoke", "--t-final", "0.25",

@@ -828,9 +828,10 @@ def test_entropy_tables_match_the_per_level_reference(monkeypatch, name,
     shipped = tables()
     assert shipped and all(shipped)
 
-    def reference(steps, levels, h, model):
-        # the steps' Godunov parts are ignored: the reference recomputes
-        # each step's residuals over its padded (rho_old, u) windows
+    def reference(steps, levels, h, model, workspace):
+        # the steps' Godunov parts and the kernel's workspace are ignored:
+        # the reference recomputes each step's residuals over its padded
+        # (rho_old, u) windows
         return np.maximum.reduce([
             [entropy_residual_arrays(parts[0][2:-2], rho_new,
                                      parts[1][2:-2], k, dt, h, model).max()
@@ -1047,8 +1048,10 @@ def test_padded_window_steps_match_the_full_width_steps(monkeypatch, model,
 
 # The audit replay's batches: how many steps share a kernel call.
 
-# one step per call, the default, and the whole plan in one call
-BATCH_BUDGETS = (1, iteration.AUDIT_BATCH_CELLS, 10 ** 9)
+# one step per call, a few steps of different widths per call, the
+# default, and the whole plan in one call: the calls of one replay share a
+# workspace whatever their widths
+BATCH_BUDGETS = (1, 150, iteration.AUDIT_BATCH_CELLS, 10 ** 9)
 
 
 def _widened(plan, n):
@@ -1169,6 +1172,34 @@ def test_replay_memory_does_not_grow_with_the_steps(monkeypatch):
     assert long_peak <= 1.05 * short_peak
     monkeypatch.setattr(iteration, "AUDIT_BATCH_CELLS", 10 ** 9)
     assert peak(0.5)[1] > 4 * short_peak
+
+
+def test_replay_peak_is_a_few_batch_sized_arrays(monkeypatch):
+    # the audit kernel writes its (levels x cells) and (levels x
+    # interfaces) arrays into one workspace per replay, three float buffers
+    # of a little over one (levels x budget-cells) array each; besides it
+    # the replay holds the bool masks, the closure's own f(k) array and
+    # the steps' one-dimensional parts: 5.55 such arrays here.  A kernel
+    # that allocates even one of its work arrays per call again goes over
+    # (q alone reads 6.62; the per-call temporaries before the workspace
+    # 7.45)
+    sc = scenario("smoke")
+    grid = Grid(sc.grid.x_min, sc.grid.x_max, 1536)
+    replays = []
+    real = iteration._replay_density
+    monkeypatch.setattr(iteration, "_replay_density",
+                        lambda *args: replays.append(args) or real(*args))
+    solve_global(sc.data, grid, sc.t_final, sc.model())
+    levels = replays[0][-1]
+    # one (levels x budget-cells) float array, in bytes
+    array = len(levels) * iteration.AUDIT_BATCH_CELLS * 8
+    tracemalloc.start()
+    try:
+        real(*replays[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3 * array < peak < 6 * array
 
 
 @pytest.mark.parametrize("tail", ["rho", "u"])

@@ -10,6 +10,7 @@ from garzfv import (
     CustomVelocityModel,
     GreenshieldsModel,
     Grid,
+    GridMismatchError,
     InputRangeError,
     PowerLawModel,
     SlabConfig,
@@ -17,9 +18,9 @@ from garzfv import (
     max_speed,
     total_variation,
 )
-from garzfv.scalar import (_godunov_pick, _step_parts, density_step_arrays,
-                           entropy_residual_arrays, entropy_residual_maxima,
-                           pad2)
+from garzfv.scalar import (AuditWorkspace, _godunov_pick, _step_parts,
+                           density_step_arrays, entropy_residual_arrays,
+                           entropy_residual_maxima, pad2)
 
 GSH = GreenshieldsModel()
 
@@ -75,6 +76,16 @@ def test_flux_matches_dense_oracle_for_generic_closures(hump_model):
                         for a, b, c in zip(rl, rr, u)])
         assert np.abs(got - ref).max() < 2e-9, model.name
         assert np.all(got >= ref), model.name
+
+
+@pytest.mark.parametrize("shapes", [((2,), (3,), (2,)), ((4,), (4,), (3,)),
+                                    ((2, 3), (2,), (3,))])
+def test_godunov_flux_names_inputs_that_do_not_broadcast(shapes):
+    # numpy's own broadcast ValueError named no argument
+    rl, rr, u = (np.full(shape, 0.5) for shape in shapes)
+    with pytest.raises(InputRangeError, match="do not broadcast") as err:
+        godunov_flux(rl, rr, u, GSH)
+    assert all(str(shape) in str(err.value) for shape in shapes)
 
 
 def test_flux_vectorized_matches_scalar():
@@ -394,6 +405,19 @@ def test_multilevel_kernel_rejects_levels_outside_unit_interval():
             0.1, GSH)
 
 
+def test_multilevel_kernel_rejects_a_workspace_smaller_than_the_batch():
+    # 11 levels x 9 interfaces need 99 entries per work array
+    rho = np.full(8, 0.5)
+    u = np.ones(8)
+    step = (0.01, rho, _step_parts(pad2(rho), pad2(u), GSH))
+    with pytest.raises(InputRangeError, match="needs 99"):
+        entropy_residual_maxima([step], AUDIT_LEVELS, 0.1, GSH,
+                                AuditWorkspace(98))
+    assert entropy_residual_maxima([step], AUDIT_LEVELS, 0.1, GSH,
+                                   AuditWorkspace(99)).tobytes() \
+        == entropy_residual_maxima([step], AUDIT_LEVELS, 0.1, GSH).tobytes()
+
+
 STEP_MODELS = [PowerLawModel(g) for g in (1.0, 2.0, 2.5, 3.0)] + [
     CustomVelocityModel(lambda rho, u: u * (1.0 - rho) ** 2, name="sq")]
 
@@ -471,3 +495,19 @@ def test_max_speed_is_the_step_range_check(model, bad):
         u[7] = np.nan
     with pytest.raises(InputRangeError):
         max_speed(rho, u, model)
+
+
+@pytest.mark.parametrize("model", [
+    GSH, CustomVelocityModel(lambda rho, u: u * (1.0 - rho))],
+    ids=["builtin", "custom"])
+@pytest.mark.parametrize("n_rho, n_u, error", [
+    (2, 3, GridMismatchError), (3, 2, GridMismatchError),
+    (0, 1, GridMismatchError), (0, 0, InputRangeError)],
+    ids=["short_rho", "short_u", "empty_rho", "empty"])
+def test_max_speed_rejects_a_pair_not_on_the_same_cells(model, n_rho, n_u,
+                                                        error):
+    # the power-law speed reads only u: 2 cells of rho against 3 of u gave
+    # 1.0, a custom closure raised numpy's broadcast error, and an empty
+    # pair numpy's zero-size reduction error
+    with pytest.raises(error, match="max_speed"):
+        max_speed(np.full(n_rho, 0.5), np.ones(n_u), model)
