@@ -27,35 +27,32 @@ Convergence is declared when the contraction functional
         ||rho_{m-1} - rho_m||_L1 + ||v_{m-1} - v_{m-2}||_L1
 
 falls below tol_phi.  (The two terms deliberately carry different iterate
-offsets.)
+offsets.)  A slab holds only what the next iterate reads: the previous
+iterate's rho, v and u rows (the start rows, broadcast, at first), the
+march in progress and Phi's v term, taken when a march fails to converge.
+The audit replay reads only u.  An unaudited vacuum n=1536 solve peaks at
+12.9 (stored times x n) float arrays under tracemalloc, 6.2 of them its
+returned states (19.5 with iterates kept whole).
 
 A march is a function of the slab's start state, its stored times and the
-marker rows it is frozen at, and a slab fixes the first two.  So when an
-iterate's u rows have the int64 bits of the rows the last march was
-frozen at, picard_slab reuses that march's iterate and plan, which a new
-march would return bit for bit.  Phi is evaluated as before, so the trace
-is bit-identical, its trailing 0.0 included.  A constant marker (the LWR
-data ``shock``, ``rarefaction``) is u's fixed point after one march, and
-then the next iterate costs no march.
+marker rows it is frozen at, and a slab fixes the first two.  So when a
+march's u rows have the int64 bits of the rows it was frozen at, a flag
+taken right after it, its iterate and plan are every later iterate's, bit
+for bit, and no march follows; the Phi trace is unchanged.  A constant
+marker (``shock``, ``rarefaction``) is u's fixed point after one march.
 
-The slab length is one closed form in the growth constant,
-tau0 = min(1/4, ln(3/2)/C_tilde) (1/4 for C_tilde = 0), which is never
-shorter than the paper's slab length (see compute_tau0).  Both are
-advisory: convergence is decided by Phi, and the global driver halves tau0
+The slab length tau0 = min(1/4, ln(3/2)/C_tilde) is advisory (see
+compute_tau0): Phi decides convergence, and the global driver halves tau0
 and retries, up to five times, if a slab fails to converge.  The mass and
-total-variation series are computed once per slab, from the rows of the
-kept iterate.
+total-variation series are taken once per slab from the kept iterate.
 
-Every march returns its step plan: per step its window, dt and CFL
-speed.  A converged slab is described by one frozen SlabRecord, built
-once after Phi converges: its PicardTrace (the slab's span and the Phi
-value of each iterate after the first), the step count and largest CFL
-number of the plan it keeps, and its entropy residual maxima.
-Trajectory.slabs holds those records.  The entropy audit runs on no
-Picard march: an audited slab replays the density steps of the plan it
-keeps, hands them to the audit kernel in batches of about
-AUDIT_BATCH_CELLS cells, and returns the residual maxima over the step
-windows, raised to +0.0 once per slab when a window leaves cells out.
+Every march returns its step plan: per step its window, dt and CFL speed.
+A converged slab is described by one frozen SlabRecord (Trajectory.slabs
+holds them), built from the plan it keeps.  The entropy audit runs on no
+Picard march: an audited slab replays the density steps of the kept plan
+in batches of about AUDIT_BATCH_CELLS cells, and returns the residual
+maxima over the step windows, raised to +0.0 once per slab when a window
+leaves cells out.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ from .core import (CellField, Grid, InitialData, SystemState,
                    build_initial_state, check_margins, l1_norm,
                    require_count, require_real, state_from_arrays,
                    total_variation)
-from .errors import InputRangeError, PicardDivergenceError
+from .errors import PicardDivergenceError
 from .model import ModelBounds, VelocityModel, require_valid_model
 from .scalar import (SPEED_FLOOR, AuditWorkspace, density_step_arrays,
                      entropy_residual_maxima, max_speed, pad2)
@@ -181,8 +178,9 @@ class SlabIterate:
 
     rho, v, w and u are (m, n) arrays whose row s is the state at times[s];
     influx[s] is the boundary influx accumulated from times[0] to times[s].
-    Mass and total variation are not stored: they are functions of the rho
-    rows, taken once from the iterate a slab keeps.
+    A slab keeps an iterate whole only while it may be the result, and of
+    the one before it only its rho, v and u rows; mass and total variation
+    are taken once from the rho rows of the iterate it keeps.
     """
 
     times: np.ndarray
@@ -242,11 +240,9 @@ def _merge_times(base: np.ndarray, extra, tol: float) -> np.ndarray:
     return np.asarray(keep)
 
 
-def _frozen_iterate(rho, v, w, u, times) -> SlabIterate:
-    shape = (len(times), len(rho))
-    return SlabIterate(times, *(np.broadcast_to(a, shape)
-                                for a in (rho, v, w, u)),
-                       influx=np.zeros(len(times)))
+def _abs_row_sums(d: np.ndarray) -> np.ndarray:
+    """Per row of the temporary d, the sum of |d|, taken in d itself."""
+    return np.abs(d, out=d).sum(axis=1)
 
 
 def _row_spans(rows: np.ndarray):
@@ -474,55 +470,58 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     reaches tol_phi the record is built from the kept march's step plan,
     and when cfg.entropy_levels > 0 that march's density steps are
     replayed with the entropy audit on: no march runs after the one that
-    converged.  An iterate whose marker rows repeat the last march's takes
-    that march's result without marching (see the module docstring).
-    Raises PicardDivergenceError carrying the trace when tol_phi is not
-    reached within max_picard_iters iterates.
+    converged.  A march whose u rows repeat its frozen rows is every later
+    iterate (see the module docstring).  t0 < t1 must be finite and each
+    extra event in [t0, t1].  Raises PicardDivergenceError carrying the
+    trace when tol_phi is not reached within max_picard_iters iterates.
     """
-    if not t1 > t0:
-        raise InputRangeError(f"need t1 > t0, got [{t0}, {t1}]")
+    t0 = require_real("t0", t0)
+    t1 = require_real("t1", t1, t0, open_lo=True)
+    extra = [require_real("extra event", e, t0, t1) for e in extra_events]
     model = ctx.model
     h = state.grid.h
     time_tol = 1e-12 * max(1.0, abs(t1))
     base = np.linspace(t0, t1, cfg.snapshots_per_slab + 1)
-    events = _merge_times(base, extra_events, time_tol)
+    events = _merge_times(base, extra, time_tol)
 
-    rho0 = state.rho.values
-    v0 = state.v.values
-    w0 = state.w.values
-    u0 = state.u.values
+    rho0, v0, w0, u0 = (f.values for f in (state.rho, state.v, state.w,
+                                            state.u))
     k_levels = np.linspace(0.0, 1.0, cfg.entropy_levels)
 
-    prev = _frozen_iterate(rho0, v0, w0, u0, events)
-    v_prev_prev = prev.v  # of iterate m-2 Phi needs only v
+    # what the next iterate reads: the start rows frozen, Phi's v term
+    rho_prev, v_prev, u_prev = (np.broadcast_to(a, (len(events), len(a)))
+                                for a in (rho0, v0, u0))
+    v_term = np.zeros(len(events))
     tol = ctx.tol_phi
     phis = []
-    marched = None  # (marker rows, iterate, plan) of the last march
+    repeated = None  # (iterate, plan) of a march whose u rows repeat
 
     while len(phis) + 1 < cfg.max_picard_iters:
-        if marched is not None and np.array_equal(
-                marched[0].view(np.int64), prev.u.view(np.int64)):
-            curr, plan = marched[1:]
-        else:
-            curr, plan = _march_slab(rho0, v0, w0, events, prev.u, model, h,
+        if repeated is None:
+            curr, plan = _march_slab(rho0, v0, w0, events, u_prev, model, h,
                                      cfg.cfl, state.u_inf)
-            marched = (prev.u, curr, plan)
+        else:
+            curr, plan = repeated
         # Phi at every stored time, then its sup over them
-        phi = float((h * abs(prev.rho - curr.rho).sum(axis=1)
-                     + h * abs(prev.v - v_prev_prev).sum(axis=1)).max())
+        phi = float((h * _abs_row_sums(rho_prev - curr.rho) + v_term).max())
         phis.append(phi)
         if phi <= tol:
             trace = PicardTrace(t0, t1, tol, phis, True,
                                 f"phi {phi:.3e} <= tol {tol:.3e}")
-            entropy_max = (_replay_density(rho0, prev.u, plan, model, h,
+            del rho_prev, v_prev  # the replay reads only u
+            entropy_max = (_replay_density(rho0, u_prev, plan, model, h,
                                            k_levels)
                            if len(k_levels) else np.empty(0))
             max_cfl = max((dt * speed / h for *_, dt, speed in plan),
                           default=0.0)
             return curr, trace, SlabRecord(trace, len(plan), max_cfl,
                                            k_levels, entropy_max)
-        v_prev_prev = prev.v
-        prev = curr
+        v_term = h * _abs_row_sums(curr.v - v_prev)
+        if repeated is None and np.array_equal(curr.u.view(np.int64),
+                                               u_prev.view(np.int64)):
+            repeated = curr, plan
+        rho_prev, v_prev, u_prev = curr.rho, curr.v, curr.u
+        del curr, plan  # its w is dropped unless its rows repeat
     stop = (f"phi still {phis[-1]:.3e} after {cfg.max_picard_iters} "
             f"iterates (tol {tol:.3e})")
     raise PicardDivergenceError(
@@ -632,7 +631,7 @@ def solve_global(data: InitialData, grid: Grid, t_final: float,
             continue
         rho = iterate.rho[1:]
         series.append((iterate.times[1:], grid.h * rho.sum(axis=1),
-                       np.abs(np.diff(rho, axis=1)).sum(axis=1),
+                       _abs_row_sums(np.diff(rho, axis=1)),
                        cum_influx + iterate.influx[1:]))
         for ot in inner:
             s = int(np.argmin(np.abs(iterate.times - ot)))
@@ -644,6 +643,7 @@ def solve_global(data: InitialData, grid: Grid, t_final: float,
         state = state_from_arrays(t1, iterate.rho[-1], iterate.v[-1],
                                   iterate.w[-1], state.z_inf, state.u_inf,
                                   grid)
+        del iterate, rho  # the next slab reads only state
         t = t1
     series_times, mass, tv, influx = (np.concatenate(c) for c in zip(*series))
     return Trajectory(states=states, output_times=output_times, slabs=slabs,

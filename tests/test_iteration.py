@@ -280,8 +280,17 @@ def test_unaudited_solve_marches_once_per_picard_iterate(monkeypatch):
 
 # per scenario at n = 1536, unaudited: marches per slab, and each slab's
 # Phi as marching every iterate gives it (recorded before the repeated-rows
-# rule); the 0.0 is the iterate whose marker rows repeat and is not marched
+# rule; vacuum's before a slab kept only what the next iterate reads); the
+# 0.0 is the iterate whose marker rows repeat and is not marched
 REPEATED_ROWS = {
+    "vacuum": (3, [[0.28138478499511005, 0.08494199043549569,
+                    0.0008149909142128223],
+                   [0.2762107157095962, 0.07645536041172302,
+                    0.0006877858116337765],
+                   [0.27152623908374607, 0.07013540802333285,
+                    0.0005915820986480064],
+                   [0.26742803591011666, 0.06510585009212819,
+                    0.0005176436230445901]]),
     "shock": (1, [[1.3877787807814457e-17]] * 4),
     "rarefaction": (1, [[0.044999999999999984, 0.0],
                         [0.044999999999999686, 0.0],
@@ -614,9 +623,22 @@ def _windowed_study(window):
     return convergence_study(data, 0.5, grids, GSH, None, window=window)
 
 
+def _slab_on(sc, t0, t1, events=()):
+    """picard_slab on [t0, t1] from sc's state at t = 0."""
+    cfg = SlabConfig()
+    ctx, st0 = make_context(sc.data, sc.grid, sc.t_final, sc.model(), cfg)
+    return picard_slab(st0, t0, t1, ctx, cfg, extra_events=events)
+
+
 # site -> (error, the name its message gives, call with the value); every
 # one takes a finite real number only
 NON_REAL_VALUES = {
+    "picard_slab t0": (InputRangeError, "t0",
+                       lambda sc, x: _slab_on(sc, x, 0.25)),
+    "picard_slab t1": (InputRangeError, "t1",
+                       lambda sc, x: _slab_on(sc, 0.0, x)),
+    "picard_slab extra event": (InputRangeError, "extra event",
+                                lambda sc, x: _slab_on(sc, 0.0, 0.25, [x])),
     "Grid x_min": (InputRangeError, "x_min", lambda sc, x: Grid(x, 4.0, 64)),
     "Grid x_max": (InputRangeError, "x_max",
                    lambda sc, x: Grid(-4.0, x, 64)),
@@ -727,6 +749,27 @@ def test_non_real_values_raise_before_any_march(no_march, case, value):
     error, name, call = NON_REAL_VALUES[case]
     with pytest.raises(error, match=f"^{name} must be "):
         call(scenario("smoke"), value)
+
+
+@pytest.mark.parametrize("t0, t1, events, name", [
+    (0.0, 0.25, [0.5], "extra event"), (0.0, 0.25, [-0.1], "extra event"),
+    (0.0, 0.25, [0.1, 0.25 + 1e-9], "extra event"),
+    (0.25, 0.25, [], "t1"), (0.25, 0.1, [], "t1")])
+def test_picard_slab_rejects_a_span_it_cannot_march(no_march, t0, t1,
+                                                     events, name):
+    with pytest.raises(InputRangeError, match=f"^{name} must be "):
+        _slab_on(scenario("smoke"), t0, t1, events)
+
+
+def test_picard_slab_takes_events_at_the_span_ends():
+    # t0 and t1 are stored times already: the lattice and the slab are
+    # those without the events
+    sc = scenario("smoke")
+    got, want = (_slab_on(sc, 0.0, 0.25, events)
+                 for events in ([0.0, 0.25], ()))
+    assert np.array_equal(got[0].times, want[0].times)
+    assert np.array_equal(got[0].rho, want[0].rho)
+    assert got[1] == want[1]
 
 
 def test_numpy_and_integer_reals_are_reals():
@@ -1144,11 +1187,21 @@ def test_generated_replays_do_not_depend_on_the_batch_split(data, model):
     assert len(set(got[0] + got[1])) == 1
 
 
+def _traced_peak(call, *args):
+    """The tracemalloc peak of call(*args), in bytes.  tracemalloc counts
+    the bytes numpy asks for, whatever the allocator makes of them."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_replay_memory_does_not_grow_with_the_steps(monkeypatch):
-    # tracemalloc counts the bytes numpy asks for, whatever the allocator
-    # makes of them; the replay holds at most one batch of steps, so 4x the
-    # steps over the same cells keep the same peak.  With the whole plan in
-    # one batch the same measure grows with the plan
+    # the replay holds at most one batch of steps, so 4x the steps over
+    # the same cells keep the same peak.  With the whole plan in one batch
+    # the same measure grows with the plan
     n = 256
     h = 1.0 / n
     x = (np.arange(n) + 0.5) * h
@@ -1160,12 +1213,8 @@ def test_replay_memory_does_not_grow_with_the_steps(monkeypatch):
     def peak(cfl):
         _, plan = iteration._march_slab(rho, 0.2 * rho, 0.1 * rho, times,
                                         u_rows, GSH, h, cfl, 1.0)
-        tracemalloc.start()
-        try:
-            iteration._replay_density(rho, u_rows, plan, GSH, h, levels)
-            return len(plan), tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return len(plan), _traced_peak(iteration._replay_density, rho,
+                                       u_rows, plan, GSH, h, levels)
 
     (short, short_peak), (long, long_peak) = peak(0.5), peak(0.125)
     assert (short, long) == (96, 384)
@@ -1193,13 +1242,28 @@ def test_replay_peak_is_a_few_batch_sized_arrays(monkeypatch):
     levels = replays[0][-1]
     # one (levels x budget-cells) float array, in bytes
     array = len(levels) * iteration.AUDIT_BATCH_CELLS * 8
-    tracemalloc.start()
-    try:
-        real(*replays[0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 3 * array < peak < 6 * array
+    assert 3 * array < _traced_peak(real, *replays[0]) < 6 * array
+
+
+# scenario -> (entropy levels, largest peak of its solve at n = 1536, in
+# (snapshots_per_slab + 1) x n float arrays).  Measured 12.9 and 15.1,
+# 6.2 of them the returned states; 19.5 and 23.1 when every iterate was
+# kept whole and the last slab's through the next.  Keeping the previous
+# slab's iterate reads 16.9 and 19.1, iterate m-2's v and u 14.9 and
+# 17.1, and rho and v through the replay 17.1 (smoke)
+SOLVE_PEAKS = {"vacuum": (0, 13.9), "smoke": (11, 16.1)}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_PEAKS))
+def test_solve_holds_only_what_the_next_iterate_reads(name):
+    levels, bound = SOLVE_PEAKS[name]
+    sc = scenario(name)
+    grid = Grid(sc.grid.x_min, sc.grid.x_max, 1536)
+    cfg = SlabConfig(entropy_levels=levels)
+    array = (cfg.snapshots_per_slab + 1) * grid.n_cells * 8
+    peak = _traced_peak(solve_global, sc.data, grid, sc.t_final, sc.model(),
+                        cfg)
+    assert peak < bound * array
 
 
 @pytest.mark.parametrize("tail", ["rho", "u"])
