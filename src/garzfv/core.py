@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -227,29 +228,35 @@ class InitialData:
 class SystemState:
     """Full cell state at one time.
 
-    rho is the density, u the marker, z its slope antiderivative ratio
-    partner, psi = w / rho, and v = rho z, w = rho psi are the conserved
-    markers actually transported.  u and z always equal their prefix-sum
-    reconstructions from v and w.
+    It stores the density rho and the transported markers v = rho z and
+    w = rho psi.  The marker u, its slope partner z and psi = w / rho are
+    derived on first read and kept; u and z are their prefix sums.
     """
 
     t: float
     rho: CellField
     v: CellField
     w: CellField
-    z: CellField
-    u: CellField
-    psi: CellField
     z_inf: float
     u_inf: float
-
-    def __post_init__(self):
-        for name in ("v", "w", "z", "u", "psi"):
-            _same_grid(self.rho, getattr(self, name))
 
     @property
     def grid(self) -> Grid:
         return self.rho.grid
+
+    @cached_property
+    def u(self) -> CellField:
+        return CellField(self.u_inf + self.grid.h * np.cumsum(self.v.values),
+                         self.grid)
+
+    @cached_property
+    def z(self) -> CellField:
+        return CellField(self.z_inf + self.grid.h * np.cumsum(self.w.values),
+                         self.grid)
+
+    @cached_property
+    def psi(self) -> CellField:
+        return CellField(ratio_or(self.w.values, self.rho.values), self.grid)
 
     def mass(self) -> float:
         return float(self.grid.h * self.rho.values.sum())
@@ -264,15 +271,10 @@ def ratio_or(q: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def state_from_arrays(t, rho, v, w, z_inf, u_inf, grid: Grid) -> SystemState:
-    """Assemble a SystemState, reconstructing z, u, psi from (rho, v, w)."""
-    h = grid.h
-    z = z_inf + h * np.cumsum(w)
-    u = u_inf + h * np.cumsum(v)
-    psi = ratio_or(w, rho)
+    """Assemble a SystemState from (rho, v, w)."""
     return SystemState(
         t=float(t),
         rho=CellField(rho, grid), v=CellField(v, grid), w=CellField(w, grid),
-        z=CellField(z, grid), u=CellField(u, grid), psi=CellField(psi, grid),
         z_inf=float(z_inf), u_inf=float(u_inf))
 
 

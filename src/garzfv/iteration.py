@@ -6,11 +6,11 @@ the slab's start profile frozen in time.  Every later iterate m:
 1. solves the density equation by Godunov steps with the marker field frozen
    at iterate m-1's trajectory (linear interpolation between its snapshots);
 2. transports both conserved markers v = rho z and w = rho psi with the
-   density fluxes produced in step 1;
-3. reconstructs u from v by prefix sums.
+   density fluxes produced in step 1.
 
-An iterate is stored as (m, n) arrays, row s holding the state at the
-slab's s-th stored time, so Phi below is one expression over whole iterates.
+An iterate is stored as (m, n) arrays of rho, v and w, row s holding the
+state at the slab's s-th stored time, so Phi below is one expression over
+whole iterates.  The next march derives u from the v rows by prefix sums.
 
 A march steps only a window of cells.  A cell whose three-cell stencil is
 constant in rho, u, v and w cannot change in a step (the transport has
@@ -28,18 +28,19 @@ Convergence is declared when the contraction functional
 
 falls below tol_phi.  (The two terms deliberately carry different iterate
 offsets.)  A slab holds only what the next iterate reads: the previous
-iterate's rho, v and u rows (the start rows, broadcast, at first), the
-march in progress and Phi's v term, taken when a march fails to converge.
-The audit replay reads only u.  An unaudited vacuum n=1536 solve peaks at
-12.9 (stored times x n) float arrays under tracemalloc, 6.2 of them its
-returned states (19.5 with iterates kept whole).
+iterate's rho and v rows (the start rows, broadcast, at first; Phi takes
+its terms in them), the march in progress and Phi's v term, taken when a
+march fails to converge.  The audit replay reads only v.  An unaudited
+vacuum n=1536 solve peaks at 8.4 (stored times x n) float arrays under
+tracemalloc, 3.2 of them its returned states (12.9 and 6.2 with u stored).
 
 A march is a function of the slab's start state, its stored times and the
 marker rows it is frozen at, and a slab fixes the first two.  So when a
-march's u rows have the int64 bits of the rows it was frozen at, a flag
-taken right after it, its iterate and plan are every later iterate's, bit
-for bit, and no march follows; the Phi trace is unchanged.  A constant
-marker (``shock``, ``rarefaction``) is u's fixed point after one march.
+march's v (so u) rows have the int64 bits of the rows it was frozen at, a
+flag taken right after it, its iterate and plan are every later
+iterate's, bit for bit, and no march follows; the Phi trace is unchanged.
+A constant marker (``shock``, ``rarefaction``) is u's fixed point after
+one march.
 
 The slab length tau0 = min(1/4, ln(3/2)/C_tilde) is advisory (see
 compute_tau0): Phi decides convergence, and the global driver halves tau0
@@ -86,6 +87,9 @@ MAX_TAU_HALVINGS = 5
 # at 3,072 and 55 ms at 4,096, for about 1.4 MB more peak RSS than the
 # per-call temporaries at 1,536
 AUDIT_BATCH_CELLS = 4096
+# stored rows per block of the frozen u that a march or a replay derives
+# at once, after the previous block's last row (see _u_block)
+U_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -176,18 +180,18 @@ class ProblemContext:
 class SlabIterate:
     """One Picard iterate at the slab's m stored times.
 
-    rho, v, w and u are (m, n) arrays whose row s is the state at times[s];
+    rho, v and w are (m, n) arrays whose row s is the state at times[s];
     influx[s] is the boundary influx accumulated from times[0] to times[s].
-    A slab keeps an iterate whole only while it may be the result, and of
-    the one before it only its rho, v and u rows; mass and total variation
-    are taken once from the rho rows of the iterate it keeps.
+    Its u is derived from the v rows where read (``_u_block``).  A slab
+    keeps an iterate whole only while it may be the result, and of the one
+    before it only its rho and v rows; mass and total variation are taken
+    once from the rho rows of the iterate it keeps.
     """
 
     times: np.ndarray
     rho: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    u: np.ndarray
     influx: np.ndarray
 
 
@@ -245,6 +249,14 @@ def _abs_row_sums(d: np.ndarray) -> np.ndarray:
     return np.abs(d, out=d).sum(axis=1)
 
 
+def _row_l1(prev, curr, h):
+    """h times the L1 norm of each row of prev - curr, taken in prev, dead
+    after it, unless it is the read-only start rows or curr itself (the
+    repeated iterate's rows).  |x - y| and |y - x| are the same bits."""
+    into = prev if prev.flags.writeable and prev is not curr else None
+    return h * _abs_row_sums(np.subtract(prev, curr, out=into))
+
+
 def _row_spans(rows: np.ndarray):
     """Per row of a (k, n) array, the cell range [lo, hi) holding every
     cell that differs from a neighbour, compared as int64 bits; outside it
@@ -259,11 +271,20 @@ def _row_spans(rows: np.ndarray):
     return lo.tolist(), hi.tolist()
 
 
+def _u_block(v_rows, j, h, u_inf):
+    """Rows j to j + U_BLOCK_ROWS (fewer at the end) of the frozen u,
+    each u_inf + h cumsum(v) bit for bit."""
+    u = np.cumsum(v_rows[j:j + U_BLOCK_ROWS + 1], axis=1)
+    u *= h
+    u += u_inf
+    return u
+
+
 def _marker_now(u_rows, s, lam, a, b, ue):
-    """The padded u of window [a, b) at weight lam of stored row s: rows
-    s-1 and s of the previous iterate's u blended linearly on cells a-2 to
-    b+1, row s-1 itself at lam = 0, written into the ghost-padded buffer
-    ue (cell i at ue[i + 2]) and returned as its view ue[a:b+4]."""
+    """The padded u of window [a, b) at weight lam of row s of a block of
+    u: rows s-1 and s blended linearly on cells a-2 to b+1, row s-1
+    itself at lam = 0, written into the ghost-padded buffer ue (cell i at
+    ue[i + 2]) and returned as its view ue[a:b+4]."""
     lo, hi = max(a - 2, 0), min(b + 2, u_rows.shape[1])
     cells = ue[lo + 2:hi + 2]
     if lam == 0.0:
@@ -285,9 +306,10 @@ def _refresh_ghosts(state, a, b):
         state[..., -2:] = state[..., -3:-2]
 
 
-def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf):
+def _march_slab(rho, v, w, times, v_rows, model, h, cfl, u_inf):
     """March (rho, v, w) through all stored times with the marker field
-    frozen at u_rows, the previous iterate's u, linear in t between rows.
+    frozen at the previous iterate's u (derived from its v_rows and u_inf
+    by ``_u_block``), linear in t between rows.
 
     Returns (SlabIterate, plan), plan listing each step's (a, b, s, lam,
     dt, speed): its window [a, b), the stored row s it marches towards,
@@ -316,8 +338,8 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf):
     The window is kept without a full-width scan per step.  After a step
     on [a, b) the jumps of (rho, v, w) lie in [a-1, b+1); one exact scan
     of the window at each stored time re-tightens it.  u_now is
-    interpolated between rows j and j+1 of u_rows, so its jumps lie in the
-    union of their spans, taken for all rows once per march.
+    interpolated between rows s-1 and s of u, so its jumps lie in the
+    union of their spans, taken once per block of u rows.
 
     (rho, v, w) are kept as one (3, n+4) array with two copy ghosts per
     side, cell i at column i + 2, and u_now is blended into a padded
@@ -330,13 +352,13 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf):
     """
     n = len(rho)
     shape = (len(times), n)
-    out = SlabIterate(times, *(np.empty(shape) for _ in range(4)),
+    out = SlabIterate(times, *(np.empty(shape) for _ in range(3)),
                       influx=np.empty(len(times)))
     state = pad2(np.stack((rho, v, w)))  # rows rho, v, w; stepped in place
     cells = state[:, 2:-2]
     ue = np.empty(n + 4)  # u_now, ghost-padded
     plan = []
-    u_lo, u_hi = _row_spans(u_rows)
+    j = -U_BLOCK_ROWS - 1  # the first stored row of the u block
     influx = 0.0
     tlist = times.tolist()
     t = tlist[0]
@@ -347,12 +369,15 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf):
     for s, t_next in enumerate(tlist):
         while t_next - t > time_tol:
             # t lies in [times[s-1], times[s])
-            a = min(lo, u_lo[s - 1], u_lo[s])
-            b = max(hi, u_hi[s - 1], u_hi[s])
+            if s > j + U_BLOCK_ROWS:
+                j, u_rows = s - 1, _u_block(v_rows, s - 1, h, u_inf)
+                u_lo, u_hi = _row_spans(u_rows)
+            a = min(lo, u_lo[s - 1 - j], u_lo[s - j])
+            b = max(hi, u_hi[s - 1 - j], u_hi[s - j])
             if a >= b:
                 a, b = 0, 1
             lam = (t - tlist[s - 1]) / (t_next - tlist[s - 1])
-            u_now = _marker_now(u_rows, s, lam, a, b, ue)
+            u_now = _marker_now(u_rows, s - j, lam, a, b, ue)
             re, qe = state[0, a:b + 4], state[1:, a:b + 4]
             speed = max_speed(re[2:-2], u_now[2:-2], model)
             dt_stable = cfl * h / speed
@@ -378,9 +403,6 @@ def _march_slab(rho, v, w, times, u_rows, model, h, cfl, u_inf):
             lo, hi = n, 0
         out.rho[s], out.v[s], out.w[s] = cells
         out.influx[s] = influx
-    np.cumsum(out.v, axis=1, out=out.u)
-    out.u *= h
-    out.u += u_inf
     return out, plan
 
 
@@ -397,15 +419,16 @@ def _audit_batches(plan):
     return bounds
 
 
-def _replay_density(rho, u_rows, plan, model, h, levels) -> np.ndarray:
-    """Audit the density steps that a march from rho with marker rows
-    u_rows logged in plan: re-run each and return, per entropy level in
-    levels, the largest residual over the steps (-inf with no step).
+def _replay_density(rho, v_rows, u_inf, plan, model, h, levels):
+    """Audit the density steps that a march from rho frozen at the u of
+    (v_rows, u_inf) logged in plan: re-run each and return, per entropy
+    level in levels, the largest residual over the steps (-inf with no
+    step).
 
     The density step reads neither v nor w, so each replayed step gets the
     march's (rho_old, u_now, dt, speed) bit for bit.  The march has
     range-checked them, so the replay skips ``max_speed``, the marker
-    transport, the window scans and the stored rows.
+    transport, the window scans, the spans of u and the stored rows.
 
     One kernel call audits each batch of steps holding AUDIT_BATCH_CELLS
     cells (``_audit_batches``), all in one AuditWorkspace sized for the
@@ -441,10 +464,13 @@ def _replay_density(rho, u_rows, plan, model, h, levels) -> np.ndarray:
     faces = max((sum(b - a + 1 for a, b, *_ in plan[lo:hi])
                  for lo, hi in batches), default=0)
     workspace = AuditWorkspace(len(levels) * faces)
+    j = -U_BLOCK_ROWS - 1
     for lo, hi in batches:
         batch = []
         for a, b, s, lam, dt, speed in plan[lo:hi]:
-            u_now = _marker_now(u_rows, s, lam, a, b, ue)
+            if s > j + U_BLOCK_ROWS:
+                j, u_rows = s - 1, _u_block(v_rows, s - 1, h, u_inf)
+            u_now = _marker_now(u_rows, s - j, lam, a, b, ue)
             re = rho[a:b + 4]
             rho_new, _, parts = density_step_arrays(re, u_now, h, dt, model,
                                                     speed)
@@ -470,7 +496,7 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     reaches tol_phi the record is built from the kept march's step plan,
     and when cfg.entropy_levels > 0 that march's density steps are
     replayed with the entropy audit on: no march runs after the one that
-    converged.  A march whose u rows repeat its frozen rows is every later
+    converged.  A march whose v rows repeat its frozen rows is every later
     iterate (see the module docstring).  t0 < t1 must be finite and each
     extra event in [t0, t1].  Raises PicardDivergenceError carrying the
     trace when tol_phi is not reached within max_picard_iters iterates.
@@ -484,43 +510,42 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     base = np.linspace(t0, t1, cfg.snapshots_per_slab + 1)
     events = _merge_times(base, extra, time_tol)
 
-    rho0, v0, w0, u0 = (f.values for f in (state.rho, state.v, state.w,
-                                            state.u))
+    rho0, v0, w0 = (f.values for f in (state.rho, state.v, state.w))
     k_levels = np.linspace(0.0, 1.0, cfg.entropy_levels)
 
     # what the next iterate reads: the start rows frozen, Phi's v term
-    rho_prev, v_prev, u_prev = (np.broadcast_to(a, (len(events), len(a)))
-                                for a in (rho0, v0, u0))
+    rho_prev, v_prev = (np.broadcast_to(a, (len(events), len(a)))
+                        for a in (rho0, v0))
     v_term = np.zeros(len(events))
     tol = ctx.tol_phi
     phis = []
-    repeated = None  # (iterate, plan) of a march whose u rows repeat
+    repeated = None  # (iterate, plan) of a march whose v rows repeat
 
     while len(phis) + 1 < cfg.max_picard_iters:
         if repeated is None:
-            curr, plan = _march_slab(rho0, v0, w0, events, u_prev, model, h,
+            curr, plan = _march_slab(rho0, v0, w0, events, v_prev, model, h,
                                      cfg.cfl, state.u_inf)
         else:
             curr, plan = repeated
         # Phi at every stored time, then its sup over them
-        phi = float((h * _abs_row_sums(rho_prev - curr.rho) + v_term).max())
+        phi = float((_row_l1(rho_prev, curr.rho, h) + v_term).max())
         phis.append(phi)
         if phi <= tol:
             trace = PicardTrace(t0, t1, tol, phis, True,
                                 f"phi {phi:.3e} <= tol {tol:.3e}")
-            del rho_prev, v_prev  # the replay reads only u
-            entropy_max = (_replay_density(rho0, u_prev, plan, model, h,
-                                           k_levels)
+            del rho_prev  # the replay reads only v
+            entropy_max = (_replay_density(rho0, v_prev, state.u_inf, plan,
+                                           model, h, k_levels)
                            if len(k_levels) else np.empty(0))
             max_cfl = max((dt * speed / h for *_, dt, speed in plan),
                           default=0.0)
             return curr, trace, SlabRecord(trace, len(plan), max_cfl,
                                            k_levels, entropy_max)
-        v_term = h * _abs_row_sums(curr.v - v_prev)
-        if repeated is None and np.array_equal(curr.u.view(np.int64),
-                                               u_prev.view(np.int64)):
+        if repeated is None and np.array_equal(curr.v.view(np.int64),
+                                               v_prev.view(np.int64)):
             repeated = curr, plan
-        rho_prev, v_prev, u_prev = curr.rho, curr.v, curr.u
+        v_term = _row_l1(v_prev, curr.v, h)
+        rho_prev, v_prev = curr.rho, curr.v
         del curr, plan  # its w is dropped unless its rows repeat
     stop = (f"phi still {phis[-1]:.3e} after {cfg.max_picard_iters} "
             f"iterates (tol {tol:.3e})")

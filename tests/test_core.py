@@ -1,4 +1,6 @@
 """Grids, fields, piecewise data, norms, and state assembly."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,27 @@ def test_state_from_arrays_reconstructs_prefixes():
     assert np.allclose(st0.z.values, 0.1 + g.h * np.cumsum(w), atol=1e-15)
     assert np.allclose(st0.u.values, 1.0 + g.h * np.cumsum(v), atol=1e-15)
     assert np.allclose(st0.psi.values, w / rho, atol=1e-14)
+
+
+def test_state_derives_u_z_psi_bit_for_bit():
+    # a state stores rho, v and w; u, z and psi are derived on first read
+    # by these three expressions, in this operation order, and then kept
+    g = Grid(0.0, 1.0, 50)
+    rng = np.random.default_rng(12)
+    rho = rng.uniform(0.0, 0.95, 50)
+    rho[[3, 17]] = 0.0, 1e-13  # vacuum cells: psi is 0 there
+    w = rho * rng.uniform(-0.4, 0.4, 50)
+    v = rho * rng.uniform(-0.3, 0.3, 50)
+    st0 = state_from_arrays(0.0, rho, v, w, z_inf=0.1, u_inf=1.0, grid=g)
+    stored = [f.name for f in dataclasses.fields(st0)]
+    assert stored == ["t", "rho", "v", "w", "z_inf", "u_inf"]
+    assert st0.__dict__.keys().isdisjoint({"u", "z", "psi"})
+    for got, want in ((st0.u, 1.0 + g.h * np.cumsum(v)),
+                      (st0.z, 0.1 + g.h * np.cumsum(w)),
+                      (st0.psi, ratio_or(w, rho))):
+        assert got.values.tobytes() == want.tobytes()
+        assert got.grid == g
+    assert st0.u is st0.u and st0.z is st0.z and st0.psi is st0.psi
 
 
 def test_ratio_or_floors_vacuum():

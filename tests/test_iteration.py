@@ -204,7 +204,7 @@ def _max_cfl(plan, h) -> float:
 
 
 def _same_iterate(a, b):
-    for name in ("rho", "v", "w", "u"):
+    for name in ("rho", "v", "w"):
         for x, y in zip(getattr(a, name), getattr(b, name), strict=True):
             if x.tobytes() != y.tobytes():
                 return False
@@ -890,18 +890,19 @@ def test_entropy_tables_match_the_per_level_reference(monkeypatch, name,
 
 # The windowed march against the march over all n cells.
 
-def audited_reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf,
+def audited_reference_march(rho, v, w, times, v_rows, model, h, cfl, u_inf,
                             k_levels):
     """_march_slab stepping every cell: the same kernels through
-    iteration's names, full width, with u interpolated on all cells and
-    each step's inputs padded by pad2 from the full rows, so with no
-    ghost-padded state.  Returns (iterate, full-width step plan, entropy
-    maxima), the maxima audited inline at each level of k_levels as the
-    steps are taken, on all cells, so with no plan and no still-cell
-    rule."""
+    iteration's names, full width, with u derived from all of v_rows at
+    once, interpolated on all cells, and each step's inputs padded by pad2
+    from the full rows, so with no ghost-padded state.  Returns (iterate,
+    full-width step plan, entropy maxima), the maxima audited inline at
+    each level of k_levels as the steps are taken, on all cells, so with
+    no plan and no still-cell rule."""
     shape = (len(times), len(rho))
-    out = iteration.SlabIterate(times, *(np.empty(shape) for _ in range(4)),
+    out = iteration.SlabIterate(times, *(np.empty(shape) for _ in range(3)),
                                 influx=np.empty(len(times)))
+    u_rows = np.cumsum(v_rows, axis=1) * h + u_inf
     plan = []
     maxima = np.full(len(k_levels), -np.inf)
     q = np.stack((v, w))
@@ -933,16 +934,13 @@ def audited_reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf,
         out.rho[s] = rho
         out.v[s], out.w[s] = q
         out.influx[s] = influx
-    np.cumsum(out.v, axis=1, out=out.u)
-    out.u *= h
-    out.u += u_inf
     return out, plan, maxima
 
 
-def reference_march(rho, v, w, times, u_rows, model, h, cfl, u_inf):
+def reference_march(rho, v, w, times, v_rows, model, h, cfl, u_inf):
     """The full-width march in _march_slab's form: (iterate, step plan),
     so an audited slab replays its full-width steps."""
-    return audited_reference_march(rho, v, w, times, u_rows, model, h, cfl,
+    return audited_reference_march(rho, v, w, times, v_rows, model, h, cfl,
                                    u_inf, np.empty(0))[:2]
 
 
@@ -970,7 +968,10 @@ def _march_inputs(draw):
                         st.floats(0.0, 1.0))
     ratio = st.one_of(st.sampled_from([0.0, -0.0, 0.3]),
                       st.floats(-1.0, 1.0))
-    marker = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 2.0))
+    # slopes of the frozen u = 0.25 + h cumsum(v), which stays positive;
+    # u is constant where they are zeros
+    slope = st.one_of(st.sampled_from([0.0, -0.0, 0.5]),
+                      st.floats(-0.05, 0.5))
     rho = draw(_field(n, density))
     # markers dominated by the density, as v = rho z and w = rho psi are
     v = rho * draw(_field(n, ratio))
@@ -980,13 +981,13 @@ def _march_inputs(draw):
                                     st.floats(1e-3, 0.2)),
                           min_size=1, max_size=5))
     times = np.cumsum([draw(st.floats(0.0, 1.0)), *steps])
-    # rows of the previous iterate: one field, a plateau changed in some
-    u_rows = np.tile(draw(_field(n, marker)), (len(times), 1))
-    for row in u_rows:
+    # v rows of the previous iterate: one field, a plateau changed in some
+    v_rows = np.tile(draw(_field(n, slope)), (len(times), 1))
+    for row in v_rows:
         if draw(st.booleans()):
             a = draw(st.integers(0, n - 1))
-            row[a:draw(st.integers(a + 1, n))] = draw(marker)
-    return rho, v, w, times, u_rows
+            row[a:draw(st.integers(a + 1, n))] = draw(slope)
+    return rho, v, w, times, v_rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -996,18 +997,18 @@ def _march_inputs(draw):
        levels=st.sampled_from([0, 3]))
 def test_windowed_march_matches_the_full_width_march(data, model, cfl,
                                                      levels):
-    rho, v, w, times, u_rows = data
+    rho, v, w, times, v_rows = data
     h = 0.05
     k_levels = np.linspace(0.0, 1.0, levels)
-    got, plan = iteration._march_slab(rho, v, w, times, u_rows, model, h,
+    got, plan = iteration._march_slab(rho, v, w, times, v_rows, model, h,
                                       cfl, 0.25)
     ref, ref_plan, ref_maxima = audited_reference_march(
-        rho, v, w, times, u_rows, model, h, cfl, 0.25, k_levels)
+        rho, v, w, times, v_rows, model, h, cfl, 0.25, k_levels)
     assert _same_iterate(got, ref)
     # the window proof: neither dt nor the CFL speed depends on the window
     assert np.array([p[2:] for p in plan]).tobytes() \
         == np.array([p[2:] for p in ref_plan]).tobytes()
-    maxima = (iteration._replay_density(rho, u_rows, plan, model, h,
+    maxima = (iteration._replay_density(rho, v_rows, 0.25, plan, model, h,
                                         k_levels)
               if levels else np.full(0, -np.inf))
     assert maxima.tobytes() == ref_maxima.tobytes()
@@ -1022,23 +1023,26 @@ PADDED_STEP_MODELS = [PowerLawModel(1.0), PowerLawModel(2.5),
 
 
 def _padded_step_case(case, n):
-    """(rho, v, w, u_rows, times) of one case; the markers are dominated
-    by the density as v = rho z and w = rho psi are."""
+    """(rho, v, w, v_rows, times) of one case, the frozen u = 1 + h
+    cumsum(v_rows) at h = 0.05; the markers are dominated by the density
+    as v = rho z and w = rho psi are."""
     rho = np.full(n, 0.4)
     times = np.linspace(0.0, 0.3, 4)
-    u_rows = np.ones((len(times), n))
+    v_rows = np.zeros((len(times), n))
     if case == "left-edge":
-        # cell 0 moves, and later steps read its ghosts
+        # cell 0 moves, and later steps read its ghosts; u is 1.5 on
+        # cells 0 and 1
         rho[:3] = [0.7, 0.55, 0.8]
-        u_rows[1:, :2] = 1.5
+        v_rows[1:, [0, 2]] = 10.0, -10.0
     elif case == "right-edge":
+        # u is 1.5 on the last two cells
         rho[-3:] = [0.8, 0.6, 0.2]
-        u_rows[1:, -2:] = 1.5
+        v_rows[1:, -2] = 10.0
     elif case == "undershoot":
         # -1e-10 is inside RANGE_TOL, and f = rho V < 0 there
         rho[:] = 0.0
         rho[8], rho[9:14] = -1e-10, 0.5
-    return rho, 0.2 * rho, -0.1 * rho, u_rows, times
+    return rho, 0.2 * rho, -0.1 * rho, v_rows, times
 
 
 @pytest.mark.parametrize("model", PADDED_STEP_MODELS,
@@ -1053,7 +1057,7 @@ def test_padded_window_steps_match_the_full_width_steps(monkeypatch, model,
     # at an edge cell (so the ghosts are refreshed), a negative flux (so
     # each interface picks its donor)
     n, h = 24, 0.05
-    rho, v, w, u_rows, times = _padded_step_case(case, n)
+    rho, v, w, v_rows, times = _padded_step_case(case, n)
     fluxes = []
     real_marker = iteration.marker_step_arrays
 
@@ -1062,18 +1066,18 @@ def test_padded_window_steps_match_the_full_width_steps(monkeypatch, model,
         return real_marker(qe, re, flux, h, dt)
 
     monkeypatch.setattr(iteration, "marker_step_arrays", marker)
-    got, plan = iteration._march_slab(rho, v, w, times, u_rows, model, h,
+    got, plan = iteration._march_slab(rho, v, w, times, v_rows, model, h,
                                       0.5, 1.0)
     march_fluxes = fluxes[:]
-    ref, ref_plan = reference_march(rho, v, w, times, u_rows, model, h, 0.5,
+    ref, ref_plan = reference_march(rho, v, w, times, v_rows, model, h, 0.5,
                                     1.0)
     assert _same_iterate(got, ref)
     assert np.array([p[2:] for p in plan]).tobytes() \
         == np.array([p[2:] for p in ref_plan]).tobytes()
     levels = np.linspace(0.0, 1.0, 3)
-    assert iteration._replay_density(rho, u_rows, plan, model, h,
+    assert iteration._replay_density(rho, v_rows, 1.0, plan, model, h,
                                      levels).tobytes() \
-        == iteration._replay_density(rho, u_rows, ref_plan, model, h,
+        == iteration._replay_density(rho, v_rows, 1.0, ref_plan, model, h,
                                      levels).tobytes()
     windows = [p[:2] for p in plan]
     if case == "constant":
@@ -1087,6 +1091,80 @@ def test_padded_window_steps_match_the_full_width_steps(monkeypatch, model,
         assert windows[0][1] == n and got.rho[-1, -1] != rho[-1]
     else:
         assert min(f.min() for f in march_fluxes) < 0.0
+
+
+def _frozen_rows_read(rho, v_rows, times, u_inf, h):
+    """Per step of a march frozen at v_rows, and then of its replay: the
+    stored row s that the step marches towards, and rows s-1 and s of u
+    as the step read them from its block of derived rows."""
+    reads = []
+    real = iteration._marker_now
+
+    def marker_now(u_rows, s, *args):
+        reads.append((u_rows[s - 1].tobytes(), u_rows[s].tobytes()))
+        return real(u_rows, s, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iteration, "_marker_now", marker_now)
+        _, plan = iteration._march_slab(rho, 0.2 * rho, 0.1 * rho, times,
+                                        v_rows, GSH, h, 0.5, u_inf)
+        iteration._replay_density(rho, v_rows, u_inf, plan, GSH, h,
+                                  np.linspace(0.0, 1.0, 3))
+    return [(step[2], pair) for step, pair in zip(plan + plan, reads,
+                                                  strict=True)]
+
+
+def _assert_rows_read(reads, u_rows):
+    assert {s for s, _ in reads} == set(range(1, len(u_rows)))
+    for s, (before, after) in reads:
+        assert before == u_rows[s - 1].tobytes()
+        assert after == u_rows[s].tobytes()
+
+
+BLOCK_ROW_COUNTS = [2, 1 + iteration.U_BLOCK_ROWS, 12,
+                    1 + 4 * iteration.U_BLOCK_ROWS]
+
+
+def _v_rows(n, rows):
+    """rows x n marker slopes whose u = 1 + cumsum(v) / n stays positive."""
+    return np.random.default_rng(n + rows).uniform(-0.2, 0.5, (rows, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6144])
+@pytest.mark.parametrize("rows", BLOCK_ROW_COUNTS)
+def test_u_blocks_are_the_prefix_sums_row_by_row(n, rows):
+    # the blocks a march takes, the last one short unless the stored rows
+    # fill whole blocks, hold u = u_inf + h cumsum(v) bit for bit
+    h, v_rows = 1.0 / n, _v_rows(n, rows)
+    want = np.cumsum(v_rows, axis=1) * h + 1.0
+    step = iteration.U_BLOCK_ROWS
+    for j in range(0, rows - 1, step):
+        block = iteration._u_block(v_rows, j, h, 1.0)
+        assert block.shape == (min(step + 1, rows - j), n)
+        for k, row in enumerate(block):
+            assert row.tobytes() == want[j + k].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 6144])
+@pytest.mark.parametrize("rows", BLOCK_ROW_COUNTS)
+def test_block_derived_u_rows_are_the_prefix_sums(n, rows):
+    # every row that a march or a replay reads is the row of u derived
+    # from all rows at once
+    h, v_rows = 1.0 / n, _v_rows(n, rows)
+    rho = np.random.default_rng(n).uniform(0.1, 0.9, n)
+    times = np.linspace(0.0, 0.002, rows)
+    reads = _frozen_rows_read(rho, v_rows, times, 1.0, h)
+    _assert_rows_read(reads, np.cumsum(v_rows, axis=1) * h + 1.0)
+
+
+def test_block_derived_start_rows_are_the_state_u():
+    # the first march of a slab is frozen at the start rows, broadcast
+    _, grid, _, _, st0 = _smoke_context(n=1536)
+    times = np.linspace(0.0, 0.05, 12)
+    v_rows = np.broadcast_to(st0.v.values, (len(times), grid.n_cells))
+    reads = _frozen_rows_read(st0.rho.values, v_rows, times, st0.u_inf,
+                              grid.h)
+    _assert_rows_read(reads, [st0.u.values] * len(times))
 
 
 # The audit replay's batches: how many steps share a kernel call.
@@ -1103,14 +1181,14 @@ def _widened(plan, n):
     return [(0, n, *step[2:]) for step in plan]
 
 
-def _replays_by_budget(monkeypatch, rho, u_rows, plan, model, h, levels,
-                       budgets=BATCH_BUDGETS):
+def _replays_by_budget(monkeypatch, rho, v_rows, u_inf, plan, model, h,
+                       levels, budgets=BATCH_BUDGETS):
     """_replay_density's bytes at each of the budgets."""
     out = []
     for budget in budgets:
         monkeypatch.setattr(iteration, "AUDIT_BATCH_CELLS", budget)
-        out.append(iteration._replay_density(rho, u_rows, plan, model, h,
-                                             levels).tobytes())
+        out.append(iteration._replay_density(rho, v_rows, u_inf, plan, model,
+                                             h, levels).tobytes())
     return out
 
 
@@ -1154,10 +1232,10 @@ def test_slab_entropy_maxima_do_not_depend_on_the_batch_split(monkeypatch,
     solve_global(sc.data, grid, sc.t_final, model or sc.model())
     monkeypatch.undo()
     assert len(replays) >= 2
-    for rho, u_rows, plan, slab_model, h, levels in replays[:2]:
+    for rho, v_rows, u_inf, plan, slab_model, h, levels in replays[:2]:
         n = len(rho)
         assert any(b - a < n for a, b, *_ in plan)
-        got = [_replays_by_budget(monkeypatch, rho, u_rows, steps,
+        got = [_replays_by_budget(monkeypatch, rho, v_rows, u_inf, steps,
                                   slab_model, h, levels)
                for steps in (plan, _widened(plan, n))]
         assert len(set(got[0] + got[1])) == 1
@@ -1174,15 +1252,15 @@ def test_slab_entropy_maxima_do_not_depend_on_the_batch_split(monkeypatch,
        model=st.sampled_from(PADDED_STEP_MODELS[1:]))
 def test_generated_replays_do_not_depend_on_the_batch_split(data, model):
     # plateaus of 0.0 next to -0.0, narrow and full-width windows
-    rho, v, w, times, u_rows = data
+    rho, v, w, times, v_rows = data
     h = 0.05
     levels = np.linspace(0.0, 1.0, 11)
-    _, plan = iteration._march_slab(rho, v, w, times, u_rows, model, h, 0.5,
+    _, plan = iteration._march_slab(rho, v, w, times, v_rows, model, h, 0.5,
                                     0.25)
     # a budget of 7 cells also closes batches in the middle of a plan
     with pytest.MonkeyPatch.context() as mp:
-        got = [_replays_by_budget(mp, rho, u_rows, steps, model, h, levels,
-                                  (7, *BATCH_BUDGETS))
+        got = [_replays_by_budget(mp, rho, v_rows, 0.25, steps, model, h,
+                                  levels, (7, *BATCH_BUDGETS))
                for steps in (plan, _widened(plan, len(rho)))]
     assert len(set(got[0] + got[1])) == 1
 
@@ -1207,14 +1285,16 @@ def test_replay_memory_does_not_grow_with_the_steps(monkeypatch):
     x = (np.arange(n) + 0.5) * h
     rho = 0.4 + 0.3 * np.sin(2.0 * np.pi * x)
     times = np.linspace(0.0, 0.156, 5)
-    u_rows = np.tile(1.0 + 0.2 * x, (len(times), 1))
+    # the frozen u is about 1 + 0.2 x
+    v_rows = np.full((len(times), n), 0.2)
+    u_inf = 1.0 - 0.1 * h
     levels = np.linspace(0.0, 1.0, 11)
 
     def peak(cfl):
         _, plan = iteration._march_slab(rho, 0.2 * rho, 0.1 * rho, times,
-                                        u_rows, GSH, h, cfl, 1.0)
+                                        v_rows, GSH, h, cfl, u_inf)
         return len(plan), _traced_peak(iteration._replay_density, rho,
-                                       u_rows, plan, GSH, h, levels)
+                                       v_rows, u_inf, plan, GSH, h, levels)
 
     (short, short_peak), (long, long_peak) = peak(0.5), peak(0.125)
     assert (short, long) == (96, 384)
@@ -1246,12 +1326,14 @@ def test_replay_peak_is_a_few_batch_sized_arrays(monkeypatch):
 
 
 # scenario -> (entropy levels, largest peak of its solve at n = 1536, in
-# (snapshots_per_slab + 1) x n float arrays).  Measured 12.9 and 15.1,
-# 6.2 of them the returned states; 19.5 and 23.1 when every iterate was
-# kept whole and the last slab's through the next.  Keeping the previous
-# slab's iterate reads 16.9 and 19.1, iterate m-2's v and u 14.9 and
-# 17.1, and rho and v through the replay 17.1 (smoke)
-SOLVE_PEAKS = {"vacuum": (0, 13.9), "smoke": (11, 16.1)}
+# (snapshots_per_slab + 1) x n float arrays).  Measured 8.4 and 12.1,
+# 3.2 of them the returned states, which store rho, v and w.  States
+# that store u, z and psi too read 12.9 and 15.1 (6.2 held); 19.5 and
+# 23.1 when every iterate was kept whole and the last slab's through the
+# next
+SOLVE_PEAKS = {"vacuum": (0, 9.0), "smoke": (11, 13.0)}
+# what the returned states hold, in the same arrays
+SOLVE_HELD = 3.5
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_PEAKS))
@@ -1261,9 +1343,57 @@ def test_solve_holds_only_what_the_next_iterate_reads(name):
     grid = Grid(sc.grid.x_min, sc.grid.x_max, 1536)
     cfg = SlabConfig(entropy_levels=levels)
     array = (cfg.snapshots_per_slab + 1) * grid.n_cells * 8
-    peak = _traced_peak(solve_global, sc.data, grid, sc.t_final, sc.model(),
-                        cfg)
+    tracemalloc.start()
+    try:
+        traj = solve_global(sc.data, grid, sc.t_final, sc.model(), cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.states) == 33
     assert peak < bound * array
+    assert held < SOLVE_HELD * array
+
+
+def test_phi_takes_its_terms_in_the_previous_rows(monkeypatch):
+    # from a slab's second march on, Phi and the repeated-rows flag
+    # allocate no (stored times x n) float array: each of Phi's terms is
+    # taken in the previous iterate's rows, dead after it.  Only a slab's
+    # first Phi, whose previous rows are the broadcast start rows, needs a
+    # temporary (a full one reads 1.0 here)
+    sc = scenario("vacuum")
+    grid = Grid(sc.grid.x_min, sc.grid.x_max, 384)
+    cfg = SlabConfig(entropy_levels=0)
+    array = (cfg.snapshots_per_slab + 1) * grid.n_cells * 8
+    marks, rises = [], []  # per slab, per march: bytes traced at its end
+    real_march, real_slab = iteration._march_slab, iteration.picard_slab
+
+    def close():
+        # the peak rise since the slab's second or a later march ended
+        if len(marks[-1]) >= 2:
+            rises.append(tracemalloc.get_traced_memory()[1] - marks[-1][-1])
+
+    def march(*args):
+        close()
+        result = real_march(*args)
+        marks[-1].append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    def slab(*args, **kwargs):
+        marks.append([])
+        result = real_slab(*args, **kwargs)
+        close()
+        return result
+
+    monkeypatch.setattr(iteration, "_march_slab", march)
+    monkeypatch.setattr(iteration, "picard_slab", slab)
+    tracemalloc.start()
+    try:
+        solve_global(sc.data, grid, sc.t_final, sc.model(), cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == 2 * len(marks) == 8
+    assert max(rises) < 0.25 * array
 
 
 @pytest.mark.parametrize("tail", ["rho", "u"])
@@ -1275,15 +1405,17 @@ def test_windowed_march_range_check_sees_a_constant_tail(tail):
     rho = np.full(n, 0.4)
     rho[10:14] = 0.8
     times = np.linspace(0.0, 0.1, 3)
-    u_rows = np.ones((len(times), n))
+    # the frozen u = 1 + 0.05 cumsum(v_rows)
+    v_rows = np.zeros((len(times), n))
     if tail == "rho":
         rho[40:] = 1.0 + 1e-6
     else:
-        u_rows[:, 40:] = -1e-3
+        # u is about -1e-3 from cell 40 on
+        v_rows[:, 40] = -(1.0 + 1e-3) / 0.05
     messages = []
     for march in (iteration._march_slab, reference_march):
         with pytest.raises(InputRangeError) as err:
-            march(rho, 0.1 * rho, 0.2 * rho, times, u_rows, GSH, 0.05, 0.5,
+            march(rho, 0.1 * rho, 0.2 * rho, times, v_rows, GSH, 0.05, 0.5,
                   1.0)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
