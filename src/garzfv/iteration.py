@@ -8,9 +8,9 @@ the slab's start profile frozen in time.  Every later iterate m:
 2. transports both conserved markers v = rho z and w = rho psi with the
    density fluxes produced in step 1.
 
-An iterate is stored as (m, n) arrays of rho, v and w, row s holding the
-state at the slab's s-th stored time, so Phi below is one expression over
-whole iterates.  The next march derives u from the v rows by prefix sums.
+An iterate is stored as (m, n) arrays of rho, v and w (u is derived from
+v), row s holding the state at the slab's s-th stored time, so Phi below
+is one expression over whole iterates.
 
 A march steps only a window of cells.  A cell whose three-cell stencil is
 constant in rho, u, v and w cannot change in a step (the transport has
@@ -37,10 +37,9 @@ tracemalloc, 3.2 of them its returned states (12.9 and 6.2 with u stored).
 A march is a function of the slab's start state, its stored times and the
 marker rows it is frozen at, and a slab fixes the first two.  So when a
 march's v (so u) rows have the int64 bits of the rows it was frozen at, a
-flag taken right after it, its iterate and plan are every later
-iterate's, bit for bit, and no march follows; the Phi trace is unchanged.
-A constant marker (``shock``, ``rarefaction``) is u's fixed point after
-one march.
+flag taken right after it, its iterate and plan are every later iterate's
+and no march follows; the Phi trace is unchanged.  A constant marker
+(``shock``, ``rarefaction``) is u's fixed point after one march.
 
 The slab length tau0 = min(1/4, ln(3/2)/C_tilde) is advisory (see
 compute_tau0): Phi decides convergence, and the global driver halves tau0
@@ -87,9 +86,7 @@ MAX_TAU_HALVINGS = 5
 # at 3,072 and 55 ms at 4,096, for about 1.4 MB more peak RSS than the
 # per-call temporaries at 1,536
 AUDIT_BATCH_CELLS = 4096
-# stored rows per block of the frozen u that a march or a replay derives
-# at once, after the previous block's last row (see _u_block)
-U_BLOCK_ROWS = 8
+U_BLOCK_ROWS = 8  # stored rows of the frozen u a block derives at once
 
 
 @dataclass(frozen=True)
@@ -182,10 +179,9 @@ class SlabIterate:
 
     rho, v and w are (m, n) arrays whose row s is the state at times[s];
     influx[s] is the boundary influx accumulated from times[0] to times[s].
-    Its u is derived from the v rows where read (``_u_block``).  A slab
-    keeps an iterate whole only while it may be the result, and of the one
-    before it only its rho and v rows; mass and total variation are taken
-    once from the rho rows of the iterate it keeps.
+    A slab keeps an iterate whole only while it may be the result, and of
+    the one before it only its rho and v rows; mass and total variation
+    are taken once from the rho rows of the iterate it keeps.
     """
 
     times: np.ndarray
@@ -250,9 +246,8 @@ def _abs_row_sums(d: np.ndarray) -> np.ndarray:
 
 
 def _row_l1(prev, curr, h):
-    """h times the L1 norm of each row of prev - curr, taken in prev, dead
-    after it, unless it is the read-only start rows or curr itself (the
-    repeated iterate's rows).  |x - y| and |y - x| are the same bits."""
+    """h times the L1 norm of each row of prev - curr, taken in prev (dead
+    after it) unless prev is the read-only start rows or curr itself."""
     into = prev if prev.flags.writeable and prev is not curr else None
     return h * _abs_row_sums(np.subtract(prev, curr, out=into))
 
@@ -271,28 +266,45 @@ def _row_spans(rows: np.ndarray):
     return lo.tolist(), hi.tolist()
 
 
-def _u_block(v_rows, j, h, u_inf):
-    """Rows j to j + U_BLOCK_ROWS (fewer at the end) of the frozen u,
-    each u_inf + h cumsum(v) bit for bit."""
-    u = np.cumsum(v_rows[j:j + U_BLOCK_ROWS + 1], axis=1)
-    u *= h
-    u += u_inf
-    return u
+class _FrozenU:
+    """A march's frozen u, u_inf + h cumsum(v) of each v row bit for bit.
+    ``pair(s)`` is stored rows s-1 and s (s never decreasing); past its
+    block it derives rows s-1 to s-1 + U_BLOCK_ROWS (fewer at the end) by
+    a cumsum along rows, ``*= h`` and ``+= u_inf``.  ``span(s)`` is the
+    cell range [lo, hi) holding both rows' jumps (spans taken per block)."""
+
+    def __init__(self, v_rows, h, u_inf):
+        self.v_rows, self.h, self.u_inf = v_rows, h, u_inf
+        self.j = -U_BLOCK_ROWS - 1  # the stored row at rows[0]
+
+    def pair(self, s):
+        if s > self.j + U_BLOCK_ROWS:
+            self.j, self.spans = s - 1, None
+            self.rows = np.cumsum(self.v_rows[s - 1:s + U_BLOCK_ROWS], 1)
+            self.rows *= self.h
+            self.rows += self.u_inf
+        return self.rows[s - 1 - self.j], self.rows[s - self.j]
+
+    def span(self, s):
+        self.pair(s)
+        if self.spans is None:
+            self.spans = _row_spans(self.rows)
+        (u_lo, u_hi), k = self.spans, s - self.j
+        return min(u_lo[k - 1], u_lo[k]), max(u_hi[k - 1], u_hi[k])
 
 
-def _marker_now(u_rows, s, lam, a, b, ue):
-    """The padded u of window [a, b) at weight lam of row s of a block of
-    u: rows s-1 and s blended linearly on cells a-2 to b+1, row s-1
-    itself at lam = 0, written into the ghost-padded buffer ue (cell i at
-    ue[i + 2]) and returned as its view ue[a:b+4]."""
-    lo, hi = max(a - 2, 0), min(b + 2, u_rows.shape[1])
+def _marker_now(u_before, u_after, lam, a, b, ue):
+    """The padded u of window [a, b) at weight lam of u_after, blended
+    linearly with u_before on cells a-2 to b+1 (u_before at lam = 0) in
+    the ghost-padded buffer ue (cell i at ue[i + 2]); returns ue[a:b+4]."""
+    lo, hi = max(a - 2, 0), min(b + 2, len(u_before))
     cells = ue[lo + 2:hi + 2]
     if lam == 0.0:
-        cells[:] = u_rows[s - 1, lo:hi]
+        cells[:] = u_before[lo:hi]
     else:
         # (1 - lam) u + lam u', operation by operation
-        np.multiply(u_rows[s - 1, lo:hi], 1.0 - lam, out=cells)
-        cells += lam * u_rows[s, lo:hi]
+        np.multiply(u_before[lo:hi], 1.0 - lam, out=cells)
+        cells += lam * u_after[lo:hi]
     _refresh_ghosts(ue, lo, hi)
     return ue[a:b + 4]
 
@@ -308,8 +320,7 @@ def _refresh_ghosts(state, a, b):
 
 def _march_slab(rho, v, w, times, v_rows, model, h, cfl, u_inf):
     """March (rho, v, w) through all stored times with the marker field
-    frozen at the previous iterate's u (derived from its v_rows and u_inf
-    by ``_u_block``), linear in t between rows.
+    frozen at the u of v_rows (the previous iterate's), linear in t.
 
     Returns (SlabIterate, plan), plan listing each step's (a, b, s, lam,
     dt, speed): its window [a, b), the stored row s it marches towards,
@@ -337,9 +348,8 @@ def _march_slab(rho, v, w, times, v_rows, model, h, cfl, u_inf):
 
     The window is kept without a full-width scan per step.  After a step
     on [a, b) the jumps of (rho, v, w) lie in [a-1, b+1); one exact scan
-    of the window at each stored time re-tightens it.  u_now is
-    interpolated between rows s-1 and s of u, so its jumps lie in the
-    union of their spans, taken once per block of u rows.
+    of the window at each stored time re-tightens it.  u_now blends rows
+    s-1 and s of u, so its jumps lie in the union of their spans.
 
     (rho, v, w) are kept as one (3, n+4) array with two copy ghosts per
     side, cell i at column i + 2, and u_now is blended into a padded
@@ -358,8 +368,7 @@ def _march_slab(rho, v, w, times, v_rows, model, h, cfl, u_inf):
     cells = state[:, 2:-2]
     ue = np.empty(n + 4)  # u_now, ghost-padded
     plan = []
-    j = -U_BLOCK_ROWS - 1  # the first stored row of the u block
-    influx = 0.0
+    frozen, influx = _FrozenU(v_rows, h, u_inf), 0.0
     tlist = times.tolist()
     t = tlist[0]
     time_tol = 1e-13 * max(1.0, abs(tlist[-1]))
@@ -367,17 +376,14 @@ def _march_slab(rho, v, w, times, v_rows, model, h, cfl, u_inf):
     # the scan of all cells after it sets the window [lo, hi) of (rho, v, w)
     lo, hi = 0, n
     for s, t_next in enumerate(tlist):
+        if s:  # rows s-1 and s of u, once per stored time
+            u_pair, (u_lo, u_hi) = frozen.pair(s), frozen.span(s)
         while t_next - t > time_tol:
             # t lies in [times[s-1], times[s])
-            if s > j + U_BLOCK_ROWS:
-                j, u_rows = s - 1, _u_block(v_rows, s - 1, h, u_inf)
-                u_lo, u_hi = _row_spans(u_rows)
-            a = min(lo, u_lo[s - 1 - j], u_lo[s - j])
-            b = max(hi, u_hi[s - 1 - j], u_hi[s - j])
-            if a >= b:
-                a, b = 0, 1
+            a, b = min(lo, u_lo), max(hi, u_hi)
+            a, b = (a, b) if a < b else (0, 1)
             lam = (t - tlist[s - 1]) / (t_next - tlist[s - 1])
-            u_now = _marker_now(u_rows, s - j, lam, a, b, ue)
+            u_now = _marker_now(*u_pair, lam, a, b, ue)
             re, qe = state[0, a:b + 4], state[1:, a:b + 4]
             speed = max_speed(re[2:-2], u_now[2:-2], model)
             dt_stable = cfl * h / speed
@@ -422,8 +428,7 @@ def _audit_batches(plan):
 def _replay_density(rho, v_rows, u_inf, plan, model, h, levels):
     """Audit the density steps that a march from rho frozen at the u of
     (v_rows, u_inf) logged in plan: re-run each and return, per entropy
-    level in levels, the largest residual over the steps (-inf with no
-    step).
+    level in levels, the largest residual over the steps (-inf if none).
 
     The density step reads neither v nor w, so each replayed step gets the
     march's (rho_old, u_now, dt, speed) bit for bit.  The march has
@@ -457,20 +462,17 @@ def _replay_density(rho, v_rows, u_inf, plan, model, h, levels):
     """
     n = len(rho)
     rho = pad2(rho)  # ghost-padded, as are the buffers of _march_slab
-    ue = np.empty(n + 4)
+    ue, frozen = np.empty(n + 4), _FrozenU(v_rows, h, u_inf)
     entropy_max = np.full(len(levels), -math.inf)
     batches = _audit_batches(plan)
     # a step of m cells has m + 1 interfaces
     faces = max((sum(b - a + 1 for a, b, *_ in plan[lo:hi])
                  for lo, hi in batches), default=0)
     workspace = AuditWorkspace(len(levels) * faces)
-    j = -U_BLOCK_ROWS - 1
     for lo, hi in batches:
         batch = []
         for a, b, s, lam, dt, speed in plan[lo:hi]:
-            if s > j + U_BLOCK_ROWS:
-                j, u_rows = s - 1, _u_block(v_rows, s - 1, h, u_inf)
-            u_now = _marker_now(u_rows, s - j, lam, a, b, ue)
+            u_now = _marker_now(*frozen.pair(s), lam, a, b, ue)
             re = rho[a:b + 4]
             rho_new, _, parts = density_step_arrays(re, u_now, h, dt, model,
                                                     speed)

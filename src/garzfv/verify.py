@@ -118,8 +118,7 @@ def _bounds_checks(traj: Trajectory, ctx: ProblemContext) -> list:
 
 
 def _prefix_checks(traj: Trajectory) -> list:
-    """u and z against their prefix sums, by which a state derives them
-    from v and w; the details keep the text every run's report holds."""
+    """u and z against the prefix sums a state derives them by."""
     h = traj.grid.h
     worst_u = 0.0
     worst_z = 0.0

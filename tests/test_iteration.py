@@ -968,10 +968,13 @@ def _march_inputs(draw):
                         st.floats(0.0, 1.0))
     ratio = st.one_of(st.sampled_from([0.0, -0.0, 0.3]),
                       st.floats(-1.0, 1.0))
-    # slopes of the frozen u = 0.25 + h cumsum(v), which stays positive;
-    # u is constant where they are zeros
+    # the frozen u = u_inf + h cumsum(v) at h = 0.05 stays in [0, 2.1]
+    # for u_inf of +-0.0, whose slopes are not negative (u is -0.0 on a
+    # leading run of -0.0 slopes after u_inf = -0.0), and in [0.1, 3.1]
+    # for u_inf >= 0.25; u is constant where the slopes are zeros
+    u_inf = draw(st.sampled_from([0.0, -0.0, 0.25, 1.0]))
     slope = st.one_of(st.sampled_from([0.0, -0.0, 0.5]),
-                      st.floats(-0.05, 0.5))
+                      st.floats(-0.05 if u_inf else 0.0, 0.7))
     rho = draw(_field(n, density))
     # markers dominated by the density, as v = rho z and w = rho psi are
     v = rho * draw(_field(n, ratio))
@@ -982,12 +985,15 @@ def _march_inputs(draw):
                           min_size=1, max_size=5))
     times = np.cumsum([draw(st.floats(0.0, 1.0)), *steps])
     # v rows of the previous iterate: one field, a plateau changed in some
-    v_rows = np.tile(draw(_field(n, slope)), (len(times), 1))
+    field = draw(_field(n, slope))
+    if not u_inf and draw(st.booleans()):
+        field[:draw(st.integers(1, n))] = -0.0  # where u is u_inf's zero
+    v_rows = np.tile(field, (len(times), 1))
     for row in v_rows:
         if draw(st.booleans()):
             a = draw(st.integers(0, n - 1))
             row[a:draw(st.integers(a + 1, n))] = draw(slope)
-    return rho, v, w, times, v_rows
+    return rho, v, w, times, v_rows, u_inf
 
 
 @settings(max_examples=60, deadline=None)
@@ -997,18 +1003,18 @@ def _march_inputs(draw):
        levels=st.sampled_from([0, 3]))
 def test_windowed_march_matches_the_full_width_march(data, model, cfl,
                                                      levels):
-    rho, v, w, times, v_rows = data
+    rho, v, w, times, v_rows, u_inf = data
     h = 0.05
     k_levels = np.linspace(0.0, 1.0, levels)
     got, plan = iteration._march_slab(rho, v, w, times, v_rows, model, h,
-                                      cfl, 0.25)
+                                      cfl, u_inf)
     ref, ref_plan, ref_maxima = audited_reference_march(
-        rho, v, w, times, v_rows, model, h, cfl, 0.25, k_levels)
+        rho, v, w, times, v_rows, model, h, cfl, u_inf, k_levels)
     assert _same_iterate(got, ref)
     # the window proof: neither dt nor the CFL speed depends on the window
     assert np.array([p[2:] for p in plan]).tobytes() \
         == np.array([p[2:] for p in ref_plan]).tobytes()
-    maxima = (iteration._replay_density(rho, v_rows, 0.25, plan, model, h,
+    maxima = (iteration._replay_density(rho, v_rows, u_inf, plan, model, h,
                                         k_levels)
               if levels else np.full(0, -np.inf))
     assert maxima.tobytes() == ref_maxima.tobytes()
@@ -1100,9 +1106,9 @@ def _frozen_rows_read(rho, v_rows, times, u_inf, h):
     reads = []
     real = iteration._marker_now
 
-    def marker_now(u_rows, s, *args):
-        reads.append((u_rows[s - 1].tobytes(), u_rows[s].tobytes()))
-        return real(u_rows, s, *args)
+    def marker_now(u_before, u_after, *args):
+        reads.append((u_before.tobytes(), u_after.tobytes()))
+        return real(u_before, u_after, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(iteration, "_marker_now", marker_now)
@@ -1132,17 +1138,24 @@ def _v_rows(n, rows):
 
 @pytest.mark.parametrize("n", [1, 2, 6144])
 @pytest.mark.parametrize("rows", BLOCK_ROW_COUNTS)
-def test_u_blocks_are_the_prefix_sums_row_by_row(n, rows):
+@pytest.mark.parametrize("skip", [1, 3])
+def test_u_blocks_are_the_prefix_sums_row_by_row(n, rows, skip):
     # the blocks a march takes, the last one short unless the stored rows
-    # fill whole blocks, hold u = u_inf + h cumsum(v) bit for bit
+    # fill whole blocks, hold u = u_inf + h cumsum(v) bit for bit, also
+    # when stored rows are skipped (times a march takes no step towards),
+    # and give the union of the spans of the two rows a step reads (a
+    # one-cell row has none: _row_spans fails on it, as a march on one
+    # cell does)
     h, v_rows = 1.0 / n, _v_rows(n, rows)
     want = np.cumsum(v_rows, axis=1) * h + 1.0
-    step = iteration.U_BLOCK_ROWS
-    for j in range(0, rows - 1, step):
-        block = iteration._u_block(v_rows, j, h, 1.0)
-        assert block.shape == (min(step + 1, rows - j), n)
-        for k, row in enumerate(block):
-            assert row.tobytes() == want[j + k].tobytes()
+    frozen = iteration._FrozenU(v_rows, h, 1.0)
+    for s in range(1, rows, skip):
+        before, after = frozen.pair(s)
+        assert before.tobytes() == want[s - 1].tobytes()
+        assert after.tobytes() == want[s].tobytes()
+        if n > 1:
+            lo, hi = iteration._row_spans(want[s - 1:s + 1])
+            assert frozen.span(s) == (min(lo), max(hi))
 
 
 @pytest.mark.parametrize("n", [2, 6144])
@@ -1252,14 +1265,14 @@ def test_slab_entropy_maxima_do_not_depend_on_the_batch_split(monkeypatch,
        model=st.sampled_from(PADDED_STEP_MODELS[1:]))
 def test_generated_replays_do_not_depend_on_the_batch_split(data, model):
     # plateaus of 0.0 next to -0.0, narrow and full-width windows
-    rho, v, w, times, v_rows = data
+    rho, v, w, times, v_rows, u_inf = data
     h = 0.05
     levels = np.linspace(0.0, 1.0, 11)
     _, plan = iteration._march_slab(rho, v, w, times, v_rows, model, h, 0.5,
-                                    0.25)
+                                    u_inf)
     # a budget of 7 cells also closes batches in the middle of a plan
     with pytest.MonkeyPatch.context() as mp:
-        got = [_replays_by_budget(mp, rho, v_rows, 0.25, steps, model, h,
+        got = [_replays_by_budget(mp, rho, v_rows, u_inf, steps, model, h,
                                   levels, (7, *BATCH_BUDGETS))
                for steps in (plan, _widened(plan, len(rho)))]
     assert len(set(got[0] + got[1])) == 1
