@@ -16,14 +16,14 @@ from .core import (CellField, Grid, InitialData, Piece, SystemState,
 from .errors import (CflViolationError, ConfigError, DegeneratePairError,
                      GarzError, GridMismatchError, InputRangeError,
                      InvalidDataError, ModelValidationError,
-                     PicardDivergenceError, ViscousInstabilityError)
+                     PicardDivergenceError)
 from .iteration import (PicardTrace, ProblemContext, SlabConfig, Trajectory,
                         compute_M0, compute_tau0, compute_tilde_C,
                         make_context, picard_slab, solve_global)
 from .model import (CustomVelocityModel, GreenshieldsModel, ModelBounds,
                     PowerLawModel, VelocityModel, make_model,
                     require_valid_model, validate_model)
-from .oracle import lwr_riemann_exact, riemann_initial_data, viscous_solve
+from .oracle import follow_the_leader, lwr_riemann_exact, riemann_initial_data
 from .scalar import godunov_flux, max_speed
 from .scenarios import SCENARIO_NAMES, Scenario, perturb_data, scenario
 from .verify import (CheckResult, ConvergenceTable, RunReport,

@@ -91,7 +91,11 @@ class CellField:
     grid: Grid
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        try:
+            vals = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidDataError(
+                f"cell field values must be real numbers: {exc}") from None
         if vals.shape != (self.grid.n_cells,):
             raise GridMismatchError(
                 f"field has {vals.shape} values for {self.grid.n_cells} cells")

@@ -29,10 +29,6 @@ class ModelValidationError(GarzError, RuntimeError):
         self.report = report
 
 
-class ViscousInstabilityError(GarzError, RuntimeError):
-    """The viscous reference solve produced non-finite values."""
-
-
 class DegeneratePairError(GarzError, ValueError):
     """Stability measurement needs two distinct initial data."""
 

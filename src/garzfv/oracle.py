@@ -5,22 +5,22 @@ the main solver:
 
 * exact Riemann solutions of the frozen-marker density equation for every
   admissible closure, by Osher's formula;
-* a viscous regularization marcher (centered flux plus eps * d_xx) whose
-  solutions approach the entropy solution as eps -> 0.
+* the follow-the-leader particle limit of the coupled system, for data
+  whose density has compact support and whose marker u varies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Grid, InitialData, SystemState, build_initial_state, \
-    require_count, require_real, state_from_arrays
-from .errors import InputRangeError, ViscousInstabilityError
+from .core import InitialData, Piece, require_real
+from .errors import InputRangeError, InvalidDataError
 from .model import VelocityModel
 
 LATTICE = 1025      # samples of the flux between the two states
-BISECTIONS = 60     # halvings of one lattice cell, below rounding
+BISECTIONS = 60     # halvings of a bracket, to below rounding
 TANGENT_PASSES = 3  # chord-tangent updates of each shock speed
+VEHICLES = 2000     # N: the particle reference moves N + 1 vehicles
 
 
 def _descend(slope, r, i, eta):
@@ -38,6 +38,19 @@ def _descend(slope, r, i, eta):
         lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
     out[move] = 0.5 * (lo + hi)
     return out
+
+
+def _positions(x) -> np.ndarray:
+    """x as a float array of positions; InputRangeError unless they are
+    real numbers and none is NaN."""
+    x = np.atleast_1d(np.asarray(x))
+    if x.dtype.kind not in "biuf":
+        raise InputRangeError(
+            f"positions x must be real numbers, got dtype {x.dtype}")
+    x = x.astype(float, copy=False)
+    if np.isnan(x).any():
+        raise InputRangeError("positions x must not be NaN")
+    return x
 
 
 def lwr_riemann_exact(rho_left: float, rho_right: float, u_bar: float,
@@ -62,13 +75,7 @@ def lwr_riemann_exact(rho_left: float, rho_right: float, u_bar: float,
     rho_right = require_real("rho_right", rho_right, 0, 1)
     u_bar = require_real("u_bar", u_bar, 0)
     t = require_real("t", t, 0)
-    x = np.atleast_1d(np.asarray(x))
-    if x.dtype.kind not in "biuf":
-        raise InputRangeError(
-            f"positions x must be real numbers, got dtype {x.dtype}")
-    x = x.astype(float, copy=False)
-    if np.isnan(x).any():
-        raise InputRangeError("positions x must not be NaN")
+    x = _positions(x)
     if t == 0.0 or rho_left == rho_right:
         return np.where(x < 0.0, rho_left, rho_right)
     s = 1.0 if rho_left < rho_right else -1.0
@@ -110,7 +117,7 @@ def riemann_initial_data(rho_left: float, rho_right: float, u_bar: float,
     The marker profile is the constant u_bar, encoded as u_inf = u_bar with
     no density-weighted slope pieces.
     """
-    from .core import Piece
+    x_min, x_max = require_real("x_min", x_min), require_real("x_max", x_max)
     if not x_min < 0.0 < x_max:
         raise InputRangeError("the jump sits at x = 0; need x_min < 0 < x_max")
     pieces = (Piece.const(x_min, 0.0, rho_left),
@@ -119,93 +126,83 @@ def riemann_initial_data(rho_left: float, rho_right: float, u_bar: float,
                        u_inf=u_bar)
 
 
-def _viscous_state(t, rho, u, psi, u_inf, z_inf, h, grid) -> SystemState:
-    """Package point fields as a SystemState with exact prefix identities.
+def _pieces_at(pieces, x):
+    """Value and exact primitive (from -inf) at x of the profile that is
+    linear on each piece and 0 off them."""
+    value, primitive = np.zeros(x.shape), np.zeros(x.shape)
+    for p in pieces:
+        slope = (p.v_right - p.v_left) / (p.x_right - p.x_left)
+        s = np.clip(x, p.x_left, p.x_right) - p.x_left
+        primitive += s * (p.v_left + 0.5 * slope * s)
+        value += np.where((x >= p.x_left) & (x < p.x_right),
+                          p.v_left + slope * s, 0.0)
+    return value, primitive
 
-    v is the backward difference of u (so u_inf + h cumsum v telescopes back
-    to u exactly) and w = rho psi.
+
+def _vehicles(data: InitialData, model: VelocityModel, t: float):
+    """Positions at time t of the VEHICLES + 1 vehicles, and the mass ell
+    of each gap.  Vehicle i starts at the mass quantile i ell with the u_i
+    that dz = psi dm and du = z dm give (psi at the gaps' mass midpoints),
+    and moves at V(ell / gap, u_i), the leader at V(0, u_N), by RK4 steps
+    of the smallest gap over the top speed."""
+    lo, hi = data.support()
+    ell = _pieces_at(data.rho_pieces, np.array([hi]))[1][0] / VEHICLES
+    # quantiles k ell / 2 by bisection: vehicles at even k, gaps at odd k
+    target = 0.5 * ell * np.arange(2 * VEHICLES + 1)
+    a, b = np.full(target.shape, lo), np.full(target.shape, hi)
+    for _ in range(BISECTIONS):
+        mid = 0.5 * (a + b)
+        above = _pieces_at(data.rho_pieces, mid)[1] >= target
+        a, b = np.where(above, a, mid), np.where(above, mid, b)
+    x = b[::2]
+    z = data.z_inf + ell * np.cumsum(
+        np.append(0.0, _pieces_at(data.psi_pieces, b[1::2])[0]))
+    u = data.u_inf + ell * np.cumsum(np.append(0.0, 0.5 * (z[1:] + z[:-1])))
+
+    def speed(x):  # a closure need not be defined above rho = 1
+        rho = np.append(np.minimum(ell / np.diff(x), 1.0), 0.0)
+        return model.velocity(rho, u)
+
+    top = float(np.max(model.velocity(np.zeros(u.shape), u)))
+    s = 0.0
+    while s < t and top > 0.0:
+        dt = min(float(np.diff(x).min()) / top, t - s)
+        k1 = speed(x)
+        k2 = speed(x + 0.5 * dt * k1)
+        k3 = speed(x + 0.5 * dt * k2)
+        k4 = speed(x + dt * k3)
+        x = x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        s += dt
+    return x, ell
+
+
+def follow_the_leader(data: InitialData, model: VelocityModel, t: float, x):
+    """Cell averages at time t of the follow-the-leader particle limit, x
+    the centres of a uniform grid as ``convergence_study`` passes them.
+
+    u is constant along vehicle paths, so VEHICLES vehicles, each with its
+    own u, follow the coupled system: Aw, Klar, Materne and Rascle (SIAM
+    J. Appl. Math. 63 (2002) 259-278) derive ARZ from this limit, and Di
+    Francesco and Rosini (Arch. Ration. Mech. Anal. 217 (2015) 831-871)
+    prove it for LWR.  Averages come from the vehicles' piecewise-linear
+    cumulative mass; only ``model.velocity`` is called.  InvalidDataError
+    unless rho0 vanishes on the first and the last cell.
     """
-    rho = np.clip(rho, 0.0, 1.0)
-    v = np.empty_like(u)
-    v[0] = (u[0] - u_inf) / h
-    v[1:] = np.diff(u) / h
-    w = rho * psi
-    return state_from_arrays(t, rho, v, w, z_inf, u_inf, grid)
-
-
-def viscous_solve(data: InitialData, eps: float, grid: Grid, t_final: float,
-                  model: VelocityModel, cfl: float = 0.4,
-                  n_output: int = 8) -> list:
-    """March the eps-regularized system to t_final; states at a cadence.
-
-    Density: d_t rho + d_x (rho V) = eps d_xx rho with centered flux
-    differences.  Marker fields u and psi: centered advection at speed V
-    plus the same diffusion.  Zero-gradient ghost cells on both ends; the
-    compact-support margins of the datum keep the boundaries inactive.
-
-    Requires eps >= h (resolved viscosity); the scheme is then monotone for
-    every closure with max |d_rho flux| <= 2, and blowup raises
-    ViscousInstabilityError regardless.  Returns n_output+1 states at
-    uniform times 0 .. t_final.
-    """
-    eps = require_real("eps", eps, 0, open_lo=True)
-    if eps < grid.h:
+    t = require_real("t", t, 0)
+    x = _positions(x)
+    h = (x[-1] - x[0]) / (len(x) - 1) if len(x) > 1 else 0.0
+    if not h > 0.0 or np.ptp(np.diff(x)) > 1e-9 * h:
         raise InputRangeError(
-            f"unresolved viscosity: eps={eps:g} < h={grid.h:g}; "
-            "refine the grid or increase eps")
-    require_real("cfl", cfl, 0, 1, open_lo=True)
-    t_final = require_real("t_final", t_final, 0)
-    require_count("n_output", n_output, 1)
-    state0 = build_initial_state(data, grid)
-    h = grid.h
-    rho = state0.rho.values.copy()
-    u = state0.u.values.copy()
-    psi = state0.psi.values.copy()
-
-    out_times = np.linspace(0.0, t_final, n_output + 1)
-    states = [state0]
-    t = 0.0
-    time_tol = 1e-13 * max(1.0, t_final)
-    for t_next in out_times[1:]:
-        t_next = float(t_next)
-        while t_next - t > time_tol:
-            rho_e = np.concatenate(([rho[0]], rho, [rho[-1]]))
-            u_e = np.concatenate(([u[0]], u, [u[-1]]))
-            psi_e = np.concatenate(([psi[0]], psi, [psi[-1]]))
-
-            # flux range-checks rho and u before the closure sees them
-            f = model.flux(rho_e, u_e)
-            lam1 = model.velocity(rho, u) + rho * model.d_rho(rho, u)
-            speed = max(float(np.max(np.abs(lam1))),
-                        float(np.max(np.abs(u))), 1e-12)
-            remaining = t_next - t
-            dt = min(cfl * h / speed, 0.25 * h * h / eps, remaining)
-
-            lap_rho = (rho_e[2:] - 2.0 * rho_e[1:-1] + rho_e[:-2]) / (h * h)
-            rho_new = rho - dt * (f[2:] - f[:-2]) / (2.0 * h) \
-                + dt * eps * lap_rho
-
-            vel = model.velocity(rho, u)
-            adv_u = (u_e[2:] - u_e[:-2]) / (2.0 * h)
-            lap_u = (u_e[2:] - 2.0 * u_e[1:-1] + u_e[:-2]) / (h * h)
-            u_new = u - dt * vel * adv_u + dt * eps * lap_u
-            adv_psi = (psi_e[2:] - psi_e[:-2]) / (2.0 * h)
-            lap_psi = (psi_e[2:] - 2.0 * psi_e[1:-1] + psi_e[:-2]) / (h * h)
-            psi_new = psi - dt * vel * adv_psi + dt * eps * lap_psi
-
-            if not (np.all(np.isfinite(rho_new))
-                    and np.all(np.isfinite(u_new))
-                    and np.all(np.isfinite(psi_new))):
-                raise ViscousInstabilityError(
-                    f"non-finite values at t={t:.6g} with eps={eps:g}, "
-                    f"h={h:g}")
-            if rho_new.min() < -0.1 or rho_new.max() > 1.1:
-                raise ViscousInstabilityError(
-                    f"density left [0, 1] by more than 0.1 at t={t:.6g}; "
-                    f"increase eps (currently {eps:g}, h={h:g})")
-            rho, u, psi = rho_new, u_new, psi_new
-            t = t_next if dt >= remaining * (1.0 - 1e-12) else t + dt
-        t = t_next
-        states.append(_viscous_state(t_next, rho, u, psi, state0.u_inf,
-                                     state0.z_inf, h, grid))
-    return states
+            "positions x must be the increasing centres of a uniform grid")
+    edges = np.append(x - 0.5 * h, x[-1] + 0.5 * h)
+    mass = _pieces_at(data.rho_pieces,
+                      np.array([edges[1], edges[-2], data.support()[1]]))[1]
+    if mass[0] > 0.0 or mass[1] < mass[2]:
+        raise InvalidDataError(
+            "the particle reference needs a density that vanishes on the "
+            "first and the last cell")
+    if mass[2] == 0.0:
+        return np.zeros(len(x))
+    vehicles, ell = _vehicles(data, model, t)
+    cumulative = np.interp(edges, vehicles, ell * np.arange(VEHICLES + 1))
+    return np.diff(cumulative) / h

@@ -126,6 +126,13 @@ def test_distance_requires_shared_grid():
         l1_distance(a, b)
 
 
+@pytest.mark.parametrize("values", [["a"] * 4, [1j] * 4, [object()] * 4],
+                         ids=["str", "complex", "object"])
+def test_cell_field_rejects_values_that_are_not_real_numbers(values):
+    with pytest.raises(InvalidDataError, match="must be real numbers"):
+        CellField(values, Grid(0.0, 1.0, 4))
+
+
 def test_build_initial_state_prefix_sums_by_hand():
     # rho = 0.5 on [-1,1], psi = 0, z_inf = 1:  z stays 1, u climbs
     # from 1 to 2 across the support (integral of rho * z = 0.5 * 2 * 1)

@@ -30,6 +30,7 @@ from garzfv import (
     compute_tau0,
     compute_tilde_C,
     convergence_study,
+    follow_the_leader,
     l1_distance,
     lwr_riemann_exact,
     make_context,
@@ -42,7 +43,6 @@ from garzfv import (
     total_variation,
     uniqueness_check,
     validate_model,
-    viscous_solve,
 )
 from garzfv import cli, iteration
 from garzfv.core import CellField
@@ -697,15 +697,15 @@ NON_REAL_VALUES = {
     "lwr_riemann_exact t": (
         InputRangeError, "t",
         lambda sc, x: lwr_riemann_exact(0.8, 0.2, 1.0, GSH, x, [0.0])),
-    "viscous_solve eps": (
-        InputRangeError, "eps",
-        lambda sc, x: viscous_solve(sc.data, x, sc.grid, 0.1, GSH)),
-    "viscous_solve cfl": (
-        InputRangeError, "cfl",
-        lambda sc, x: viscous_solve(sc.data, 0.5, sc.grid, 0.1, GSH, cfl=x)),
-    "viscous_solve t_final": (
-        InputRangeError, "t_final",
-        lambda sc, x: viscous_solve(sc.data, 0.5, sc.grid, x, GSH)),
+    "follow_the_leader t": (
+        InputRangeError, "t",
+        lambda sc, x: follow_the_leader(sc.data, GSH, x, sc.grid.centers())),
+    "riemann_initial_data x_min": (
+        InputRangeError, "x_min",
+        lambda sc, x: riemann_initial_data(0.2, 0.8, 1.0, x, 1.0)),
+    "riemann_initial_data x_max": (
+        InputRangeError, "x_max",
+        lambda sc, x: riemann_initial_data(0.2, 0.8, 1.0, -1.0, x)),
     "entropy_residual_arrays k": (
         InputRangeError, "entropy level k",
         lambda sc, x: entropy_residual_arrays(np.full(8, 0.5),

@@ -1,4 +1,5 @@
-"""Reference solutions: exact constant-marker Riemann and viscous solves."""
+"""Reference solutions: exact constant-marker Riemann solutions and the
+follow-the-leader particle limit of the coupled system."""
 import numpy as np
 import pytest
 
@@ -7,13 +8,19 @@ from garzfv import (
     CustomVelocityModel,
     GreenshieldsModel,
     Grid,
+    InitialData,
     InputRangeError,
+    InvalidDataError,
+    Piece,
     PowerLawModel,
+    follow_the_leader,
     lwr_riemann_exact,
     riemann_initial_data,
+    scenario,
     validate_model,
-    viscous_solve,
 )
+from garzfv import oracle
+from garzfv.oracle import _vehicles
 
 GSH = GreenshieldsModel()
 # closures whose frozen-marker flux is not concave: the power law with
@@ -167,56 +174,59 @@ def test_riemann_initial_data_shape():
     assert data.psi_pieces == ()
 
 
-def test_viscous_constant_datum_stays_constant():
-    g = Grid(-2.0, 2.0, 64)
-    data = riemann_initial_data(0.5, 0.5, 1.0, -2.0, 2.0)
-    states = viscous_solve(data, eps=4 * g.h, grid=g, t_final=0.5, model=GSH,
-                           n_output=4)
-    assert len(states) == 5
-    for st in states:
-        assert np.abs(st.rho.values - 0.5).max() < 1e-12
-        assert np.abs(st.u.values - 1.0).max() < 1e-12
+@pytest.mark.parametrize("name", ["smoke", "vacuum"])
+def test_particles_keep_mass_order_and_unit_interval(name):
+    # the cumulative mass runs from 0 to N ell = ||rho0||_L1 across the
+    # vehicles, and a gap never holds more than its length: ell <= gap
+    sc = scenario(name)
+    h = sc.grid.h
+    mass = sum(0.5 * (p.v_left + p.v_right) * (p.x_right - p.x_left)
+               for p in sc.data.rho_pieces)
+    for t in (0.0, 1.0):
+        rho = follow_the_leader(sc.data, GSH, t, sc.grid.centers())
+        assert h * rho.sum() == pytest.approx(mass, abs=1e-12)
+        assert rho.min() >= 0.0 and rho.max() <= 1.0 + 1e-12
+        x, ell = _vehicles(sc.data, GSH, t)
+        assert np.diff(x).min() >= ell * (1.0 - 1e-9)
 
 
-def test_viscous_shock_is_smoothed_monotone():
-    g = Grid(-4.0, 4.0, 256)
-    data = riemann_initial_data(0.2, 0.8, 1.0, -4.0, 4.0)
-    states = viscous_solve(data, eps=4 * g.h, grid=g, t_final=1.0, model=GSH,
-                           n_output=2)
-    rho = states[-1].rho.values
-    assert np.all(np.diff(rho) >= -1e-12)
-    assert rho[0] == pytest.approx(0.2, abs=1e-6)
-    assert rho[-1] == pytest.approx(0.8, abs=1e-6)
-    # genuinely smoothed: largest jump well below the inviscid one
-    assert np.abs(np.diff(rho)).max() < 0.2
+def test_particles_match_the_exact_block_until_its_waves_meet():
+    # plateau 0.6 on [-1, 1], u = 1: the shock at -1 + 0.4 t meets the fan
+    # head at 1 - 0.2 t only at t = 10/3, so t = 3 is just before.  Exact
+    # cell averages from 64 samples per cell; the particles' own error
+    # stays below 10 vehicle masses, a fifth of the solver's smallest gap
+    # in criterion 5(c)
+    data = InitialData(rho_pieces=(Piece.const(-1.0, 1.0, 0.6),), u_inf=1.0)
+    g = Grid(-3.0, 3.0, 240)
+    t, ell = 3.0, 1.2 / oracle.VEHICLES
+    xs = (g.edges()[:-1, None] + (np.arange(64) + 0.5) / 64 * g.h)
+    exact = np.where(xs < 0.1 * t,
+                     lwr_riemann_exact(0.0, 0.6, 1.0, GSH, t, xs + 1.0),
+                     lwr_riemann_exact(0.6, 0.0, 1.0, GSH, t, xs - 1.0))
+    got = follow_the_leader(data, GSH, t, g.centers())
+    assert g.h * np.abs(got - exact.mean(axis=1)).sum() < 10.0 * ell
 
 
-def test_viscous_maximum_principles():
-    sc_like = riemann_initial_data(0.7, 0.1, 1.0, -4.0, 4.0)
-    g = Grid(-4.0, 4.0, 192)
-    states = viscous_solve(sc_like, eps=4 * g.h, grid=g, t_final=1.0,
-                           model=GSH, n_output=4)
-    for st in states:
-        assert st.rho.values.min() >= -1e-8
-        assert st.rho.values.max() <= 1.0 + 1e-8
-        assert st.u.values.max() <= 1.0 + 1e-8
+def test_particles_leave_still_and_empty_data_at_rest():
+    # u = 0 moves no vehicle, and a datum without mass has no vehicles
+    g = Grid(-3.0, 3.0, 60)
+    block = InitialData(rho_pieces=(Piece.const(-1.0, 1.0, 0.6),))
+    at_rest = follow_the_leader(block, GSH, 2.0, g.centers())
+    assert np.abs(at_rest - np.where(np.abs(g.centers()) < 1.0, 0.6, 0.0)
+                  ).max() < 1e-12
+    assert np.all(follow_the_leader(InitialData(()), GSH, 1.0,
+                                    g.centers()) == 0.0)
 
 
-def test_viscous_underresolved_eps_rejected():
-    g = Grid(-2.0, 2.0, 64)
-    data = riemann_initial_data(0.2, 0.8, 1.0, -2.0, 2.0)
-    with pytest.raises(InputRangeError):
-        viscous_solve(data, eps=0.25 * g.h, grid=g, t_final=0.1, model=GSH)
+@pytest.mark.parametrize("name", ["shock", "rarefaction", "constant"])
+def test_particles_reject_a_far_field_density(name):
+    sc = scenario(name)
+    with pytest.raises(InvalidDataError, match="vanishes on the first"):
+        follow_the_leader(sc.data, GSH, 1.0, sc.grid.centers())
 
 
-def test_viscous_approaches_exact_as_eps_shrinks():
-    rl, rr, u = 0.2, 0.8, 1.0
-    errs = []
-    for n in (64, 128, 256):
-        g = Grid(-4.0, 4.0, n)
-        data = riemann_initial_data(rl, rr, u, -4.0, 4.0)
-        states = viscous_solve(data, eps=4 * g.h, grid=g, t_final=1.0,
-                               model=GSH, n_output=2)
-        exact = lwr_riemann_exact(rl, rr, u, GSH, 1.0, g.centers())
-        errs.append(g.h * np.abs(states[-1].rho.values - exact).sum())
-    assert errs[2] < errs[1] < errs[0]
+@pytest.mark.parametrize("x", [[0.0], [0.0, 1.0, 3.0], [1.0, 0.0],
+                               [0.0, np.nan], "abc"])
+def test_particles_need_the_centres_of_a_uniform_grid(x):
+    with pytest.raises(InputRangeError, match="positions x must"):
+        follow_the_leader(scenario("smoke").data, GSH, 1.0, x)
