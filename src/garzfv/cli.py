@@ -118,11 +118,8 @@ def _solve_audit_write(args, cfg: RunConfig, command: str,
     out = _out_dir(args, cfg, command)
     runio.remove_stale_outputs(out, len(traj.states) if snapshots else 0,
                                plots, report is not None)
-    runio.write_trajectory(out, traj, cfg, report, write_snapshots=snapshots)
-    if report is not None:
-        runio.write_report(out, report)
-    if plots:
-        runio.emit_plotdata(out, traj)
+    runio.write_trajectory(out, traj, cfg, report, write_snapshots=snapshots,
+                           write_plot=plots)
     return traj, report, out
 
 

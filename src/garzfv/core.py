@@ -92,14 +92,21 @@ class CellField:
 
     def __post_init__(self):
         try:
-            vals = np.asarray(self.values, dtype=float)
-        except (TypeError, ValueError) as exc:
+            vals = np.asarray(self.values)
+            # booleans, integers and floats, or objects that are all
+            # numbers.Real: numeric strings such as "1" are not converted
+            if vals.dtype.kind not in "biuf" and not (
+                    vals.dtype.kind == "O"
+                    and all(isinstance(x, numbers.Real) for x in vals.flat)):
+                raise TypeError(f"got {vals.dtype} values")
+            vals = np.asarray(vals, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidDataError(
                 f"cell field values must be real numbers: {exc}") from None
         if vals.shape != (self.grid.n_cells,):
             raise GridMismatchError(
                 f"field has {vals.shape} values for {self.grid.n_cells} cells")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise InvalidDataError("cell field contains non-finite values")
         vals = vals.copy()
         vals.setflags(write=False)

@@ -372,8 +372,12 @@ def validate_model(model: VelocityModel, u_max: float,
     A check passes iff its worst violation is <= 1e-12.  Validation is
     restricted to the working box; the closure is never probed outside it.
     A closure or derivative that raises, or whose result does not broadcast
-    to the lattice, raises ModelValidationError naming the closure.
+    to the lattice, raises ModelValidationError naming the closure, and
+    so does a model that is not a VelocityModel, naming its type.
     """
+    if not isinstance(model, VelocityModel):
+        raise ModelValidationError("velocity closure must be a VelocityModel,"
+                                   f" got {type(model).__name__}")
     require_count("n_samples", n_samples, 2)
     u_max = require_real("u_max", u_max, 0)
     rho = np.linspace(0.0, 1.0, n_samples)[:, None]

@@ -16,14 +16,19 @@ keys are sorted, and nothing timestamps itself.  A run directory holds one
 run: before a run writes, remove_stale_outputs deletes the files with
 these names that the run will not write, and no other file.
 
-Table text is built column by column with format_column, which formats
-each distinct bit pattern of a column once: the solutions are plateaus,
-fans and piecewise-constant markers, so most values a run writes repeat.
-Each writer formats the grid-centre column once for all its files.
+Tables are built column by column.  _column formats each run of equal
+bit patterns in a column once: the solutions are plateaus, fans and
+piecewise-constant markers, so most values repeat next to each other.
+Trailing columns that each hold one text, such as the markers of a
+constant-marker run, join the line end rather than every row.  One pass
+over the output states formats each state once and writes its snapshot
+and its rho, u and z plot blocks from that text; the grid centres are
+formatted once per run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -69,27 +74,56 @@ def write_json(path: str, payload: dict) -> None:
     _write_text(path, text + "\n")
 
 
-def format_column(values) -> list[str]:
-    """%.17g text of each float in a 1-D column, formatting each distinct
-    bit pattern once.  Patterns, not values, are deduplicated: -0.0 == 0.0
-    but they print "-0" and "0"."""
+def _column(values) -> tuple[list[str], str | None]:
+    """%.17g text of each float in a 1-D column, and the one text every
+    cell holds (None unless the column is one run).  Each run of equal
+    bit patterns is formatted once: a repeat that is not adjacent is
+    formatted again, to the same text.  Patterns, not values, are
+    compared: -0.0 == 0.0 but they print "-0" and "0"."""
     a = np.ascontiguousarray(values, dtype=float)
-    _, first, inverse = np.unique(a.view(np.int64), return_index=True,
-                                  return_inverse=True)
-    text = np.array(["%.17g" % x for x in a[first].tolist()], dtype=object)
-    return text.take(inverse).tolist()
+    n = a.size
+    if n == 0:
+        return [], None
+    bits = a.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if starts.size == 0:
+        one = "%.17g" % float(a[0])
+        return [one] * n, one
+    if starts.size == n - 1:
+        return ["%.17g" % x for x in a.tolist()], None
+    starts = np.concatenate(([0], starts))
+    text = np.array(["%.17g" % x for x in a[starts].tolist()], dtype=object)
+    return text.repeat(np.diff(starts, append=n)).tolist(), None
 
 
-def _table_text(columns, sep: str, header=None) -> str:
-    """Equal-length text columns (lists of str, see format_column), one
-    row per line, after an optional header row of column names."""
-    lines = [sep.join(header)] if header else []
-    lines += map(sep.join, zip(*columns))
-    return "\n".join(lines) + "\n"
+def format_column(values) -> list[str]:
+    """%.17g text of each float in a 1-D column (see _column)."""
+    return _column(values)[0]
+
+
+def _write_table(fh, columns, sep: str, header=None) -> None:
+    """Write equal-length columns of (texts, one) pairs from _column to
+    the open file fh, one row per line, after an optional header row of
+    column names.  The trailing columns that each hold one text, after
+    the first column, join the line end rather than every row."""
+    k = len(columns)
+    while k > 1 and columns[k - 1][1] is not None:
+        k -= 1
+    end = "".join(sep + one for _, one in columns[k:]) + "\n"
+    if header:
+        fh.write(sep.join(header) + "\n")
+    if columns and columns[0][0]:
+        fh.write(end.join(columns[0][0] if k == 1 else map(
+            sep.join, zip(*(texts for texts, _ in columns[:k])))))
+        fh.write(end)
+    elif not header:  # no lines at all: the table is one empty line
+        fh.write("\n")
 
 
 def write_table(path: str, columns, sep: str, header=None) -> None:
-    _write_text(path, _table_text(columns, sep, header))
+    """Write equal-length text columns (lists of str, see format_column)."""
+    with _open_text(path) as fh:
+        _write_table(fh, [(c, None) for c in columns], sep, header)
 
 
 def trajectory_manifest(traj: Trajectory, cfg: RunConfig | None = None,
@@ -151,22 +185,26 @@ def report_payload(report: RunReport) -> dict:
 def write_trajectory(out_dir: str, traj: Trajectory,
                      cfg: RunConfig | None = None,
                      report: RunReport | None = None,
-                     write_snapshots: bool = True) -> None:
+                     write_snapshots: bool = True,
+                     write_plot: bool = False) -> None:
+    """Write a run's manifest, its report when one is given, and its
+    snapshots and plot files as asked, all from one text pass over the
+    output states."""
     write_json(os.path.join(out_dir, "manifest.json"),
                trajectory_manifest(traj, cfg, report))
-    if write_snapshots:
-        x = format_column(traj.grid.centers())
-        for i, state in enumerate(traj.states):
-            cols = [x] + [format_column(f.values) for f in
-                          (state.rho, state.u, state.z, state.psi, state.v,
-                           state.w)]
-            write_table(os.path.join(out_dir, "snapshots", f"{i:04d}.csv"),
-                        cols, ",", SNAPSHOT_COLUMNS)
+    if report is not None:
+        _write_report(out_dir, report)
+    _write_states(out_dir, traj, write_snapshots, write_plot)
 
 
 def write_report(out_dir: str, report: RunReport) -> None:
     _write_text(os.path.join(out_dir, "report.csv"), report_csv_text(report))
     write_json(os.path.join(out_dir, "report.json"), report_payload(report))
+
+
+# writers reach each other only through private names, so a span tracer
+# that rebinds the public ones never nests one writer's span in another's
+_write_report = write_report
 
 
 def remove_stale_outputs(out_dir: str, n_snapshots: int, plots: bool,
@@ -197,16 +235,37 @@ def remove_stale_outputs(out_dir: str, n_snapshots: int, plots: bool,
 def emit_plotdata(out_dir: str, traj: Trajectory) -> None:
     """Write a run's plot-ready files: per field one file holding a
     two-column block per output state, and the time series."""
+    _write_states(out_dir, traj, False, True)
+
+
+def _write_states(out_dir: str, traj: Trajectory, snapshots: bool,
+                  plots: bool) -> None:
+    """The one text pass: format each output state's fields once, write
+    its snapshot from them when snapshots, and append its rho, u and z
+    blocks to the plot files, open for the pass, when plots.  The grid
+    centres are formatted once, and one state's text is held at a time."""
+    if not (snapshots or plots):
+        return
+    x = _column(traj.grid.centers())
+    names = ("rho", "u", "z", "psi", "v", "w") if snapshots else \
+        ("rho", "u", "z")
     plot = os.path.join(out_dir, "plot")
-    x = format_column(traj.grid.centers())
-    for name in ("rho", "u", "z"):
-        # block by block: the joined text of all states is not held
-        with _open_text(os.path.join(plot, f"{name}.dat")) as fh:
-            for i, state in enumerate(traj.states):
+    with contextlib.ExitStack() as stack:
+        blocks = [stack.enter_context(
+            _open_text(os.path.join(plot, f"{name}.dat")))
+            for name in ("rho", "u", "z")] if plots else []
+        for i, state in enumerate(traj.states):
+            cols = [_column(getattr(state, name).values) for name in names]
+            if snapshots:
+                with _open_text(os.path.join(out_dir, "snapshots",
+                                             f"{i:04d}.csv")) as snap:
+                    _write_table(snap, [x] + cols, ",", SNAPSHOT_COLUMNS)
+            for fh, col in zip(blocks, cols):
                 if i:
                     fh.write("\n\n")
-                fh.write(_table_text(
-                    (x, format_column(getattr(state, name).values)), " "))
+                _write_table(fh, (x, col), " ")
+    if not plots:
+        return
     t = format_column(traj.series_times)
     write_table(os.path.join(plot, "tv.dat"),
                 (t, format_column(traj.tv_series)), " ")

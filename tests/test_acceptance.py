@@ -161,9 +161,9 @@ def test_6_picard_iteration_contracts(solved):
               for i in range(2, len(phi)) if phi[i - 1] > 0.0]
     ok = ok and len(ratios) >= 1 and max(ratios) <= 0.9
     iters = [s.trace.iterations for s in traj.slabs]
+    worst = f"{max(ratios):.3f}" if ratios else "none (no fourth iterate)"
     _line(6, "iteration contraction", ok,
-          f"iterations per slab {iters}, worst settled ratio "
-          f"{max(ratios):.3f} vs 0.9")
+          f"iterations per slab {iters}, worst settled ratio {worst} vs 0.9")
 
 
 def test_7_stability_constant_is_grid_robust():

@@ -346,6 +346,39 @@ def test_solve_tables_match_the_row_formula(tmp_path, monkeypatch):
             assert block[:, 1].tobytes() == f.tobytes()
 
 
+@pytest.mark.parametrize("name", ["smoke", "shock"])
+def test_partial_run_directories_hold_the_default_bytes(tmp_path, name):
+    # snapshots and plots come from one text pass over the states; with
+    # either switched off, every file the run writes has the default
+    # run's bytes, and the manifest differs only in its config echo
+    base = dict(n_cells=96, n_output=3, t_final=0.3)
+    layouts = {"all": {}, "snapshots": dict(write_plot=False),
+               "plots": dict(write_snapshots=False)}
+    for layout, switches in layouts.items():
+        ini = write_config(tmp_path / f"{layout}.ini", name, **base,
+                           **switches, out_dir=layout)
+        assert run(tmp_path, "solve", "--config", ini) == 0
+
+    def files(layout):
+        root = tmp_path / layout
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+
+    def without_config(manifest):
+        return {k: v for k, v in json.loads(manifest).items()
+                if k != "config"}
+
+    full = files("all")
+    for layout, dropped in (("snapshots", "plot/"), ("plots", "snapshots/")):
+        part = files(layout)
+        assert sorted(part) == sorted(
+            rel for rel in full if not rel.startswith(dropped))
+        assert without_config(part.pop("manifest.json")) == without_config(
+            full["manifest.json"])
+        for rel, data in part.items():
+            assert data == full[rel], (layout, rel)
+
+
 def test_rerun_leaves_only_its_own_outputs(tmp_path):
     # a run directory holds one run: a rerun deletes the outputs of the
     # earlier run that it does not write itself, and no other file

@@ -126,11 +126,25 @@ def test_distance_requires_shared_grid():
         l1_distance(a, b)
 
 
-@pytest.mark.parametrize("values", [["a"] * 4, [1j] * 4, [object()] * 4],
-                         ids=["str", "complex", "object"])
+@pytest.mark.parametrize("values", [
+    ["a"] * 4, [1j] * 4, [object()] * 4, ["1"] * 4, np.array(["1"] * 4),
+    np.array([1.0, "1", 2.0, 3.0], dtype=object), [1.0, 2.0, "3", 4.0]],
+    ids=["str", "complex", "object", "numeric str", "numeric str array",
+         "numeric str in objects", "numeric str among floats"])
 def test_cell_field_rejects_values_that_are_not_real_numbers(values):
     with pytest.raises(InvalidDataError, match="must be real numbers"):
         CellField(values, Grid(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("values", [
+    [True, False, True, True], [1, 2, 3, 4], np.arange(4, dtype=np.int32),
+    np.array([0.5, 1, True, np.float32(2.0)], dtype=object),
+    np.linspace(0.0, 1.0, 4, dtype=np.float32)],
+    ids=["bools", "ints", "int32 array", "real objects", "float32 array"])
+def test_cell_field_takes_real_numbers_of_any_kind(values):
+    f = CellField(values, Grid(0.0, 1.0, 4))
+    assert f.values.dtype == np.float64
+    assert f.values.tolist() == [float(x) for x in np.asarray(values)]
 
 
 def test_build_initial_state_prefix_sums_by_hand():

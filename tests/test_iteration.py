@@ -18,6 +18,7 @@ from garzfv import (
     InitialData,
     InputRangeError,
     InvalidDataError,
+    ModelValidationError,
     PicardDivergenceError,
     Piece,
     PowerLawModel,
@@ -749,6 +750,20 @@ def test_non_real_values_raise_before_any_march(no_march, case, value):
     error, name, call = NON_REAL_VALUES[case]
     with pytest.raises(error, match=f"^{name} must be "):
         call(scenario("smoke"), value)
+
+
+@pytest.mark.parametrize("model, type_name", [
+    (None, "NoneType"), ("greenshields", "str"),
+    (lambda rho, u: u * (1.0 - rho), "function")],
+    ids=["None", "name", "function"])
+def test_a_model_that_is_not_a_velocity_model_raises_before_any_march(
+        no_march, model, type_name):
+    sc = scenario("smoke")
+    message = f"must be a VelocityModel, got {type_name}$"
+    with pytest.raises(ModelValidationError, match=message):
+        validate_model(model, 1.0)
+    with pytest.raises(ModelValidationError, match=message):
+        solve_global(sc.data, sc.grid, sc.t_final, model)
 
 
 @pytest.mark.parametrize("t0, t1, events, name", [
