@@ -183,8 +183,7 @@ def cmd_stability(args) -> int:
         **asdict(result), "within_envelope": result.within_envelope,
         "note": result.note})
     runio.write_table(os.path.join(out, "plot", "stability_ratio.dat"),
-                      (runio.format_column(result.times),
-                       runio.format_column(result.ratio_series)), " ")
+                      (result.times, result.ratio_series), " ")
     print(f"K_measured = {result.k_measured:.6g} "
           f"(empirical lower bound on any valid constant); "
           f"advisory envelope rate c_hat = {result.c_hat:.6g}")
@@ -270,9 +269,7 @@ def cmd_riemann(args) -> int:
         rho = lwr_riemann_exact(args.rho_left, args.rho_right, args.u_bar,
                                 model, args.t, x)
     path = os.path.join(_output_root(args), "riemann", "exact.csv")
-    runio.write_table(path, (runio.format_column(x),
-                             runio.format_column(rho)), ",",
-                      ("x_center", "rho"))
+    runio.write_table(path, (x, rho), ",", ("x_center", "rho"))
     print(f"exact profile at t={args.t:g} written to {path}")
     return 0
 

@@ -257,12 +257,12 @@ class SystemState:
 
     @cached_property
     def u(self) -> CellField:
-        return CellField(self.u_inf + self.grid.h * np.cumsum(self.v.values),
+        return CellField(prefix_sum(self.u_inf, self.grid.h, self.v.values),
                          self.grid)
 
     @cached_property
     def z(self) -> CellField:
-        return CellField(self.z_inf + self.grid.h * np.cumsum(self.w.values),
+        return CellField(prefix_sum(self.z_inf, self.grid.h, self.w.values),
                          self.grid)
 
     @cached_property
@@ -271,6 +271,16 @@ class SystemState:
 
     def mass(self) -> float:
         return float(self.grid.h * self.rho.values.sum())
+
+
+def prefix_sum(inf: float, h: float, q: np.ndarray) -> np.ndarray:
+    """inf + h * cumsum(q) along the last axis, taken as a cumsum, then
+    ``*= h``, then ``+= inf``: the one rule, and bit order, by which u and
+    z are derived from v and w."""
+    out = np.cumsum(q, axis=-1)
+    out *= h
+    out += inf
+    return out
 
 
 def ratio_or(q: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -303,7 +313,7 @@ def build_initial_state(data: InitialData, grid: Grid) -> SystemState:
     rho = np.clip(rho, 0.0, 1.0)
     psi = cell_averages(data.psi_pieces, grid)
     w = rho * psi
-    z = data.z_inf + grid.h * np.cumsum(w)
+    z = prefix_sum(data.z_inf, grid.h, w)
     v = rho * z
     state = state_from_arrays(0.0, rho, v, w, data.z_inf, data.u_inf, grid)
     u_min = state.u.values.min()

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CellField, Grid, InitialData, SystemState,
-                   build_initial_state, check_margins, l1_norm,
+                   build_initial_state, check_margins, l1_norm, prefix_sum,
                    require_count, require_real, state_from_arrays,
                    total_variation)
 from .errors import PicardDivergenceError
@@ -267,11 +267,11 @@ def _row_spans(rows: np.ndarray):
 
 
 class _FrozenU:
-    """A march's frozen u, u_inf + h cumsum(v) of each v row bit for bit.
-    ``pair(s)`` is stored rows s-1 and s (s never decreasing); past its
-    block it derives rows s-1 to s-1 + U_BLOCK_ROWS (fewer at the end) by
-    a cumsum along rows, ``*= h`` and ``+= u_inf``.  ``span(s)`` is the
-    cell range [lo, hi) holding both rows' jumps (spans taken per block)."""
+    """A march's frozen u, core.prefix_sum of each v row, so a state's u
+    bit for bit.  ``pair(s)`` is stored rows s-1 and s (s never
+    decreasing); past its block it derives rows s-1 to s-1 + U_BLOCK_ROWS
+    (fewer at the end) in one call.  ``span(s)`` is the cell range
+    [lo, hi) holding both rows' jumps (spans taken per block)."""
 
     def __init__(self, v_rows, h, u_inf):
         self.v_rows, self.h, self.u_inf = v_rows, h, u_inf
@@ -280,9 +280,8 @@ class _FrozenU:
     def pair(self, s):
         if s > self.j + U_BLOCK_ROWS:
             self.j, self.spans = s - 1, None
-            self.rows = np.cumsum(self.v_rows[s - 1:s + U_BLOCK_ROWS], 1)
-            self.rows *= self.h
-            self.rows += self.u_inf
+            self.rows = prefix_sum(self.u_inf, self.h,
+                                   self.v_rows[s - 1:s + U_BLOCK_ROWS])
         return self.rows[s - 1 - self.j], self.rows[s - self.j]
 
     def span(self, s):
@@ -500,15 +499,17 @@ def picard_slab(state: SystemState, t0: float, t1: float,
     replayed with the entropy audit on: no march runs after the one that
     converged.  A march whose v rows repeat its frozen rows is every later
     iterate (see the module docstring).  t0 < t1 must be finite and each
-    extra event in [t0, t1].  Raises PicardDivergenceError carrying the
-    trace when tol_phi is not reached within max_picard_iters iterates.
+    extra event in [t0, t1 + 1e-12 max(1, |t1|)]; one past t1 merges into
+    t1.  Raises PicardDivergenceError carrying the trace when tol_phi is
+    not reached within max_picard_iters iterates.
     """
     t0 = require_real("t0", t0)
     t1 = require_real("t1", t1, t0, open_lo=True)
-    extra = [require_real("extra event", e, t0, t1) for e in extra_events]
+    time_tol = 1e-12 * max(1.0, abs(t1))
+    extra = [require_real("extra event", e, t0, t1 + time_tol)
+             for e in extra_events]
     model = ctx.model
     h = state.grid.h
-    time_tol = 1e-12 * max(1.0, abs(t1))
     base = np.linspace(t0, t1, cfg.snapshots_per_slab + 1)
     events = _merge_times(base, extra, time_tol)
 
@@ -648,8 +649,10 @@ def solve_global(data: InitialData, grid: Grid, t_final: float,
         inner = output_times[(output_times > t + time_tol)
                              & (output_times <= t1 + time_tol)]
         try:
+            # output times up to time_tol past t1 are this slab's; time_tol
+            # may exceed picard_slab's own, so they go in as t1
             iterate, _, record = picard_slab(state, t, t1, ctx, cfg,
-                                             extra_events=inner)
+                                             np.minimum(inner, t1))
         except PicardDivergenceError:
             halvings += 1
             if halvings > MAX_TAU_HALVINGS:

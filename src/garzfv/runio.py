@@ -96,11 +96,6 @@ def _column(values) -> tuple[list[str], str | None]:
     return text.repeat(np.diff(starts, append=n)).tolist(), None
 
 
-def format_column(values) -> list[str]:
-    """%.17g text of each float in a 1-D column (see _column)."""
-    return _column(values)[0]
-
-
 def _write_table(fh, columns, sep: str, header=None) -> None:
     """Write equal-length columns of (texts, one) pairs from _column to
     the open file fh, one row per line, after an optional header row of
@@ -121,9 +116,9 @@ def _write_table(fh, columns, sep: str, header=None) -> None:
 
 
 def write_table(path: str, columns, sep: str, header=None) -> None:
-    """Write equal-length text columns (lists of str, see format_column)."""
+    """Write equal-length 1-D float columns, each formatted by _column."""
     with _open_text(path) as fh:
-        _write_table(fh, [(c, None) for c in columns], sep, header)
+        _write_table(fh, [_column(c) for c in columns], sep, header)
 
 
 def trajectory_manifest(traj: Trajectory, cfg: RunConfig | None = None,
@@ -266,12 +261,10 @@ def _write_states(out_dir: str, traj: Trajectory, snapshots: bool,
                 _write_table(fh, (x, col), " ")
     if not plots:
         return
-    t = format_column(traj.series_times)
     write_table(os.path.join(plot, "tv.dat"),
-                (t, format_column(traj.tv_series)), " ")
+                (traj.series_times, traj.tv_series), " ")
     write_table(os.path.join(plot, "mass.dat"),
-                (t, format_column(traj.mass_series)), " ")
+                (traj.series_times, traj.mass_series), " ")
     phi_t = [s.trace.t1 for s in traj.slabs for _ in s.trace.phi]
     phi_v = [phi for s in traj.slabs for phi in s.trace.phi]
-    write_table(os.path.join(plot, "phi.dat"),
-                (format_column(phi_t), format_column(phi_v)), " ")
+    write_table(os.path.join(plot, "phi.dat"), (phi_t, phi_v), " ")

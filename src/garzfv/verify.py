@@ -1,8 +1,8 @@
 """Measured counterparts of the well-posedness bounds.
 
 audit_trajectory sweeps every stored state of a finished run against the
-invariant battery (box bounds, marker domination, prefix identities, mass
-bookkeeping, variation envelope, entropy residuals, contraction records).
+invariant battery (box bounds, marker domination, mass bookkeeping,
+variation envelope, entropy residuals, contraction records).
 measure_stability, uniqueness_check and convergence_study each launch a
 family of solves and reduce them to one number with a pass criterion.
 
@@ -117,24 +117,6 @@ def _bounds_checks(traj: Trajectory, ctx: ProblemContext) -> list:
     ]
 
 
-def _prefix_checks(traj: Trajectory) -> list:
-    """u and z against the prefix sums a state derives them by."""
-    h = traj.grid.h
-    worst_u = 0.0
-    worst_z = 0.0
-    for st in traj.states:
-        u_rec = st.u_inf + h * np.cumsum(st.v.values)
-        z_rec = st.z_inf + h * np.cumsum(st.w.values)
-        worst_u = max(worst_u, float(np.abs(u_rec - st.u.values).max()))
-        worst_z = max(worst_z, float(np.abs(z_rec - st.z.values).max()))
-    return [
-        CheckResult("u_prefix_identity", worst_u <= 1e-9, worst_u, 1e-9,
-                    "u == u_inf + h cumsum(v)"),
-        CheckResult("z_prefix_identity", worst_z <= 1e-9, worst_z, 1e-9,
-                    "z == z_inf + h cumsum(w)"),
-    ]
-
-
 def _mass_checks(traj: Trajectory) -> list:
     mass0 = float(traj.mass_series[0])
     scale = max(abs(mass0), 1e-30)
@@ -229,7 +211,6 @@ def audit_trajectory(traj: Trajectory) -> RunReport:
     ctx = traj.context
     checks = []
     checks.extend(_bounds_checks(traj, ctx))
-    checks.extend(_prefix_checks(traj))
     checks.extend(_mass_checks(traj))
     checks.extend(_tv_checks(traj, ctx))
     entropy_check, table = _entropy_check(traj, ctx)

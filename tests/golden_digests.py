@@ -18,7 +18,8 @@ Rewrite the file from the repository root with
 
     PYTHONPATH=src python tests/golden_digests.py
 
-and say in the change log which digests moved and why.
+which first prints each digest that moved, by its key (such as
+``run_dirs/smoke/report.csv``); say in the change log which moved and why.
 """
 
 from __future__ import annotations
@@ -164,6 +165,16 @@ def study_digests() -> dict:
     }
 
 
+def moved_keys(old, new, prefix="") -> list[str]:
+    """The /-joined key of every leaf whose value differs between the
+    nested dicts old and new, or that only one of them holds."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if old == new else [prefix]
+    return [key for name in sorted(old.keys() | new.keys())
+            for key in moved_keys(old.get(name), new.get(name),
+                                  f"{prefix}/{name}" if prefix else name)]
+
+
 def main() -> None:
     payload = {"environment": environment(),
                "n_cells": N_CELLS,
@@ -171,6 +182,9 @@ def main() -> None:
                "run_dirs": {name: run_dir_digests(name)
                             for name in SCENARIO_NAMES},
                "studies": study_digests()}
+    old = json.loads(PATH.read_text()) if PATH.exists() else {}
+    for key in moved_keys(old, payload):
+        print(f"moved: {key}")
     PATH.write_text(json.dumps(payload, indent=1) + "\n")
 
 

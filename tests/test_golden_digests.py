@@ -5,7 +5,7 @@ import json
 import pytest
 
 from golden_digests import (CASES, N_CELLS, PATH, case_digests, environment,
-                            run_dir_digests, study_digests)
+                            moved_keys, run_dir_digests, study_digests)
 from garzfv.scenarios import SCENARIO_NAMES
 
 GOLDEN = json.loads(PATH.read_text())
@@ -33,6 +33,17 @@ def test_digests_were_written_in_this_environment():
                     f" but this run has {here}; rewrite it with `python "
                     "tests/golden_digests.py` on the parent commit, in this "
                     "environment, before comparing a change against it")
+
+
+def test_moved_keys_name_every_changed_added_and_dropped_leaf():
+    old = {"cases": {"a": {"states": "1", "phi": ["2"]}},
+           "run_dirs": {"smoke": {"report.csv": "3", "manifest.json": "4"}}}
+    new = {"cases": {"a": {"states": "1", "phi": ["5"]}, "b": {"states": "6"}},
+           "run_dirs": {"smoke": {"report.csv": "7"}}}
+    assert moved_keys(old, new) == [
+        "cases/a/phi", "cases/b", "run_dirs/smoke/manifest.json",
+        "run_dirs/smoke/report.csv"]
+    assert moved_keys(new, new) == []
 
 
 def test_every_case_has_digests():

@@ -551,6 +551,28 @@ def test_the_bindings_the_span_tracer_rebinds_exist():
                 config.RunConfig)}
 
 
+@pytest.mark.parametrize("t_final, n_output, shortfall",
+                         [(1.0, 32, 5e-13), (2.0, 16, 1.5e-12)])
+def test_slab_end_just_below_an_output_time(monkeypatch, t_final, n_output,
+                                            shortfall):
+    # slabs of 0.125 - shortfall end within the driver's time tolerance
+    # below every fourth (t_final 1) or every (t_final 2) output time
+    monkeypatch.setattr(iteration, "compute_tau0",
+                        lambda c: 0.125 - shortfall)
+    sc = scenario("smoke")
+    traj = solve_global(sc.data, Grid(-6.0, 6.0, 96), t_final, sc.model(),
+                        SlabConfig(entropy_levels=0), n_output)
+    assert [st.t for st in traj.states] == traj.output_times.tolist()
+
+
+def test_an_event_just_past_the_slab_end_merges_into_it():
+    sc = scenario("smoke")
+    alone, _, _ = _slab_on(sc, 0.0, 0.25)
+    merged, _, _ = _slab_on(sc, 0.0, 0.25, [0.25 + 5e-13])
+    assert merged.times.tolist() == alone.times.tolist()
+    assert np.array_equal(merged.rho, alone.rho)
+
+
 def test_global_solve_halves_slab_on_divergence():
     # unreachable tolerance: the halving ladder must exhaust and surface
     # the divergence error rather than loop forever

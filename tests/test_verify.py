@@ -72,6 +72,39 @@ def test_corrupted_state_fails_bounds_with_reported_violation():
     assert bad["rho_in_unit_interval"].worst == pytest.approx(0.5, abs=1e-12)
 
 
+def _centred(theta, flux):
+    return 0.5 * (theta[..., :-1] + theta[..., 1:])
+
+
+def _donor(theta, flux):
+    return np.where(flux >= 0.0, theta[..., :-1], theta[..., 1:])
+
+
+# marker-step mutants -> (interface ratio, rho floor of theta = q / rho):
+# the mean of both sides' ratios, or the donor's with rho floored at 1e-3
+MARKER_MUTANTS = {"centred ratio": (_centred, 0.0),
+                  "floored ratio": (_donor, 1e-3)}
+
+
+@pytest.mark.parametrize("mutant", sorted(MARKER_MUTANTS))
+def test_marker_step_mutants_fail_marker_domination(monkeypatch, mutant):
+    ratio, floor = MARKER_MUTANTS[mutant]
+
+    def step(qe, re, flux, h, dt):
+        q, rho = qe[..., 1:-1], re[1:-1]
+        theta = np.divide(q, np.maximum(rho, floor), out=np.zeros(q.shape),
+                          where=rho > 0.0)
+        g = ratio(theta, flux) * flux
+        return qe[..., 2:-2] - dt / h * (g[..., 1:] - g[..., :-1])
+
+    monkeypatch.setattr(iteration, "marker_step_arrays", step)
+    sc = scenario("smoke")
+    traj = solve_global(sc.data, Grid(sc.grid.x_min, sc.grid.x_max, 192),
+                        sc.t_final, sc.model())
+    failed = {c.name for c in audit_trajectory(traj).failures()}
+    assert "markers_dominated_by_density" in failed
+
+
 def test_stability_on_shifted_and_nudged_pair():
     sc = scenario("smoke")
     grid = Grid(sc.grid.x_min, sc.grid.x_max, 128)
